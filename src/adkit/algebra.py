@@ -247,19 +247,13 @@ def is_associative(alg: UnaryAlgebra) -> AssociativityReport:
     return AssociativityReport(n, tuple(bad))
 
 
-#: The seven component identities, in reporting order.  With R = rhd, L = lhd
-#: and x.y the sum product, each maps a basis triple to its residual vector.
+#: The seven component identities, in reporting order; ``_identity_residual``
+#: maps each, on a basis triple, to its residual vector.  With x>y = rhd,
+#: x<y = lhd and x.y the sum product:
+#: id1 (x>y)<z = x>(y<z),   id2 x>(y>z) = -(x.y)>z,  id3 x>(y>z) = -x<(y.z),
+#: id4 x>(y>z) = (x<y)<z,   id5 (x.y)>z = x<(y.z),   id6 -(x.y)>z = (x<y)<z,
+#: id7 -x<(y.z) = (x<y)<z.
 IDENTITY_NAMES = ("id1", "id2", "id3", "id4", "id5", "id6", "id7")
-
-IDENTITY_LAWS = {
-    "id1": "(x>y)<z = x>(y<z)",
-    "id2": "x>(y>z) = -(x.y)>z",
-    "id3": "x>(y>z) = -x<(y.z)",
-    "id4": "x>(y>z) = (x<y)<z",
-    "id5": "(x.y)>z = x<(y.z)",
-    "id6": "-(x.y)>z = (x<y)<z",
-    "id7": "-x<(y.z) = (x<y)<z",
-}
 
 
 def _identity_residual(name: str, r: StructureConstants, l: StructureConstants,

@@ -50,11 +50,6 @@ def _load(path: str):
         return fileio.parse_algebra(fh.read())
 
 
-def _tensor_rows(sc):
-    return [[i + 1, j + 1, k + 1, format_poly(p)]
-            for (i, j, k), p in sorted(sc.entries())]
-
-
 def _vec_str(vec) -> list:
     return [str(x) if isinstance(x, Fraction) else format_poly(x) for x in vec]
 
@@ -162,8 +157,8 @@ def _family_dict(fam: solver.Family) -> dict:
     return {
         "label": fam.label,
         "params": list(fam.params),
-        "rhd": _tensor_rows(fam.rhd),
-        "lhd": _tensor_rows(fam.lhd),
+        "rhd": fileio._entry_rows(fam.rhd),
+        "lhd": fileio._entry_rows(fam.lhd),
         "side_conditions": [format_poly(p) + " != 0" for p in fam.side],
         "residual_equations": [
             {"provenance": eq.prov, "equation": format_poly(eq.poly) + " = 0"}
@@ -313,8 +308,8 @@ def _analyze_at(obj, assign) -> dict:
             quo = quotient_by_center(obj, assign)
             out["quotient_by_center"] = {
                 "dim": quo.pair.dim,
-                "rhd": _tensor_rows(quo.pair.rhd),
-                "lhd": _tensor_rows(quo.pair.lhd),
+                "rhd": fileio._entry_rows(quo.pair.rhd),
+                "lhd": fileio._entry_rows(quo.pair.lhd),
                 "kept_basis": [i + 1 for i in quo.kept_indices],
             }
         except CenterMismatch as exc:
@@ -345,7 +340,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
               "options": {"assign": _assign_str(assign)}}
     results: dict = {}
     if isinstance(obj, AdPair):
-        results["sum"] = _tensor_rows(sum_algebra(obj).sc)
+        results["sum"] = fileio._entry_rows(sum_algebra(obj).sc)
         results["two_nilpotent"] = is_two_nilpotent(obj)
     points = []
     if missing:

@@ -27,7 +27,7 @@ import json
 from fractions import Fraction
 from .algebra import AdPair, StructureConstants, UnaryAlgebra
 from .errors import AlgebraFormatError
-from .scalars import (PARAM_NAMES, Poly, QuadExt, format_poly,
+from .scalars import (PARAM_NAMES, QuadExt, format_poly,
                       is_rational_square, parse_rational, poly_parse)
 
 
@@ -176,15 +176,3 @@ def parse_witness(text: str):
                 raise AlgebraFormatError(f"bad witness entry {cell!r}")
         rows.append(tuple(out))
     return tuple(rows), radicand
-
-
-def render_witness(rows, radicand=None) -> str:
-    doc: dict = {"dim": len(rows)}
-    if radicand is not None:
-        doc["radicand"] = str(radicand)
-        doc["entries"] = [[[str(c.a), str(c.b)] if isinstance(c, QuadExt)
-                           else [format_poly(Poly.coerce(c)), "0"] for c in row]
-                          for row in rows]
-    else:
-        doc["entries"] = [[format_poly(Poly.coerce(c)) for c in row] for row in rows]
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

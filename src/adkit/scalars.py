@@ -121,9 +121,6 @@ class Poly:
                 best = d
         return best
 
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: Scalar) -> "Poly":
@@ -198,23 +195,37 @@ class Poly:
         """Substitute polynomials or rationals for variables.
 
         Variables absent from ``mapping`` are kept.  Substitution is a ring
-        homomorphism, so it distributes over the stored terms.
+        homomorphism, so it distributes over the stored terms: each term's
+        expansion is accumulated straight into one coefficient dict, and each
+        power of a substituted value is expanded once per call.
         """
         if not mapping:
             return self
         touched = self.variables() & set(mapping)
         if not touched:
             return self
-        out = Poly()
+        powers: dict = {}
+        out: dict = {}
         for m, c in self.terms.items():
-            factor = Poly.const(c)
+            partial = {tuple(f for f in m if f[0] not in touched): c}
             for name, e in m:
-                if name in mapping:
-                    factor = factor * (Poly.coerce(mapping[name]) ** e)
-                else:
-                    factor = factor * Poly({((name, e),): Fraction(1)}, _trusted=True)
-            out = out + factor
-        return out
+                if name not in touched:
+                    continue
+                power = powers.get((name, e))
+                if power is None:
+                    power = Poly.coerce(mapping[name])
+                    power = powers[(name, e)] = (power if e == 1 else power ** e).terms
+                expanded: dict = {}
+                for m1, c1 in partial.items():
+                    for m2, c2 in power.items():
+                        mono = _mono_mul(m1, m2)
+                        coeff = c1 * c2
+                        expanded[mono] = (expanded[mono] + coeff
+                                          if mono in expanded else coeff)
+                partial = expanded
+            for mono, coeff in partial.items():
+                out[mono] = out[mono] + coeff if mono in out else coeff
+        return Poly({m: c for m, c in out.items() if c}, _trusted=True)
 
     def eval(self, assign: Mapping[str, Fraction]) -> Fraction:
         """Exact evaluation; every occurring variable must be assigned."""
@@ -269,6 +280,8 @@ class Poly:
             return ()
         items = sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]))
         lead = items[-1][1]
+        if lead == 1:
+            return tuple(items)
         return tuple((m, c / lead) for m, c in items)
 
     # -- printing ---------------------------------------------------------------

@@ -9,13 +9,15 @@ the mixed-associator law (id5) are linear, which the generator asserts.
 
 Elimination loop, per branch:
 
-1. canonicalise (drop zeros, deduplicate up to scaling);
+1. canonicalise (drop zeros, deduplicate up to scaling, keeping the first
+   occurrence);
 2. substitute away unknowns that occur linearly with a constant
-   coefficient, preferring equations with the fewest unknowns and then the
-   lexicographically lowest pivot;
+   coefficient, preferring equations with the fewest unknowns, then the
+   lowest pivot in unknown order, then the earliest equation;
 3. when substitutions stall, row-reduce the equations over their monomials
    to surface linear or constant consequences of rational combinations
-   (each extracted row records its lineage so certificates replay);
+   (each extracted row records its lineage so certificates replay); above
+   ``CONSEQUENCE_CAP`` equations this step is skipped;
 4. split on a quadratic: a factor shape (unknown)*(linear) = 0, or a
    single-unknown quadratic a*u^2 + b*u + c resolved through its
    discriminant (zero forces the double root, a constant square splits on
@@ -24,7 +26,20 @@ Elimination loop, per branch:
    or a recorded side condition reduces to zero -- either way the branch
    carries a replayable trace ending in the contradiction;
 6. branches that exceed the split budget, or whose remaining equations fit
-   no supported shape, stay honestly "stuck".
+   no supported shape, stay honestly "stuck", with the reason named:
+   "split-budget", "step-budget", "needs-extension" (see below),
+   "consequence-cap" (step 3 was skipped) or "nonlinear".
+
+Each branch keeps its equations as rows with their unknowns and
+linear-pivot candidate, computed when the row is written, and their
+canonical key, computed when the row is canonicalised; an index maps each
+unknown to the rows containing it.  A substitution rewrites only
+the rows, substitutions and side conditions that contain its unknown, and
+steps 1 and 5 look only at the rows written since the last pass; rows keep
+their place in the list, so every tie-break above and the contradiction
+reported are those of a full pass over the list.  Certificate replay keeps
+the substitutions in trace order and brings an equation up to date only
+when a step reads it.
 
 The union of the surviving branches' solution sets (side conditions
 included), together with the stuck branches, equals the original solution
@@ -41,9 +56,10 @@ making the output order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .algebra import (AdPair, IDENTITY_NAMES, StructureConstants, UnaryAlgebra,
                       _identity_residual, check_antidendriform, is_associative)
@@ -77,6 +93,7 @@ class ConstraintSystem:
     def __post_init__(self):
         object.__setattr__(self, "_index",
                            {u: n for n, u in enumerate(self.unknowns)})
+        object.__setattr__(self, "unknown_set", frozenset(self.unknowns))
 
 
 def _unknown_degree(p: Poly, unknowns: frozenset) -> int:
@@ -158,25 +175,57 @@ class TraceStep:
         return self.kind
 
 
+class _Row(NamedTuple):
+    """A residual equation with the data the elimination loop reads from it.
+
+    Everything but ``key`` is computed when the equation is written;
+    ``key`` is set when the row survives canonicalisation.
+    """
+    eq: Equation
+    unknowns: tuple            # unknowns occurring in eq.poly, in order
+    pivot: tuple | None        # (unknown count, pivot order, var)
+    key: tuple | None = None   # normalized_key, once canonicalised
+
+
 @dataclass
 class Branch:
-    """A partial solution: substitutions, residual equations, side conditions."""
+    """A partial solution: substitutions, residual equations, side conditions.
+
+    Residual equations are rows keyed by id.  Ids only grow and a rewrite
+    keeps its row's id, so id order is list order.  ``uses`` maps each
+    unknown to the ids of the rows that contained it when written; readers
+    skip ids whose row has since been dropped or lost the unknown.  ``keys``
+    maps each canonical key to its row, and ``fresh`` holds the ids written
+    since the last canonicalisation; ``side_fresh`` flags a changed side
+    condition.
+    """
     subs: dict = field(default_factory=dict)        # var -> Poly, fully reduced
     sub_order: list = field(default_factory=list)
-    equations: list = field(default_factory=list)   # [Equation]
+    rows: dict = field(default_factory=dict)        # id -> _Row, in list order
+    uses: dict = field(default_factory=dict)        # unknown -> [row id]
+    keys: dict = field(default_factory=dict)        # normalized_key -> row id
+    fresh: set = field(default_factory=set)
     side: list = field(default_factory=list)        # [(Poly, origin prov)]
+    side_fresh: bool = False
     trace: list = field(default_factory=list)       # [TraceStep]
     path: tuple = ()
     depth: int = 0
     status: str = "open"       # open | solved | infeasible | stuck
     stuck_reason: str = ""
     derived: int = 0           # counter for combination-derived equations
+    next_row: int = 0
+
+    @property
+    def equations(self) -> list:
+        """The residual equations, in list order."""
+        return [row.eq for row in self.rows.values()]
 
     def clone(self) -> "Branch":
-        return Branch(dict(self.subs), list(self.sub_order),
-                      list(self.equations), list(self.side), list(self.trace),
-                      self.path, self.depth, self.status, self.stuck_reason,
-                      self.derived)
+        return replace(self, subs=dict(self.subs),
+                       sub_order=list(self.sub_order), rows=dict(self.rows),
+                       uses={u: list(ids) for u, ids in self.uses.items()},
+                       keys=dict(self.keys), fresh=set(self.fresh),
+                       side=list(self.side), trace=list(self.trace))
 
     def free_unknowns(self, system: ConstraintSystem) -> tuple:
         return tuple(u for u in system.unknowns if u not in self.subs)
@@ -194,49 +243,103 @@ class Branch:
         return tuple(out)
 
 
-def _apply_substitution(branch: Branch, var: str, rhs: Poly, kind: str, prov: str):
+def _pivot(p: Poly, unknowns: tuple, order):
+    """(unknown count, pivot order, var) for the lowest unknown ``var`` with
+    p = a*var + rest, ``a`` a nonzero rational and ``rest`` free of ``var``;
+    None unless p has degree one in the unknowns."""
+    if not unknowns:
+        return None
+    occurrences = Counter()
+    for m in p.terms:
+        degree = 0
+        for name, e in m:
+            if name in unknowns:
+                degree += e
+                occurrences[name] += 1
+        if degree > 1:
+            return None
+    for var in unknowns:
+        if occurrences[var] == 1 and ((var, 1),) in p.terms:
+            return (len(unknowns), order(var), var)
+    return None
+
+
+def _write_row(branch: Branch, system: ConstraintSystem, rid: int | None,
+               eq: Equation):
+    """Store ``eq`` as row ``rid`` (a new last row when None), re-index its
+    unknowns and queue it for canonicalisation."""
+    if rid is None:
+        rid = branch.next_row
+        branch.next_row += 1
+    old = branch.rows.get(rid)
+    before = () if old is None else old.unknowns
+    if old is not None and old.key is not None:
+        del branch.keys[old.key]
+    order = system.unknown_order
+    unknowns = tuple(sorted(eq.poly.variables() & system.unknown_set,
+                            key=order))
+    for u in unknowns:
+        if u not in before:
+            branch.uses.setdefault(u, []).append(rid)
+    branch.rows[rid] = _Row(eq, unknowns, _pivot(eq.poly, unknowns, order))
+    branch.fresh.add(rid)
+
+
+def _drop_row(branch: Branch, rid: int):
+    row = branch.rows.pop(rid)
+    if row.key is not None:
+        del branch.keys[row.key]
+
+
+def _apply_substitution(branch: Branch, system: ConstraintSystem, var: str,
+                        rhs: Poly, kind: str, prov: str):
+    """Substitute ``rhs`` for ``var`` in the rows, substitutions and side
+    conditions that contain ``var``; nothing else is rewritten."""
     mapping = {var: rhs}
-    branch.subs = {v: p.subs(mapping) for v, p in branch.subs.items()}
+    for v, p in branch.subs.items():
+        if var in p.variables():
+            branch.subs[v] = p.subs(mapping)
     branch.subs[var] = rhs
     branch.sub_order.append(var)
-    branch.equations = [Equation(e.prov, e.poly.subs(mapping))
-                        for e in branch.equations]
-    branch.side = [(p.subs(mapping), origin) for p, origin in branch.side]
+    for rid in sorted(set(branch.uses.pop(var, ()))):
+        row = branch.rows.get(rid)
+        if row is None or var not in row.unknowns:
+            continue
+        eq = row.eq
+        _write_row(branch, system, rid,
+                   Equation(eq.prov, eq.poly.subs(mapping)))
+    for i, (p, origin) in enumerate(branch.side):
+        if var in p.variables():
+            branch.side[i] = (p.subs(mapping), origin)
+            branch.side_fresh = True
     branch.trace.append(TraceStep(kind, var, rhs, prov))
 
 
-def _linear_candidates(branch: Branch, system: ConstraintSystem):
-    """(unknown count, pivot order, eq index, var, rhs) for solvable equations."""
-    unknown_set = frozenset(system.unknowns)
-    best = None
-    for idx, eq in enumerate(branch.equations):
-        p = eq.poly
-        uvars = sorted(p.variables() & unknown_set, key=system.unknown_order)
-        if not uvars or _unknown_degree(p, unknown_set) != 1:
-            continue
-        for var in uvars:
-            a, b = p.linear_parts(var)
-            if not a.is_constant() or a.is_zero():
-                continue
-            cand = (len(uvars), system.unknown_order(var), idx)
-            if best is None or cand < best[0]:
-                rhs = b * (Fraction(-1) / a.constant_value())
-                best = (cand, var, rhs, eq.prov)
-            break  # lower pivots in the same equation were already tried
-    return best
+def _linear_candidate(branch: Branch):
+    """(var, rhs, prov) of the best linear pivot: fewest unknowns, then the
+    lowest pivot order, then the earliest equation; None if there is none."""
+    best = min(((row.pivot[0], row.pivot[1], rid)
+                for rid, row in branch.rows.items() if row.pivot),
+               default=None)
+    if best is None:
+        return None
+    row = branch.rows[best[2]]
+    var = row.pivot[2]
+    a, b = row.eq.poly.linear_parts(var)
+    return var, b * (Fraction(-1) / a.constant_value()), row.eq.prov
 
 
-def _quadratic_shapes(p: Poly, unknown_set: frozenset, order):
+def _quadratic_shapes(p: Poly, unknowns: tuple):
     """Views of p as a*u^2 + b*u + c with a a nonzero rational constant.
 
-    Yields (u, a, b, disc) in pivot order; the discriminant decides the
-    move: disc = 0 forces u := -b/2a exactly (p = a*(u + b/2a)^2), a
-    nonzero constant square disc = r^2 factors p = a*(u - r1)*(u - r2)
-    with polynomial roots, and a constant non-square disc has no root in
-    the rationals even though one exists over the complex field.
+    Yields (u, a, b, disc) in the order of ``unknowns``, the unknowns of p
+    in pivot order; the discriminant decides the move: disc = 0 forces
+    u := -b/2a exactly (p = a*(u + b/2a)^2), a nonzero constant square
+    disc = r^2 factors p = a*(u - r1)*(u - r2) with polynomial roots, and a
+    constant non-square disc has no root in the rationals even though one
+    exists over the complex field.
     """
-    uvars = sorted(p.variables() & unknown_set, key=order)
-    for u in uvars:
+    for u in unknowns:
         a_terms: dict = {}
         b_terms: dict = {}
         c_terms: dict = {}
@@ -265,19 +368,18 @@ def _quadratic_shapes(p: Poly, unknown_set: frozenset, order):
         yield u, a.constant_value(), b, disc
 
 
-def _factor_shape(p: Poly, unknown_set: frozenset, order):
-    """Match u * (linear) = 0; returns (u, quotient) with the lowest such u."""
-    uvars = sorted(p.variables() & unknown_set, key=order)
-    for var in uvars:
+def _factor_shape(p: Poly, unknowns: tuple):
+    """Match u * (linear) = 0; returns (u, quotient) with the first such u
+    in ``unknowns``, the unknowns of p in pivot order."""
+    for var in unknowns:
         q = p.divide_by_var(var)
         if q is not None and not q.is_zero():
-            if _unknown_degree(q, unknown_set) <= 1:
+            if _unknown_degree(q, unknowns) <= 1:
                 return var, q
     return None
 
 
-def _linear_consequences(branch: Branch, unknown_set: frozenset,
-                         cap: int = 200) -> list:
+def _linear_consequences(branch: Branch, unknown_set: frozenset) -> list:
     """Linear or constant equations hiding in the rational span of the
     current ones.
 
@@ -289,7 +391,7 @@ def _linear_consequences(branch: Branch, unknown_set: frozenset,
     equations) so certificates replay mechanically.
     """
     eqs = branch.equations
-    if len(eqs) < 2 or len(eqs) > cap:
+    if len(eqs) < 2:
         return []
 
     def udeg(mono):
@@ -328,7 +430,7 @@ def _linear_consequences(branch: Branch, unknown_set: frozenset,
         r += 1
         if r == n_eq:
             break
-    existing = {eq.poly.normalized_key() for eq in eqs}
+    existing = set(branch.keys)
     out = []
     for i in range(n_eq):
         vec = aug[i][:width]
@@ -347,36 +449,59 @@ def _linear_consequences(branch: Branch, unknown_set: frozenset,
     return out
 
 
-def _canonicalise(branch: Branch):
-    seen = set()
+def _canonicalise(branch: Branch) -> list:
+    """Drop zero rows and rows that repeat an earlier row up to scaling,
+    looking only at the fresh rows; returns the fresh rows kept, in order.
+
+    Keys were distinct before, so keeping the lowest id of each key is the
+    first-occurrence rule of a full pass over the list.
+    """
     kept = []
-    for eq in branch.equations:
-        if eq.poly.is_zero():
+    for rid in sorted(branch.fresh):
+        row = branch.rows[rid]
+        if row.eq.poly.is_zero():
+            _drop_row(branch, rid)
             continue
-        key = eq.poly.normalized_key()
-        if key in seen:
+        key = row.eq.poly.normalized_key()
+        other = branch.keys.setdefault(key, rid)
+        if other < rid:
+            _drop_row(branch, rid)
             continue
-        seen.add(key)
-        kept.append(eq)
-    branch.equations = kept
-    seen_sides = set()
-    sides = []
-    for p, origin in branch.side:
-        key = p.normalized_key()
-        if key in seen_sides:
-            continue
-        seen_sides.add(key)
-        sides.append((p, origin))
-    branch.side = sides
+        if other > rid:
+            _drop_row(branch, other)
+            branch.keys[key] = rid
+        branch.rows[rid] = row._replace(key=key)
+        kept.append(rid)
+    branch.fresh = set()
+    if branch.side_fresh:
+        seen_sides = set()
+        sides = []
+        for p, origin in branch.side:
+            key = p.normalized_key()
+            if key in seen_sides:
+                continue
+            seen_sides.add(key)
+            sides.append((p, origin))
+        branch.side = sides
+    return kept
 
 
-def _scan_contradiction(branch: Branch) -> bool:
-    for eq in branch.equations:
-        if eq.poly.is_constant() and not eq.poly.is_zero():
+def _scan_contradiction(branch: Branch, fresh: list) -> bool:
+    """Report the first constant equation, else the first zero side condition.
+
+    Only rewritten or new rows can have become constant: an older constant
+    row would have ended the branch already.
+    """
+    for rid in fresh:
+        eq = branch.rows[rid].eq
+        if eq.poly.is_constant():
             branch.trace.append(TraceStep("equation-contradiction", None,
                                           eq.poly, eq.prov))
             branch.status = "infeasible"
             return True
+    if not branch.side_fresh:
+        return False
+    branch.side_fresh = False
     kept_sides = []
     for p, origin in branch.side:
         if p.is_zero():
@@ -390,6 +515,11 @@ def _scan_contradiction(branch: Branch) -> bool:
     return False
 
 
+#: Above this many residual equations the consequence step is skipped, and
+#: a branch that then fits no other move is stuck with "consequence-cap".
+CONSEQUENCE_CAP = 200
+
+
 def eliminate(system: ConstraintSystem, max_depth: int = 32,
               step_limit: int = 100_000) -> list:
     """Explore the case tree; returns terminal branches sorted by case path.
@@ -397,8 +527,10 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
     ``max_depth`` bounds the number of splits along any root-to-leaf path;
     branches that would exceed it are marked stuck instead of split.
     """
-    unknown_set = frozenset(system.unknowns)
-    root = Branch(equations=list(system.equations))
+    order = system.unknown_order
+    root = Branch()
+    for eq in system.equations:
+        _write_row(root, system, None, eq)
     queue = [root]
     done = []
     while queue:
@@ -410,23 +542,26 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
                 branch.status = "stuck"
                 branch.stuck_reason = "step-budget"
                 break
-            _canonicalise(branch)
-            if _scan_contradiction(branch):
+            fresh = _canonicalise(branch)
+            if _scan_contradiction(branch, fresh):
                 break
-            if not branch.equations:
+            if not branch.rows:
                 branch.status = "solved"
                 break
-            cand = _linear_candidates(branch, system)
+            cand = _linear_candidate(branch)
             if cand is not None:
-                _, var, rhs, prov = cand
-                _apply_substitution(branch, var, rhs, "substitute", prov)
+                var, rhs, prov = cand
+                _apply_substitution(branch, system, var, rhs, "substitute",
+                                    prov)
                 continue
-            consequences = _linear_consequences(branch, unknown_set)
+            capped = len(branch.rows) > CONSEQUENCE_CAP
+            consequences = ([] if capped
+                            else _linear_consequences(branch, system.unknown_set))
             if consequences:
                 for poly, lineage in consequences:
                     branch.derived += 1
                     prov = f"lin{branch.derived}"
-                    branch.equations.append(Equation(prov, poly))
+                    _write_row(branch, system, None, Equation(prov, poly))
                     branch.trace.append(
                         TraceStep("combine", None, poly, prov, lineage))
                 continue
@@ -434,30 +569,32 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
             forced = None
             splits = []
             needs_extension = False
-            for idx, eq in enumerate(branch.equations):
-                for var, a, b, disc in _quadratic_shapes(
-                        eq.poly, unknown_set, system.unknown_order):
+            for rid, row in branch.rows.items():
+                eq = row.eq
+                for var, a, b, disc in _quadratic_shapes(eq.poly,
+                                                         row.unknowns):
                     if disc.is_zero():
                         forced = (var, b * (Fraction(-1) / (2 * a)), eq.prov)
                         break
                     if disc.is_constant():
                         d = disc.constant_value()
                         if is_rational_square(d):
-                            splits.append((system.unknown_order(var), idx,
+                            splits.append((order(var), rid,
                                            "root", var, (a, b, rational_sqrt(d)),
                                            eq.prov))
                         else:
                             needs_extension = True
                 if forced is not None:
                     break
-                fac = _factor_shape(eq.poly, unknown_set, system.unknown_order)
+                fac = _factor_shape(eq.poly, row.unknowns)
                 if fac is not None:
                     var, quotient = fac
-                    splits.append((system.unknown_order(var), idx,
+                    splits.append((order(var), rid,
                                    "factor", var, quotient, eq.prov))
             if forced is not None:
                 var, rhs, prov = forced
-                _apply_substitution(branch, var, rhs, "substitute", prov)
+                _apply_substitution(branch, system, var, rhs, "substitute",
+                                    prov)
                 continue
             if splits:
                 if branch.depth + 1 > max_depth:
@@ -465,7 +602,7 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
                     branch.stuck_reason = "split-budget"
                     break
                 splits.sort(key=lambda s: (s[0], s[1]))
-                _, _, kind, var, payload, prov = splits[0]
+                _, rid, kind, var, payload, prov = splits[0]
                 if kind == "root":
                     a, b, root = payload
                     for sign in (1, -1):
@@ -474,21 +611,22 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
                         child = branch.clone()
                         child.depth += 1
                         child.path = branch.path + (f"{var}:root{'+' if sign > 0 else '-'}",)
-                        _apply_substitution(child, var, rhs, "root-case", prov)
+                        _apply_substitution(child, system, var, rhs,
+                                            "root-case", prov)
                         queue.append(child)
                 else:
                     zero = branch.clone()
                     zero.depth += 1
                     zero.path = branch.path + (f"{var}=0",)
-                    _apply_substitution(zero, var, Poly.zero(), "case-zero", prov)
+                    _apply_substitution(zero, system, var, Poly.zero(),
+                                        "case-zero", prov)
                     nonzero = branch.clone()
                     nonzero.depth += 1
                     nonzero.path = branch.path + (f"{var}!=0",)
                     nonzero.side.append((Poly.var(var), prov))
-                    derived = f"{prov}/{var}"
-                    nonzero.equations = [
-                        Equation(derived, payload) if i == splits[0][1] else e
-                        for i, e in enumerate(nonzero.equations)]
+                    nonzero.side_fresh = True
+                    _write_row(nonzero, system, rid,
+                               Equation(f"{prov}/{var}", payload))
                     nonzero.trace.append(
                         TraceStep("case-nonzero", var, payload, prov))
                     queue.append(nonzero)
@@ -497,6 +635,7 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
                 break
             branch.status = "stuck"
             branch.stuck_reason = ("needs-extension" if needs_extension
+                                   else "consequence-cap" if capped
                                    else "nonlinear")
         if branch.status != "split":
             done.append(branch)
@@ -510,39 +649,58 @@ def replay_certificate(system: ConstraintSystem, branch: Branch) -> bool:
     Each substitution must annihilate its source equation, each nonzero-case
     quotient must multiply back exactly, and the final step must exhibit the
     recorded contradiction.  Returns True when every step checks out.
+
+    Substitutions are kept in trace order, and an equation or side
+    condition is brought up to date only when a step reads it: it then
+    receives the same substitutions in the same order as an eager rewrite.
     """
-    eqs = {e.prov: e.poly for e in system.equations}
-    sides: list[tuple[Poly, str]] = []
+    done: list = []            # substitution mappings so far, in trace order
+    # prov -> (poly, number of substitutions already applied)
+    eqs = {e.prov: (e.poly, 0) for e in system.equations}
+    sides: list = []           # [(Poly, substitutions applied, origin)]
+
+    def catch_up(p: Poly, applied: int) -> Poly:
+        for mapping in done[applied:]:
+            p = p.subs(mapping)
+        return p
+
+    def current(prov: str):
+        entry = eqs.get(prov)
+        if entry is None:
+            return None
+        p = catch_up(*entry)
+        eqs[prov] = (p, len(done))
+        return p
+
     for step in branch.trace:
         if step.kind in ("substitute", "case-zero", "root-case"):
-            src = eqs.get(step.prov)
+            src = current(step.prov)
             if src is None or not src.subs({step.var: step.poly}).is_zero():
                 return False
-            mapping = {step.var: step.poly}
-            eqs = {prov: p.subs(mapping) for prov, p in eqs.items()}
-            sides = [(p.subs(mapping), origin) for p, origin in sides]
+            done.append({step.var: step.poly})
         elif step.kind == "case-nonzero":
-            src = eqs.get(step.prov)
+            src = current(step.prov)
             if src is None or src != step.poly * Poly.var(step.var):
                 return False
-            eqs[f"{step.prov}/{step.var}"] = step.poly
-            sides.append((Poly.var(step.var), step.prov))
+            eqs[f"{step.prov}/{step.var}"] = (step.poly, len(done))
+            sides.append((Poly.var(step.var), len(done), step.prov))
         elif step.kind == "combine":
             total = Poly.zero()
             for prov, coeff in step.lineage:
-                src = eqs.get(prov)
+                src = current(prov)
                 if src is None:
                     return False
                 total = total + src * coeff
             if total != step.poly:
                 return False
-            eqs[step.prov] = step.poly
+            eqs[step.prov] = (step.poly, len(done))
         elif step.kind == "equation-contradiction":
-            p = eqs.get(step.prov)
+            p = current(step.prov)
             if p is None or not p.is_constant() or p.is_zero() or p != step.poly:
                 return False
         elif step.kind == "side-contradiction":
-            if not any(origin == step.prov and p.is_zero() for p, origin in sides):
+            if not any(origin == step.prov and catch_up(p, applied).is_zero()
+                       for p, applied, origin in sides):
                 return False
         else:
             return False

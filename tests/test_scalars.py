@@ -109,6 +109,33 @@ def test_eval_is_ring_homomorphism(rng):
         assert (p + q).eval(point) == p.eval(point) + q.eval(point)
 
 
+def test_subs_matches_termwise_expansion(rng):
+    # simultaneous substitution, expanded term by term with ring operations
+    values = [Fraction(0), Fraction(-3, 2), poly_parse("b"), poly_parse("-a"),
+              poly_parse("a-g"), poly_parse("2*a*b+1"), Poly.zero()]
+    for _ in range(300):
+        p = random_poly(rng)
+        mapping = {name: rng.choice(values)
+                   for name in ("a", "b") if rng.random() < 0.8}
+        expected = Poly.zero()
+        for mono, coeff in p.terms.items():
+            term = Poly.const(coeff)
+            for name, e in mono:
+                base = Poly.coerce(mapping[name]) if name in mapping \
+                    else Poly.var(name)
+                term = term * base ** e
+            expected = expected + term
+        got = p.subs(mapping)
+        assert got == expected
+        assert all(c != 0 for c in got.terms.values())
+
+
+def test_subs_cancels_to_zero_and_keeps_untouched():
+    assert poly_parse("a^2-b^2").subs({"a": poly_parse("-b")}).is_zero()
+    p = poly_parse("a+1")
+    assert p.subs({"b": Fraction(2)}) is p
+
+
 def test_canonical_difference_is_empty(rng):
     for _ in range(100):
         p = random_poly(rng)

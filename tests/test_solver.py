@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -8,7 +10,7 @@ from adkit.algebra import (StructureConstants, UnaryAlgebra,
                            check_antidendriform)
 from adkit.errors import (ConstraintViolation, MissingAssignment,
                           NotAssociative, SideConditionViolation)
-from adkit.scalars import Poly
+from adkit.scalars import Poly, format_poly
 
 F = Fraction
 
@@ -104,6 +106,32 @@ def test_replay_rejects_tampered_certificates():
     assert not solver.replay_certificate(result.system, branch)
 
 
+def test_replay_rejects_a_tampered_mid_trace_substitution():
+    result = solver.enumerate_compatible(catalog.null_filiform(4))
+    branch = result.infeasible[0].clone()
+    subs = [i for i, s in enumerate(branch.trace) if s.kind == "substitute"]
+    middle = subs[len(subs) // 2]
+    assert 0 < middle < len(branch.trace) - 1
+    step = branch.trace[middle]
+    branch.trace[middle] = solver.TraceStep(step.kind, step.var, step.poly + 1,
+                                            step.prov)
+    assert not solver.replay_certificate(result.system, branch)
+
+
+def test_replay_rejects_a_tampered_combine_lineage():
+    result = solver.enumerate_compatible(catalog.get("As3_3"))
+    branches = [f.branch for f in result.families] + list(result.infeasible)
+    branch = next(b for b in branches
+                  if any(s.kind == "combine" for s in b.trace)).clone()
+    assert solver.replay_certificate(result.system, branch)
+    at = next(i for i, s in enumerate(branch.trace) if s.kind == "combine")
+    step = branch.trace[at]
+    (prov, coeff), *rest = step.lineage
+    branch.trace[at] = solver.TraceStep(step.kind, step.var, step.poly,
+                                        step.prov, ((prov, coeff + 1), *rest))
+    assert not solver.replay_certificate(result.system, branch)
+
+
 def test_idempotent_two_dim_algebras_are_infeasible():
     for eid in ("As2_2", "As2_7"):
         result = solver.enumerate_compatible(catalog.get(eid))
@@ -129,6 +157,56 @@ def test_as3_3_families_cover_both_raw_cases():
     assert len(wide.params) == 4 and not wide.side
     for (i, j, k), _ in wide.rhd.entries():
         assert k == 2
+
+
+def test_as3_1_names_the_consequence_cap():
+    result = solver.enumerate_compatible(catalog.get("As3_1"))
+    assert result.status == "inconclusive"
+    (fam,) = result.constrained
+    assert len(fam.residual) > solver.CONSEQUENCE_CAP
+    assert fam.branch.stuck_reason == "consequence-cap"
+
+
+def _output_digests(result) -> tuple:
+    """sha256 of every branch certificate and of every family's tensors,
+    side conditions and residual equations, as canonical JSON."""
+    fams = result.families + result.constrained
+    branches = [f.branch for f in fams] + list(result.infeasible)
+    certs = json.dumps([b.certificate() for b in branches], sort_keys=True)
+    tensors = json.dumps(
+        [[f.params, [[ijk, format_poly(p)] for ijk, p in f.rhd.entries()],
+          [[ijk, format_poly(p)] for ijk, p in f.lhd.entries()],
+          [format_poly(p) for p in f.side],
+          [[e.prov, format_poly(e.poly)] for e in f.residual]] for f in fams],
+        sort_keys=True)
+    return (hashlib.sha256(certs.encode()).hexdigest(),
+            hashlib.sha256(tensors.encode()).hexdigest())
+
+
+# Recorded with the full-rewrite elimination loop, which rewrote and
+# re-canonicalised every equation at every step; the incremental loop must
+# reproduce its traces and families byte for byte.
+PINNED_OUTPUTS = {
+    "mu0_3": (lambda: catalog.null_filiform(3),
+              "ef41e43db7be88cd21e3b343737baa8e25f264b069460714a093b77d11f1e9ed",
+              "58fda45d8095aeb562e87dd12494de4743b25a218e252e5fac0a8cbb2b23c92b"),
+    "mu0_4": (lambda: catalog.null_filiform(4),
+              "4f82ce616899376fb5fcdb1551ffc57af4f8bc7c4fb3bdd24d1f26ec84f80cb4",
+              "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "As3_3": (lambda: catalog.get("As3_3"),
+              "384f9afc21860e5a4d191f57318265f2c04ff6180323a4ea2ee7d5484682a2d3",
+              "1502f58b7707346520a191129b5a29522ab05f86c3cbf8eabe4afb723359f669"),
+    "As3_5_l2": (lambda: catalog.get("As3_5", {"l": F(2)}),
+                 "d0f2e3113b32e6eccc99320ef54bde0b80be38b6e863536034f04c95f7f564fb",
+                 "89207e4fc5ff7a2b639d73032b434f2b790397e5504ab0b43c8aba11f3887719"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_OUTPUTS))
+def test_certificates_and_families_are_pinned(label):
+    build, certs, tensors = PINNED_OUTPUTS[label]
+    assert _output_digests(solver.enumerate_compatible(build())) == \
+        (certs, tensors)
 
 
 # -- sampling --------------------------------------------------------------------
