@@ -8,6 +8,14 @@ in any family parameters, by expanding both sides of each identity on basis
 triples.  Bilinearity makes the basis-triple check equivalent to the law on
 the whole space.
 
+Every product of structure constants goes through one kernel: ``combine``
+forms a linear combination of rows, skipping zero coefficients and zero
+entries, and ``contract`` (x o y = sum_{i,j} x_i y_j c[i][j]) is two
+``combine`` calls.  They work over int, Fraction, QuadExt and Poly; the
+caller passes the ring's zero, which stays in every coordinate where no
+term lands.  The identities, sums, basis changes, power series, quotients
+and isomorphism witnesses (``iso``) all use them.
+
 Rank-based computations (centers, annihilators, power series, quotients)
 require parameters to be instantiated first, because ranks can jump on
 parameter subvarieties; callers supply an assignment and the report echoes it.
@@ -23,7 +31,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .errors import CenterMismatch, DimensionMismatch, SingularMatrix
+from .errors import CenterMismatch, DimensionMismatch
 from .scalars import Poly, Scalar
 
 Vector = tuple  # tuple[Poly, ...] in the standard basis
@@ -158,49 +166,47 @@ class AdPair:
         return self.rhd.variables() | self.lhd.variables()
 
 
+def combine(coeffs: Sequence, rows: Sequence[Sequence], zero) -> list:
+    """sum_k coeffs[k] * rows[k], entry by entry.
+
+    Zero coefficients and zero entries are skipped, and an entry where no
+    term lands is the caller's ``zero``, so the ring (int, Fraction, QuadExt
+    or Poly) is whatever the operands and ``zero`` are.
+    """
+    out = [zero] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if not c:
+            continue
+        for m, entry in enumerate(row):
+            if entry:
+                out[m] = out[m] + c * entry
+    return out
+
+
+def contract(t: Sequence, x: Sequence, y: Sequence, zero) -> list:
+    """x o y for the raw tensor t: sum_{i,j} x_i y_j t[i][j].
+
+    A plane with x_i = 0 is not combined: ``combine`` never reads the row of
+    a zero coefficient, so the plane's first row stands in for it.
+    """
+    return combine(x, [combine(y, plane, zero) if xi else plane[0]
+                       for xi, plane in zip(x, t)], zero)
+
+
 def product(sc: StructureConstants, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
     """Bilinear extension of the tensor to arbitrary coordinate vectors."""
-    xv = _coerce_vec(sc.dim, x)
-    yv = _coerce_vec(sc.dim, y)
-    out = [Poly.zero() for _ in range(sc.dim)]
-    for i in range(sc.dim):
-        if xv[i].is_zero():
-            continue
-        for j in range(sc.dim):
-            if yv[j].is_zero():
-                continue
-            f = xv[i] * yv[j]
-            for k in range(sc.dim):
-                entry = sc.c[i][j][k]
-                if not entry.is_zero():
-                    out[k] = out[k] + f * entry
-    return tuple(out)
+    return tuple(contract(sc.c, _coerce_vec(sc.dim, x), _coerce_vec(sc.dim, y),
+                          Poly.zero()))
 
 
-def _apply_right(sc: StructureConstants, i: int, vec: Vector) -> Vector:
+def _apply_right(sc: StructureConstants, i: int, vec: Vector) -> list:
     """e_i o vec."""
-    out = [Poly.zero() for _ in range(sc.dim)]
-    for k in range(sc.dim):
-        if vec[k].is_zero():
-            continue
-        for m in range(sc.dim):
-            entry = sc.c[i][k][m]
-            if not entry.is_zero():
-                out[m] = out[m] + vec[k] * entry
-    return tuple(out)
+    return combine(vec, sc.c[i], Poly.zero())
 
 
-def _apply_left(sc: StructureConstants, vec: Vector, j: int) -> Vector:
+def _apply_left(sc: StructureConstants, vec: Vector, j: int) -> list:
     """vec o e_j."""
-    out = [Poly.zero() for _ in range(sc.dim)]
-    for k in range(sc.dim):
-        if vec[k].is_zero():
-            continue
-        for m in range(sc.dim):
-            entry = sc.c[k][j][m]
-            if not entry.is_zero():
-                out[m] = out[m] + vec[k] * entry
-    return tuple(out)
+    return combine(vec, [plane[j] for plane in sc.c], Poly.zero())
 
 
 def _vec_add(u: Vector, v: Vector) -> Vector:
@@ -413,31 +419,14 @@ def power_series(alg: UnaryAlgebra, assign=None) -> PowerSeries:
     n = alg.dim
     t = alg.sc.constant_tensor(assign)
 
-    def mul_sets(us, vs):
-        out = []
-        for u in us:
-            for v in vs:
-                w = [Fraction(0)] * n
-                for i in range(n):
-                    if u[i] == 0:
-                        continue
-                    for j in range(n):
-                        if v[j] == 0:
-                            continue
-                        f = u[i] * v[j]
-                        for k in range(n):
-                            if t[i][j][k]:
-                                w[k] += f * t[i][j][k]
-                out.append(w)
-        return out
-
     powers = [[[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]]
     dims = [n]
     while True:
         i = len(powers)  # computing A^{i+1}
         spanning = []
         for k in range(i):
-            spanning.extend(mul_sets(powers[k], powers[i - 1 - k]))
+            spanning.extend(contract(t, u, v, Fraction(0))
+                            for u in powers[k] for v in powers[i - 1 - k])
         basis = [list(v) for v in linalg.rref(spanning)[0]] if spanning else []
         d = len(basis)
         dims.append(d)
@@ -473,26 +462,17 @@ def quotient_by_center(ad: AdPair, assign=None) -> QuotientResult:
             "the associative and two-operation centers differ at this point")
     center_rows, pivots = linalg.rref(z_ad) if z_ad else ([], [])
     kept = [i for i in range(n) if i not in pivots]
-    m = len(kept)
-    # Transition matrix: columns are center basis vectors then kept unit vectors.
-    cols = [list(v) for v in center_rows] + \
-           [[Fraction(1 if i == k else 0) for i in range(n)] for k in kept]
-    basis_matrix = [[cols[c][r] for c in range(n)] for r in range(n)]
-    inv = linalg.invert(basis_matrix)
+    # Rows of ``basis`` are the center basis, then the kept unit vectors; a
+    # vector's coordinates in that basis are its row times the inverse.
+    basis = [list(v) for v in center_rows] + \
+            [[Fraction(1 if i == k else 0) for i in range(n)] for k in kept]
+    inv = linalg.invert(basis)
 
     def project(sc: StructureConstants) -> StructureConstants:
         t = sc.constant_tensor(assign)
-        out = [[[Poly.zero() for _ in range(m)] for _ in range(m)] for _ in range(m)]
-        for a in range(m):
-            for b in range(m):
-                w = [Fraction(0)] * n
-                ia, ib = kept[a], kept[b]
-                for k in range(n):
-                    w[k] = t[ia][ib][k]
-                coords = [sum(inv[r][c] * w[c] for c in range(n)) for r in range(n)]
-                for c_idx in range(m):
-                    out[a][b][c_idx] = Poly.const(coords[len(center_rows) + c_idx])
-        return StructureConstants(m, out)
+        return StructureConstants(len(kept), [
+            [combine(t[a][b], inv, Fraction(0))[len(center_rows):] for b in kept]
+            for a in kept])
 
     pair = AdPair(project(ad.rhd), project(ad.lhd),
                   label=None if ad.label is None else f"{ad.label}/Z")
@@ -511,31 +491,10 @@ def transport_tensor(sc: StructureConstants, t_rows) -> StructureConstants:
     if len(t_rows) != n or any(len(r) != n for r in t_rows):
         raise DimensionMismatch("basis-change matrix has the wrong shape")
     t = [[Fraction(x) for x in row] for row in t_rows]
-    if linalg.det(t) == 0:
-        raise SingularMatrix("basis-change matrix is singular")
     inv = linalg.invert(t)
-    out = [[[Poly.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = [Poly.zero() for _ in range(n)]
-            for p in range(n):
-                if t[i][p] == 0:
-                    continue
-                for q in range(n):
-                    f = t[i][p] * t[j][q]
-                    if f == 0:
-                        continue
-                    for m in range(n):
-                        entry = sc.c[p][q][m]
-                        if not entry.is_zero():
-                            prod[m] = prod[m] + entry * f
-            for k in range(n):
-                acc = Poly.zero()
-                for m in range(n):
-                    if inv[m][k] != 0 and not prod[m].is_zero():
-                        acc = acc + prod[m] * inv[m][k]
-                out[i][j][k] = acc
-    return StructureConstants(n, out)
+    zero = Poly.zero()
+    return StructureConstants(n, [[combine(contract(sc.c, t[i], t[j], zero), inv, zero)
+                                   for j in range(n)] for i in range(n)])
 
 
 def apply_basis_change(obj, t_rows):

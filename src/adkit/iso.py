@@ -22,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iproduct
-from typing import Sequence
 
 from . import linalg
-from .algebra import (AdPair, StructureConstants, UnaryAlgebra, center_ad,
-                      center_associative, is_two_nilpotent, left_annihilator,
-                      power_series, right_annihilator)
+from .algebra import (AdPair, StructureConstants, center_ad, center_associative,
+                      combine, contract, is_two_nilpotent, left_annihilator,
+                      power_series, right_annihilator, sum_algebra)
 from .errors import DimensionMismatch, SingularMatrix
 from .scalars import Poly, QuadExt
 
@@ -80,39 +79,24 @@ class WitnessReport:
     failures: tuple
 
 
-def _check_transport(src_tensors: Sequence[StructureConstants],
-                     tgt_tensors: Sequence[StructureConstants],
-                     witness: Witness) -> tuple:
-    n = witness.dim
-    t = witness.entries
-    quad = witness.is_quadratic
+def _transport_residuals(src, tgt, t, zero):
+    """((op, i, j, m), residual) at every coordinate where the witness rows
+    ``t`` break the transport identity, in (op, i, j, m) order.
 
-    def lift(poly: Poly):
-        if quad:
-            return QuadExt(poly.constant_value(), 0, witness.radicand)
-        return poly
-
-    failures = []
-    op_names = ("rhd", "lhd") if len(src_tensors) == 2 else ("mul",)
-    for o, (src, tgt) in enumerate(zip(src_tensors, tgt_tensors)):
+    ``src`` and ``tgt`` are raw tensors paired op by op, over the ring of
+    ``zero``; a verifier stops at the first residual, a report takes them all.
+    """
+    n = len(t)
+    names = ("rhd", "lhd") if len(src) == 2 else ("mul",)
+    for name, s, g in zip(names, src, tgt):
         for i in range(n):
             for j in range(n):
+                lhs = contract(s, t[i], t[j], zero)
+                rhs = combine(g[i][j], t, zero)
                 for m in range(n):
-                    lhs = 0
-                    for p in range(n):
-                        for q in range(n):
-                            entry = src.c[p][q][m]
-                            if not entry.is_zero():
-                                lhs = t[i][p] * t[j][q] * lift(entry) + lhs
-                    rhs = 0
-                    for k in range(n):
-                        entry = tgt.c[i][j][k]
-                        if not entry.is_zero():
-                            rhs = lift(entry) * t[k][m] + rhs
-                    res = lhs - rhs
-                    if res != 0:
-                        failures.append(((op_names[o], i, j, m), res))
-    return tuple(failures)
+                    res = lhs[m] - rhs[m]
+                    if res:
+                        yield (name, i, j, m), res
 
 
 def verify_witness_tensors(src_tensors, tgt_tensors, witness: Witness) -> WitnessReport:
@@ -126,7 +110,19 @@ def verify_witness_tensors(src_tensors, tgt_tensors, witness: Witness) -> Witnes
     d = witness.determinant()
     if d == 0:
         raise SingularMatrix("witness matrix has (identically) zero determinant")
-    failures = _check_transport(src_tensors, tgt_tensors, witness)
+    quad = witness.is_quadratic
+    zero = QuadExt(0, 0, witness.radicand) if quad else Poly.zero()
+
+    def lifted(sc: StructureConstants):
+        """The tensor over the witness's ring, lifted once if quadratic."""
+        if not quad:
+            return sc.c
+        return [[[zero + p.constant_value() for p in row] for row in plane]
+                for plane in sc.c]
+
+    failures = tuple(_transport_residuals([lifted(sc) for sc in src_tensors],
+                                          [lifted(sc) for sc in tgt_tensors],
+                                          witness.entries, zero))
     return WitnessReport(not failures, str(d), failures)
 
 
@@ -189,17 +185,11 @@ def _image_dim(tensor, n: int) -> int:
 def fingerprint(ad: AdPair, assign=None) -> Fingerprint:
     """Compute the invariant profile; parameters must be instantiated."""
     n = ad.dim
-    r = ad.rhd.constant_tensor(assign)
-    l = ad.lhd.constant_tensor(assign)
-    s = [[[r[i][j][k] + l[i][j][k] for k in range(n)] for j in range(n)]
-         for i in range(n)]
-    const_pair = AdPair(
-        StructureConstants(n, [[[Poly.const(x) for x in row] for row in plane]
-                               for plane in r]),
-        StructureConstants(n, [[[Poly.const(x) for x in row] for row in plane]
-                               for plane in l]))
-    sum_alg = UnaryAlgebra(StructureConstants(
-        n, [[[Poly.const(x) for x in row] for row in plane] for plane in s]))
+    pair = ad.subs(assign)
+    r = pair.rhd.constant_tensor()
+    l = pair.lhd.constant_tensor()
+    sum_alg = sum_algebra(pair)
+    s = sum_alg.sc.constant_tensor()
     series = power_series(sum_alg)
     sym_rows = []
     for i in range(n):
@@ -212,13 +202,13 @@ def fingerprint(ad: AdPair, assign=None) -> Fingerprint:
         lhd_image_dim=_image_dim(l, n),
         sum_image_dim=_image_dim(s, n),
         sum_power_dims=series.dims,
-        center_ad_dim=len(center_ad(const_pair)),
+        center_ad_dim=len(center_ad(pair)),
         center_sum_dim=len(center_associative(sum_alg)),
         left_annihilator_dim=len(left_annihilator(
-            (const_pair.rhd, const_pair.lhd), n)),
+            (pair.rhd, pair.lhd), n)),
         right_annihilator_dim=len(right_annihilator(
-            (const_pair.rhd, const_pair.lhd), n)),
-        two_nilpotent=is_two_nilpotent(const_pair),
+            (pair.rhd, pair.lhd), n)),
+        two_nilpotent=is_two_nilpotent(pair),
         sum_commutative=all(s[i][j] == s[j][i] for i in range(n) for j in range(n)),
         sym_diff_image_dim=linalg.span_dim(sym_rows),
     )
@@ -238,36 +228,41 @@ def rational_grid(bound: int):
                                          f.denominator, abs(f), f < 0))
 
 
+def _first_rows(grid, n: int):
+    """Nonzero rows of n grid values, lazily, simplest first: by total
+    complexity |p| + q, then by (p, q) entry by entry.
+
+    Rows are built entry by entry, each prefix passing down the complexity
+    its suffix must add up to, so memory stays O(n) however large the grid.
+    """
+    def cost(v):
+        return abs(v.numerator) + v.denominator
+
+    values = sorted(grid, key=lambda v: (v.numerator, v.denominator))
+    lo, hi = min(map(cost, values)), max(map(cost, values))
+
+    def rows(k: int, total: int):
+        if k == 0:
+            yield ()
+            return
+        for v in values:
+            rest = total - cost(v)
+            if (k - 1) * lo <= rest <= (k - 1) * hi:
+                for tail in rows(k - 1, rest):
+                    yield (v,) + tail
+
+    for total in range(n * lo, n * hi + 1):
+        for row in rows(n, total):
+            if any(row):
+                yield row
+
+
 @dataclass(frozen=True)
 class SearchResult:
     status: str                       # "found" | "separated" | "not_found"
     witness: Witness | None = None
     separation: tuple = ()            # differing fingerprint components
     examined: int = 0
-
-
-def _verify_candidate(src, tgt, rows) -> bool:
-    n = len(rows)
-    for o in range(2):
-        s, g = src[o], tgt[o]
-        for i in range(n):
-            for j in range(n):
-                for m in range(n):
-                    lhs = Fraction(0)
-                    for p in range(n):
-                        if rows[i][p] == 0:
-                            continue
-                        for q in range(n):
-                            if rows[j][q] == 0 or s[p][q][m] == 0:
-                                continue
-                            lhs += rows[i][p] * rows[j][q] * s[p][q][m]
-                    rhs = Fraction(0)
-                    for k in range(n):
-                        if g[i][j][k] != 0 and rows[k][m] != 0:
-                            rhs += g[i][j][k] * rows[k][m]
-                    if lhs != rhs:
-                        return False
-    return True
 
 
 def search_witness(source: AdPair, target: AdPair, assign=None, bound: int = 3,
@@ -293,9 +288,12 @@ def search_witness(source: AdPair, target: AdPair, assign=None, bound: int = 3,
     src = (source.rhd.constant_tensor(assign), source.lhd.constant_tensor(assign))
     tgt = (target.rhd.constant_tensor(assign), target.lhd.constant_tensor(assign))
 
+    def verifies(rows) -> bool:
+        return next(_transport_residuals(src, tgt, rows, Fraction(0)), None) is None
+
     examined = 0
     ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    if _verify_candidate(src, tgt, ident):
+    if verifies(ident):
         return SearchResult("found", Witness.from_rows(ident), examined=1)
     examined += 1
 
@@ -307,19 +305,14 @@ def search_witness(source: AdPair, target: AdPair, assign=None, bound: int = 3,
         Returns per-column (matrix, rhs) linear systems over T[1..n-1][m],
         or None when inconsistent.
         """
+        images = [contract(src[o], first_row, first_row, Fraction(0))
+                  for o in range(2)]
         systems = []
         for m in range(n):
             mat, rhs = [], []
             for o in range(2):
-                lhs = Fraction(0)
-                for p in range(n):
-                    if first_row[p] == 0:
-                        continue
-                    for q in range(n):
-                        if first_row[q] != 0 and src[o][p][q][m] != 0:
-                            lhs += first_row[p] * first_row[q] * src[o][p][q][m]
                 row = [tgt[o][0][0][k] for k in range(1, n)]
-                const = lhs - tgt[o][0][0][0] * first_row[m]
+                const = images[o][m] - tgt[o][0][0][0] * first_row[m]
                 if any(row):
                     mat.append(row)
                     rhs.append(const)
@@ -344,15 +337,8 @@ def search_witness(source: AdPair, target: AdPair, assign=None, bound: int = 3,
         null = linalg.nullspace([r[:-1] for r in red], w)
         return particular, null
 
-    def complexity(values):
-        return sum(abs(v.numerator) + v.denominator for v in values)
-
-    first_rows = sorted(
-        (row for row in iproduct(grid, repeat=n) if any(row)),
-        key=lambda row: (complexity(row),
-                         [(v.numerator, v.denominator) for v in row]))
     per_cell_cap = 4096  # keeps one unconstrained first row from eating the budget
-    for first_row in first_rows:
+    for first_row in _first_rows(grid, n):
         systems = column_constraints(list(first_row))
         if systems is None:
             continue
@@ -373,7 +359,7 @@ def search_witness(source: AdPair, target: AdPair, assign=None, bound: int = 3,
                     rows[k][m] = col[k - 1]
             examined += 1
             produced += 1
-            if linalg.det(rows) != 0 and _verify_candidate(src, tgt, rows):
+            if linalg.det(rows) != 0 and verifies(rows):
                 return SearchResult("found", Witness.from_rows(rows), examined=examined)
             if examined >= budget or produced >= per_cell_cap:
                 break

@@ -1,8 +1,21 @@
 """Small dense exact linear algebra over a field (Fraction or QuadExt).
 
-Everything here is plain Gaussian elimination with exact division; matrices
-are lists of row lists.  Determinants of polynomial matrices are computed by
-cofactor expansion since no division is available there.
+Matrices are lists of row lists.  There is one elimination loop,
+``_echelon``: forward elimination with exact division, pivoting on the
+leftmost column that still has a nonzero entry at or below the current row
+(first such row wins).  ``rref`` adds back-substitution; ``det`` is the
+product of the pivots and ``invert`` is the reduced form of ``[A | I]``.
+Row operations touch only the columns right of the pivot, where the pivot
+row can be nonzero; the pivot column itself gets its exact 1 and 0 directly.
+
+``rref``'s ``ncols`` limits the pivot search to the leading columns, so
+appended columns (an identity that records how each reduced row combines
+the inputs) are carried along without ever taking a pivot.  ``det`` stops
+after forward elimination: back-substitution would not change the pivots,
+and ``det`` runs once per candidate in the witness search.
+
+Determinants of polynomial matrices are computed by cofactor expansion
+since no division is available there.
 """
 
 from __future__ import annotations
@@ -14,42 +27,63 @@ from .errors import SingularMatrix
 from .scalars import Poly
 
 
-def _is_zero(x) -> bool:
-    return x == 0
+def _clear(row: List, col: int, tail: List):
+    """Subtract row[col] times the normalised pivot row, whose entries right
+    of ``col`` are ``tail``; row[col] becomes an exact zero (f - f)."""
+    f = row[col]
+    row[col:] = [f - f] + [x - f * y for x, y in zip(row[col + 1:], tail)]
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[List[List], List[int]]:
+def _echelon(m: List[List], ncols: int) -> tuple[List[int], object]:
+    """Forward elimination of ``m`` in place, pivoting in columns < ncols.
+
+    Each pivot row is divided by its pivot and cleared from the rows below.
+    Returns the pivot columns (pivot k sits in row k) and the product of
+    the pivots, negated once per row swap.
+    """
+    pivots: List[int] = []
+    product = Fraction(1)
+    r = 0
+    for col in range(ncols):
+        if r == len(m):
+            break
+        for pivot in range(r, len(m)):
+            if m[pivot][col] != 0:
+                break
+        else:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            product = -product
+        p = m[r][col]
+        product = product * p
+        tail = [x / p for x in m[r][col + 1:]]
+        m[r][col:] = [p / p] + tail
+        for i in range(r + 1, len(m)):
+            if m[i][col] != 0:
+                _clear(m[i], col, tail)
+        pivots.append(col)
+        r += 1
+    return pivots, product
+
+
+def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[List[List], List[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
 
-    Zero rows are dropped.  Deterministic: pivots are chosen left to right,
-    first nonzero row wins.
+    Pivots are taken only in the first ``ncols`` columns (all by default);
+    rows that are zero there are dropped.
     """
     m = [list(r) for r in rows]
     if not m:
         return [], []
-    ncols = len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if not _is_zero(m[i][col]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not _is_zero(m[i][col]):
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    pivots, _ = _echelon(m, len(m[0]) if ncols is None else ncols)
+    for r in reversed(range(len(pivots))):
+        col = pivots[r]
+        tail = m[r][col + 1:]
+        for i in range(r):
+            if m[i][col] != 0:
+                _clear(m[i], col, tail)
+    return m[:len(pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -75,52 +109,20 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
 
 
 def det(rows: Sequence[Sequence]):
-    """Determinant by fraction-free-ish elimination with exact division."""
+    """Determinant: the signed pivot product of forward elimination."""
     m = [list(r) for r in rows]
-    n = len(m)
-    result = Fraction(1)
-    sign = 1
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if not _is_zero(m[i][col]):
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0) * result
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        p = m[col][col]
-        result = result * p
-        for i in range(col + 1, n):
-            if not _is_zero(m[i][col]):
-                f = m[i][col] / p
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return result * sign
+    pivots, product = _echelon(m, len(m))
+    return product if len(pivots) == len(m) else Fraction(0)
 
 
 def invert(rows: Sequence[Sequence]) -> List[List]:
-    """Matrix inverse by Gauss-Jordan; raises SingularMatrix when singular."""
+    """Matrix inverse by reducing [A | I]; raises SingularMatrix when singular."""
     n = len(rows)
-    m = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if not _is_zero(m[i][col]):
-                pivot = i
-                break
-        if pivot is None:
-            raise SingularMatrix("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for i in range(n):
-            if i != col and not _is_zero(m[i][col]):
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [row[n:] for row in m]
+    red, pivots = rref([list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+                        for i, r in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise SingularMatrix("matrix is singular")
+    return [row[n:] for row in red]
 
 
 def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:

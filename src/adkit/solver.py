@@ -61,6 +61,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
+from . import linalg
 from .algebra import (AdPair, IDENTITY_NAMES, StructureConstants, UnaryAlgebra,
                       _identity_residual, check_antidendriform, is_associative)
 from .errors import (ConstraintViolation, MissingAssignment, NotAssociative,
@@ -411,40 +412,19 @@ def _linear_consequences(branch: Branch, unknown_set: frozenset) -> list:
             row[col[m]] = c
         row[width + i] = Fraction(1)
         aug.append(row)
-    r = 0
-    for c_idx in range(width):
-        pivot = None
-        for i in range(r, n_eq):
-            if aug[i][c_idx] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c_idx]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(n_eq):
-            if i != r and aug[i][c_idx] != 0:
-                f = aug[i][c_idx]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-        if r == n_eq:
-            break
+    reduced, _ = linalg.rref(aug, width)
     existing = set(branch.keys)
     out = []
-    for i in range(n_eq):
-        vec = aug[i][:width]
-        if not any(vec):
-            continue
-        poly = Poly({monos[j]: vec[j] for j in range(width) if vec[j]})
+    for row in reduced:
+        poly = Poly({monos[j]: row[j] for j in range(width) if row[j]})
         if poly.degree_in(unknown_set) > 1:
             continue
         key = poly.normalized_key()
         if key in existing:
             continue
         existing.add(key)
-        lineage = tuple((eqs[j].prov, aug[i][width + j])
-                        for j in range(n_eq) if aug[i][width + j])
+        lineage = tuple((eqs[j].prov, row[width + j])
+                        for j in range(n_eq) if row[width + j])
         out.append((poly, lineage))
     return out
 

@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import islice, product as iproduct
 
 import pytest
 
@@ -125,6 +127,30 @@ def test_search_rediscovers_the_symmetry_witness():
     res = iso.search_witness(a, b, bound=3)
     assert res.status == "found"
     assert iso.verify_witness(a, b, res.witness).ok
+
+
+@pytest.mark.parametrize("bound, dim", [(1, 3), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_first_rows_follow_the_sorted_order(bound, dim):
+    grid = iso.rational_grid(bound)
+    expected = sorted(
+        (row for row in iproduct(grid, repeat=dim) if any(row)),
+        key=lambda row: (sum(abs(v.numerator) + v.denominator for v in row),
+                         [(v.numerator, v.denominator) for v in row]))
+    assert list(iso._first_rows(grid, dim)) == expected
+
+
+def test_first_rows_are_generated_lazily():
+    # bound 4 at dimension 4 has 23^4 (about 280k) rows; listing them all
+    # would take seconds and well over 100 MB before the first candidate
+    grid = iso.rational_grid(4)
+    tracemalloc.start()
+    try:
+        head = list(islice(iso._first_rows(grid, 4), 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(head) == 10 and head[0] == (F(-1), F(0), F(0), F(0))
+    assert peak < 2_000_000
 
 
 def test_search_returns_separation_immediately():

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from adkit import linalg
+from adkit.algebra import combine, contract
 from adkit.errors import SingularMatrix
 from adkit.scalars import Poly, QuadExt, poly_parse
 
@@ -16,6 +18,30 @@ def test_rref_and_rank():
     assert rows == [[F(1), F(2)]]
     assert pivots == [0]
     assert linalg.rank([[F(1), F(0)], [F(0), F(1)]]) == 2
+
+
+def test_rref_never_pivots_in_the_augmentation():
+    # [A | I] with A of rank 1: the second reduced row would pivot in the
+    # identity block, so with ncols=2 it is dropped instead
+    a = [[F(1), F(2)], [F(2), F(4)], [F(0), F(0)]]
+    aug = [row + [F(int(i == j)) for j in range(3)] for i, row in enumerate(a)]
+    rows, pivots = linalg.rref(aug, 2)
+    assert pivots == [0]
+    assert rows == [[F(1), F(2), F(1), F(0), F(0)]]
+    # the full reduction does pivot there
+    assert linalg.rref(aug)[1] == [0, 2, 4]
+
+
+def test_rref_lineage_reproduces_each_reduced_row(rng):
+    for _ in range(20):
+        a = [[F(rng.randint(-2, 2)) for _ in range(4)] for _ in range(5)]
+        aug = [row + [F(int(i == j)) for j in range(5)] for i, row in enumerate(a)]
+        rows, pivots = linalg.rref(aug, 4)
+        assert all(c < 4 for c in pivots)
+        assert ([row[:4] for row in rows], pivots) == linalg.rref(a)
+        for row in rows:
+            mix = [sum(row[4 + i] * a[i][c] for i in range(5)) for c in range(4)]
+            assert mix == row[:4]
 
 
 def test_nullspace_canonical():
@@ -48,6 +74,90 @@ def test_quadext_field_operations_in_matrices():
             for i in range(2)]
     assert prod[0][0] == 1 and prod[1][1] == 1
     assert prod[0][1] == 0 and prod[1][0] == 0
+
+
+def _cofactor_det(rows, zero):
+    if len(rows) == 1:
+        return rows[0][0]
+    total = zero
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = entry * _cofactor_det(minor, zero)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def test_det_matches_cofactor_expansion(rng):
+    values = [F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4)]
+    singular = 0
+    for n in (1, 2, 3, 4) * 15:
+        m = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3 and n > 1:
+            m[-1] = [x + 2 * y for x, y in zip(m[0], m[1])]  # force rank < n
+        expected = linalg.det_poly([[Poly.const(x) for x in row] for row in m])
+        assert linalg.det(m) == expected.constant_value()
+        singular += expected.is_zero()
+    assert singular >= 10
+    d = F(3)
+    q = [[QuadExt(1, 1, d), QuadExt(2, 0, d), QuadExt(0, -1, d)],
+         [QuadExt(0, 0, d), QuadExt(1, 2, d), QuadExt(1, 0, d)],
+         [QuadExt(1, 0, d), QuadExt(0, 1, d), QuadExt(0, 0, d)]]
+    assert linalg.det(q) == _cofactor_det(q, QuadExt(0, 0, d))
+    assert linalg.det([q[0], q[0], q[1]]) == 0
+
+
+def test_invert_rejects_singular_matrices():
+    for m in ([[F(0)]],
+              [[F(1), F(2), F(3)], [F(0), F(1), F(1)], [F(1), F(3), F(4)]],
+              [[F(0), F(0)], [F(0), F(1)]]):
+        with pytest.raises(SingularMatrix):
+            linalg.invert(m)
+
+
+def test_combine_matches_hand_expansion_in_every_ring():
+    d = F(2)
+    rings = [
+        (0, [2, 0, -1], [[1, 2], [5, 7], [0, 3]]),
+        (F(0), [F(1, 2), F(-3)], [[F(2), F(0)], [F(1, 3), F(1)]]),
+        (QuadExt(0, 0, d), [QuadExt(1, 1, d), QuadExt(0, 0, d), QuadExt(0, 2, d)],
+         [[QuadExt(1, 0, d), QuadExt(0, 1, d)], [QuadExt(5, 5, d), QuadExt(1, 1, d)],
+          [QuadExt(0, 1, d), QuadExt(0, 0, d)]]),
+        (Poly.zero(), [poly_parse("a"), poly_parse("1-b")],
+         [[poly_parse("b"), Poly.zero(), poly_parse("2")],
+          [poly_parse("a"), poly_parse("a*b"), Poly.zero()]]),
+    ]
+    for zero, coeffs, rows in rings:
+        hand = [zero] * len(rows[0])
+        for c, row in zip(coeffs, rows):
+            hand = [h + c * x for h, x in zip(hand, row)]
+        assert combine(coeffs, rows, zero) == hand
+
+
+def test_combine_returns_the_given_zero_where_no_term_lands():
+    for zero in (0, F(0), QuadExt(0, 0, F(5)), Poly.zero()):
+        out = combine([zero, 1], [[F(1), F(1)], [zero, zero]], zero)
+        assert len(out) == 2 and all(x is zero for x in out)
+    out = combine([F(1)], [[F(0), F(2)]], F(0))
+    assert out[0] == 0 and out[1] == 2
+
+
+def test_contract_matches_hand_expansion_in_every_ring(rng):
+    d = F(3)
+    for zero, draw in ((0, lambda: rng.randint(-2, 2)),
+                       (F(0), lambda: F(rng.randint(-2, 2), rng.randint(1, 3))),
+                       (QuadExt(0, 0, d),
+                        lambda: QuadExt(rng.randint(-1, 1), rng.randint(-1, 1), d)),
+                       (Poly.zero(), lambda: poly_parse(rng.choice(
+                           ["0", "0", "1", "a", "-2*b", "a*b+1"])))):
+        n = 3
+        t = [[[draw() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        x = [draw() for _ in range(n)]
+        y = [draw() for _ in range(n)]
+        hand = [zero] * n
+        for i in range(n):
+            for j in range(n):
+                hand = [h + x[i] * y[j] * e for h, e in zip(hand, t[i][j])]
+        assert contract(t, x, y, zero) == hand
 
 
 def test_det_poly_cofactor():
