@@ -19,13 +19,21 @@ and isomorphism witnesses (``iso``) all use them.
 Rank-based computations (centers, annihilators, power series, quotients)
 require parameters to be instantiated first, because ranks can jump on
 parameter subvarieties; callers supply an assignment and the report echoes it.
+A tensor without parameters is evaluated to Fractions once and kept
+(``constant_tensor``), and the rank computations, basis changes and
+2-nilpotency all read that value: basis changes contract it over Fraction,
+and 2-nilpotency runs on integers, the denominators cleared.  Parametric
+tensors run the same loops over Poly; the ring is the only difference
+between the constant and the parametric path.
 
 All values are immutable after construction and all operations are pure
-functions, so everything here is safe to use concurrently.
+functions, so everything here is safe to use concurrently; the one slot
+filled later, a tensor's constant value, is the same whichever call fills it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -50,12 +58,13 @@ def unit_vector(dim: int, i: int) -> Vector:
 class StructureConstants:
     """Tensor of structure constants for one bilinear operation."""
 
-    __slots__ = ("dim", "c")
+    __slots__ = ("dim", "c", "_constant")
 
     def __init__(self, dim: int, c):
         self.dim = dim
         self.c = tuple(tuple(tuple(Poly.coerce(x) for x in row) for row in plane)
                        for plane in c)
+        self._constant = None  # constant_tensor() once evaluated
 
     @classmethod
     def zero(cls, dim: int) -> "StructureConstants":
@@ -119,10 +128,21 @@ class StructureConstants:
         return self.map_entries(lambda p: -p)
 
     def constant_tensor(self, assign: Mapping[str, Fraction] | None = None):
-        """Evaluate every entry to a Fraction; parameters must be covered."""
-        assign = assign or {}
-        return [[[self.c[i][j][k].eval(assign) for k in range(self.dim)]
-                 for j in range(self.dim)] for i in range(self.dim)]
+        """Evaluate every entry to a Fraction; parameters must be covered.
+
+        Returns nested tuples.  Without an assignment the value is computed
+        on the first call and kept; a tensor with parameters raises
+        ``MissingAssignment`` on every such call and caches nothing.
+        """
+        if assign:
+            return self._evaluate(assign)
+        if self._constant is None:
+            self._constant = self._evaluate({})
+        return self._constant
+
+    def _evaluate(self, assign: Mapping[str, Fraction]) -> tuple:
+        return tuple(tuple(tuple(p.eval(assign) for p in row) for row in plane)
+                     for plane in self.c)
 
     def __eq__(self, other):
         if not isinstance(other, StructureConstants):
@@ -344,19 +364,37 @@ def check_antidendriform(ad: AdPair) -> AntidendriformReport:
 
 
 def is_two_nilpotent(ad: AdPair) -> bool:
-    """Do all triple products vanish, for every bracketing and operation mix?"""
-    ops = (ad.rhd, ad.lhd)
+    """Do all triple products vanish, for every bracketing and operation mix?
+
+    Equivalently, every product e_i o e_j of either operation is annihilated
+    on both sides by both operations: v o e_k = 0 and e_k o v = 0 for all k.
+    A pair without parameters runs this test on integers, its two tensors
+    scaled by the common denominator of their entries (scaling does not
+    change which products vanish); a parametric pair runs it on its Poly
+    tensors, so the answer holds identically in the parameters.
+    """
     n = ad.dim
-    for first in ops:
-        for second in ops:
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        if not _vec_is_zero(_apply_left(second, first.row(i, j), k)):
-                            return False
-                        if not _vec_is_zero(_apply_right(second, i, first.row(j, k))):
-                            return False
+    if ad.variables():
+        tensors, zero = (ad.rhd.c, ad.lhd.c), Poly.zero()
+    else:
+        tensors, zero = _cleared(ad.rhd.constant_tensor(), ad.lhd.constant_tensor()), 0
+    # e_k o v combines the rows of plane k; v o e_k combines the column k rows.
+    sides = [rows for t in tensors for k in range(n)
+             for rows in (t[k], [plane[k] for plane in t])]
+    for t in tensors:
+        for plane in t:
+            for v in plane:
+                if any(v) and any(any(combine(v, rows, zero)) for rows in sides):
+                    return False
     return True
+
+
+def _cleared(*tensors) -> list:
+    """Rational tensors times the lcm of their denominators, as ints."""
+    d = math.lcm(*(x.denominator for t in tensors for plane in t
+                   for row in plane for x in row))
+    return [[[[x.numerator * (d // x.denominator) for x in row] for row in plane]
+             for plane in t] for t in tensors]
 
 
 # -- rank computations at an instantiated point ---------------------------------
@@ -492,8 +530,11 @@ def transport_tensor(sc: StructureConstants, t_rows) -> StructureConstants:
         raise DimensionMismatch("basis-change matrix has the wrong shape")
     t = [[Fraction(x) for x in row] for row in t_rows]
     inv = linalg.invert(t)
-    zero = Poly.zero()
-    return StructureConstants(n, [[combine(contract(sc.c, t[i], t[j], zero), inv, zero)
+    if sc.variables():
+        c, zero = sc.c, Poly.zero()
+    else:
+        c, zero = sc.constant_tensor(), Fraction(0)
+    return StructureConstants(n, [[combine(contract(c, t[i], t[j], zero), inv, zero)
                                    for j in range(n)] for i in range(n)])
 
 

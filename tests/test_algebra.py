@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from adkit.algebra import (AdPair, StructureConstants, UnaryAlgebra,
                            check_antidendriform, is_associative,
                            is_two_nilpotent, power_series, product,
                            quotient_by_center, sum_algebra, unit_vector)
-from adkit.errors import CenterMismatch, DimensionMismatch, SingularMatrix
+from adkit.errors import (CenterMismatch, DimensionMismatch, MissingAssignment,
+                          SingularMatrix)
 from adkit.iso import Witness, verify_witness
 from adkit.scalars import Poly, poly_parse
 
@@ -98,6 +100,35 @@ def brute_force_associativity_violations(alg: UnaryAlgebra):
                 if left != right:
                     bad.append((i, j, k))
     return bad
+
+
+def _evaluated(sc: StructureConstants):
+    """Entries of a tensor without parameters, read off its constant terms."""
+    return [[[p.constant_value() for p in row] for row in plane] for plane in sc.c]
+
+
+def brute_force_nonzero_triple_forms(ad: AdPair) -> set:
+    """Oracle: which of the eight forms (x o y) o' z and x o (y o' z), for
+    o, o' in {rhd, lhd}, are nonzero on some basis triple?
+
+    Each form is expanded coordinate by coordinate on the raw tensors:
+    Fractions for a constant pair, Polys (so identically in the parameters)
+    otherwise.
+    """
+    n = ad.dim
+    if ad.variables():
+        ops = {"rhd": ad.rhd.c, "lhd": ad.lhd.c}
+    else:
+        ops = {"rhd": _evaluated(ad.rhd), "lhd": _evaluated(ad.lhd)}
+    forms = {}
+    for (p, a), (q, b) in itertools.product(ops.items(), repeat=2):
+        forms[f"(x {p} y) {q} z"] = lambda i, j, k, c, a=a, b=b: sum(
+            (a[i][j][m] * b[m][k][c] for m in range(n) if a[i][j][m]))
+        forms[f"x {p} (y {q} z)"] = lambda i, j, k, c, a=a, b=b: sum(
+            (b[j][k][m] * a[i][m][c] for m in range(n) if b[j][k][m]))
+    return {name for name, expand in forms.items()
+            if any(expand(i, j, k, c)
+                   for i, j, k, c in itertools.product(range(n), repeat=4))}
 
 
 def test_null_filiform_4_is_associative():
@@ -235,6 +266,92 @@ def test_negative_pair_proposition(rng):
     assert checked >= 5  # the zero-ish tensors make plenty of hits
 
 
+def _upper_pair(rng, dim: int) -> AdPair:
+    """Products mostly land on e_k with k > max(i, j), about half the time in
+    a 2-nilpotent pair; one pair in five is moved to a random basis, which
+    fills its tables."""
+    values = [F(1), F(-1), F(1, 2), F(-3, 2), F(2, 3), F(5)]
+
+    def table():
+        return {(i, j, k): rng.choice(values)
+                for i, j, k in itertools.product(range(1, dim + 1), repeat=3)
+                if rng.random() < (0.4 if k > max(i, j) else 0.02)}
+    ad = AdPair(StructureConstants.from_table(dim, table()),
+                StructureConstants.from_table(dim, table()))
+    return apply_basis_change(ad, random_invertible(rng, dim)) if rng.random() < 0.2 else ad
+
+
+def test_two_nilpotent_against_brute_force_on_random_pairs(rng):
+    verdicts = []
+    for _ in range(1000):
+        ad = _upper_pair(rng, rng.choice((2, 3)))
+        verdict = is_two_nilpotent(ad)
+        assert verdict == (not brute_force_nonzero_triple_forms(ad))
+        verdicts.append(verdict)
+    assert 200 <= sum(verdicts) <= 800
+
+
+def test_two_nilpotent_sees_each_single_mixed_form():
+    # e1 rhd e1 = e2 and e2 lhd e1 = e3: only (e1 rhd e1) lhd e1 is nonzero
+    ad = AdPair(StructureConstants.from_table(3, {(1, 1, 2): "1/2"}),
+                StructureConstants.from_table(3, {(2, 1, 3): "-3"}))
+    assert brute_force_nonzero_triple_forms(ad) == {"(x rhd y) lhd z"}
+    assert not is_two_nilpotent(ad)
+    # e1 rhd e1 = e2 and e1 lhd e2 = e3: only e1 lhd (e1 rhd e1) is nonzero
+    ad = AdPair(StructureConstants.from_table(3, {(1, 1, 2): "2/3"}),
+                StructureConstants.from_table(3, {(1, 2, 3): "1"}))
+    assert brute_force_nonzero_triple_forms(ad) == {"x lhd (y rhd z)"}
+    assert not is_two_nilpotent(ad)
+
+
+def test_two_nilpotent_against_brute_force_on_parametric_registry():
+    checked = 0
+    for entry in catalog.entries():
+        ad = catalog.get(entry.id)
+        if isinstance(ad, AdPair) and ad.variables():
+            assert is_two_nilpotent(ad) == (not brute_force_nonzero_triple_forms(ad))
+            checked += 1
+    assert checked >= 10
+
+
+def test_two_nilpotent_is_identical_in_the_parameters():
+    # (e1 rhd e1) lhd e1 = l e3 vanishes only at l = 0
+    ad = AdPair(StructureConstants.from_table(3, {(1, 1, 2): "1"}),
+                StructureConstants.from_table(3, {(2, 1, 3): "l"}))
+    assert brute_force_nonzero_triple_forms(ad) == {"(x rhd y) lhd z"}
+    assert not is_two_nilpotent(ad)
+    assert is_two_nilpotent(ad.subs({"l": F(0)}))
+    assert not is_two_nilpotent(ad.subs({"l": F(1, 3)}))
+
+
+# -- constant tensors ---------------------------------------------------------------
+
+
+def test_constant_tensor_is_evaluated_once_into_tuples(rng):
+    sc = apply_basis_change(catalog.get("AD3_10"), random_invertible(rng, 3)).rhd
+    first = sc.constant_tensor()
+    assert first == tuple(tuple(tuple(row) for row in plane) for plane in _evaluated(sc))
+    assert all(isinstance(row, tuple) for plane in first for row in plane)
+    assert isinstance(first, tuple) and all(isinstance(p, tuple) for p in first)
+    assert sc.constant_tensor() is first
+    assert sc.constant_tensor({}) is first
+
+
+def test_constant_tensor_of_parametric_tensor_is_never_cached():
+    sc = catalog.get("AD3_22").rhd
+    with pytest.raises(MissingAssignment):
+        sc.constant_tensor()
+    with pytest.raises(MissingAssignment):
+        sc.constant_tensor()
+    at_one = sc.constant_tensor({"a": F(1), "b": F(2)})
+    at_two = sc.constant_tensor({"a": F(1, 2), "b": F(-1)})
+    assert (at_one[0][0][2], at_one[1][0][2]) == (F(1), F(2))
+    assert (at_two[0][0][2], at_two[1][0][2]) == (F(1, 2), F(-1))
+    assert sc.constant_tensor({"a": F(1), "b": F(2)}) == at_one
+    with pytest.raises(MissingAssignment):
+        sc.constant_tensor()
+
+
 # -- quotient -----------------------------------------------------------------------------
 
 
@@ -298,6 +415,19 @@ def test_scaling_changes_family_parameter():
     # e1'>e1' = 1/2 e2' + (a/2) e3': the parameter rescales by 1/A1
     assert moved.rhd.c[0][0][1] == Poly.const(F(1, 2))
     assert moved.rhd.c[0][0][2] == poly_parse("a") * F(1, 2)
+
+
+def test_transport_commutes_with_substitution(rng):
+    ad = catalog.get("AD3_22")
+    points = ({"a": F(0), "b": F(0)}, {"a": F(1), "b": F(-2)},
+              {"a": F(1, 2), "b": F(3)})
+    for _ in range(2):
+        t = random_invertible(rng, 3)
+        moved = apply_basis_change(ad, t)
+        assert moved.variables() == {"a", "b"}
+        for point in points:
+            late, early = moved.subs(point), apply_basis_change(ad.subs(point), t)
+            assert (late.rhd, late.lhd) == (early.rhd, early.lhd)
 
 
 def test_identity_change_is_identity():
