@@ -199,6 +199,44 @@ PINNED_OUTPUTS = {
     "As3_5_l2": (lambda: catalog.get("As3_5", {"l": F(2)}),
                  "d0f2e3113b32e6eccc99320ef54bde0b80be38b6e863536034f04c95f7f564fb",
                  "89207e4fc5ff7a2b639d73032b434f2b790397e5504ab0b43c8aba11f3887719"),
+    # Recorded with the dense consequence step, before its rows became
+    # sparse; As3_2, As3_4 and As3_5 (symbolic l) carry combine lineages.
+    "As2_1": (lambda: catalog.get("As2_1"),
+              "e796b8bfaa5e1afea6617794a7d45975be9888f69e06dd06d1fe37ca199f349d",
+              "31ddfe081df34e810cde243cb47a64834b9d6ca7b64704aad133b8986e535dc7"),
+    "As2_2": (lambda: catalog.get("As2_2"),
+              "06ca801884b78af49a81990de16565fea4419075302ca59757aefeb112fc9142",
+              "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "As2_3": (lambda: catalog.get("As2_3"),
+              "3ded45df09a0179a455b43ec3138132032b39d7bfdbf53954573d74f9a80d327",
+              "e9333ec99a85ec92ddbac9980d2ccc2765f470ed5be1fc1509154816d488fba3"),
+    "As2_4": (lambda: catalog.get("As2_4"),
+              "06ca801884b78af49a81990de16565fea4419075302ca59757aefeb112fc9142",
+              "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "As2_5": (lambda: catalog.get("As2_5"),
+              "06ca801884b78af49a81990de16565fea4419075302ca59757aefeb112fc9142",
+              "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "As2_6": (lambda: catalog.get("As2_6"),
+              "06ca801884b78af49a81990de16565fea4419075302ca59757aefeb112fc9142",
+              "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "As2_7": (lambda: catalog.get("As2_7"),
+              "06ca801884b78af49a81990de16565fea4419075302ca59757aefeb112fc9142",
+              "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "As3_1": (lambda: catalog.get("As3_1"),
+              "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+              "f72741ba02c087720eea6468f2655b207fe4f4806c78a9ae32989732c722226a"),
+    "As3_2": (lambda: catalog.get("As3_2"),
+              "2e411ea5a56505bd266c70c1b4ae6c99b65d4fc67dcefb3629839b7ac25c0610",
+              "aa3f1af290c67a939aa875419302df89fb4434ba63e53142a8111f88a11ebeac"),
+    "As3_4": (lambda: catalog.get("As3_4"),
+              "848e2cc3a4ac5a94393578124c0eb8da152da143f04bf9a030ada168d78658a6",
+              "f2af665c2b96492fd9b616b21b4ad56f82439188bd78970f81ab80d0a9096cdf"),
+    "As3_5": (lambda: catalog.get("As3_5"),
+              "96908b07f20eeb809779228344638d4cc88b570e1e776e168b45a3f3c6eb08ea",
+              "b727020c86f6f094e94efee72f059bddefaeee6f64cfa0b880d2d60e19540c11"),
+    "As3_6": (lambda: catalog.get("As3_6"),
+              "ef41e43db7be88cd21e3b343737baa8e25f264b069460714a093b77d11f1e9ed",
+              "58fda45d8095aeb562e87dd12494de4743b25a218e252e5fac0a8cbb2b23c92b"),
 }
 
 
