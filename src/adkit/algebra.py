@@ -534,7 +534,10 @@ def transport_tensor(sc: StructureConstants, t_rows) -> StructureConstants:
         c, zero = sc.c, Poly.zero()
     else:
         c, zero = sc.constant_tensor(), Fraction(0)
-    return StructureConstants(n, [[combine(contract(c, t[i], t[j], zero), inv, zero)
+    # inner[j][k] = e_k o e'_j, once per new basis vector; e'_i o e'_j is
+    # then sum_k T[i][k] inner[j][k], written back in the new basis by inv
+    inner = [[combine(row, plane, zero) for plane in c] for row in t]
+    return StructureConstants(n, [[combine(combine(t[i], inner[j], zero), inv, zero)
                                    for j in range(n)] for i in range(n)])
 
 

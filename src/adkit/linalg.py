@@ -1,18 +1,20 @@
-"""Small dense exact linear algebra over a field (Fraction or QuadExt).
+"""Small exact linear algebra over a field (Fraction or QuadExt).
 
-Matrices are lists of row lists.  There is one elimination loop,
-``_echelon``: forward elimination with exact division, pivoting on the
-leftmost column that still has a nonzero entry at or below the current row
-(first such row wins).  ``rref`` adds back-substitution; ``det`` is the
-product of the pivots and ``invert`` is the reduced form of ``[A | I]``.
-Row operations touch only the columns right of the pivot, where the pivot
-row can be nonzero; the pivot column itself gets its exact 1 and 0 directly.
+There is one elimination loop, ``_echelon``, on sparse rows: a row is a dict
+column -> value that never stores a zero.  It pivots on the leftmost column
+that still has a nonzero entry at or below the current row (first such row
+wins), divides the pivot row by its pivot, clears it from the rows below and
+negates the pivot product once per row swap.  It touches only nonzero
+entries, with the exact operations a dense loop makes on them, so reduced
+rows, pivots and determinants equal the dense ones.
 
-``rref``'s ``ncols`` limits the pivot search to the leading columns, so
-appended columns (an identity that records how each reduced row combines
-the inputs) are carried along without ever taking a pivot.  ``det`` stops
-after forward elimination: back-substitution would not change the pivots,
-and ``det`` runs once per candidate in the witness search.
+``rref_sparse`` adds back-substitution; its ``ncols`` keeps appended columns
+(an identity that records how each reduced row combines the inputs) from
+taking a pivot.  The solver's consequence step builds such rows directly.
+The dense functions (matrices as lists of row lists) convert at the
+boundary and run the same loop; reduced rows come back with the zero of the
+first entry's field (a QuadExt matrix gets QuadExt zeros).  ``det`` is the
+pivot product of forward elimination and ``invert`` reduces ``[A | I]``.
 
 Determinants of polynomial matrices are computed by cofactor expansion
 since no division is available there.
@@ -21,23 +23,33 @@ since no division is available there.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from .errors import SingularMatrix
 from .scalars import Poly
 
-
-def _clear(row: List, col: int, tail: List):
-    """Subtract row[col] times the normalised pivot row, whose entries right
-    of ``col`` are ``tail``; row[col] becomes an exact zero (f - f)."""
-    f = row[col]
-    row[col:] = [f - f] + [x - f * y for x, y in zip(row[col + 1:], tail)]
+SparseRow = Dict[int, object]
 
 
-def _echelon(m: List[List], ncols: int) -> tuple[List[int], object]:
+def _clear(row: SparseRow, col: int, tail: list):
+    """Subtract row[col] times the normalised pivot row, whose entries
+    other than its 1 at ``col`` are the (column, value) pairs ``tail``."""
+    f = row.pop(col)
+    for j, y in tail:
+        x = row.get(j)
+        if x is None:
+            row[j] = -(f * y)
+        else:
+            x = x - f * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+
+def _echelon(m: List[SparseRow], ncols: int) -> tuple[List[int], object]:
     """Forward elimination of ``m`` in place, pivoting in columns < ncols.
 
-    Each pivot row is divided by its pivot and cleared from the rows below.
     Returns the pivot columns (pivot k sits in row k) and the product of
     the pivots, negated once per row swap.
     """
@@ -48,23 +60,46 @@ def _echelon(m: List[List], ncols: int) -> tuple[List[int], object]:
         if r == len(m):
             break
         for pivot in range(r, len(m)):
-            if m[pivot][col] != 0:
+            if col in m[pivot]:
                 break
         else:
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
             product = -product
-        p = m[r][col]
+        row = m[r]
+        p = row.pop(col)
         product = product * p
-        tail = [x / p for x in m[r][col + 1:]]
-        m[r][col:] = [p / p] + tail
+        tail = [(j, x / p) for j, x in row.items()]
+        m[r] = {col: p / p}
+        m[r].update(tail)
         for i in range(r + 1, len(m)):
-            if m[i][col] != 0:
+            if col in m[i]:
                 _clear(m[i], col, tail)
         pivots.append(col)
         r += 1
     return pivots, product
+
+
+def rref_sparse(rows: List[SparseRow], ncols: int) -> tuple[List[SparseRow], List[int]]:
+    """Reduced row echelon form of sparse rows, reduced in place; returns
+    (rows, pivot column indices).
+
+    Pivots are taken only in columns < ncols; rows with no entry there are
+    dropped.
+    """
+    pivots, _ = _echelon(rows, ncols)
+    for r in reversed(range(len(pivots))):
+        col = pivots[r]
+        tail = [(j, y) for j, y in rows[r].items() if j != col]
+        for i in range(r):
+            if col in rows[i]:
+                _clear(rows[i], col, tail)
+    return rows[:len(pivots)], pivots
+
+
+def _sparse(rows: Sequence[Sequence]) -> List[SparseRow]:
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[List[List], List[int]]:
@@ -73,21 +108,17 @@ def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[List[List]
     Pivots are taken only in the first ``ncols`` columns (all by default);
     rows that are zero there are dropped.
     """
-    m = [list(r) for r in rows]
-    if not m:
+    if not rows:
         return [], []
-    pivots, _ = _echelon(m, len(m[0]) if ncols is None else ncols)
-    for r in reversed(range(len(pivots))):
-        col = pivots[r]
-        tail = m[r][col + 1:]
-        for i in range(r):
-            if m[i][col] != 0:
-                _clear(m[i], col, tail)
-    return m[:len(pivots)], pivots
+    width = len(rows[0])
+    red, pivots = rref_sparse(_sparse(rows), width if ncols is None else ncols)
+    zero = rows[0][0] - rows[0][0] if red else None  # a pivot needs a column
+    return [[row.get(j, zero) for j in range(width)] for row in red], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+    """Number of pivots of forward elimination."""
+    return len(_echelon(_sparse(rows), len(rows[0]))[0]) if rows else 0
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
@@ -96,23 +127,23 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
     The basis is canonical: reduced echelon constraints, free variables set
     to 1 one at a time, in increasing column order.
     """
-    red, pivots = rref(rows)
+    red, pivots = rref_sparse(_sparse(rows), ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
+            if fc in row:
+                v[pc] = -row[fc]
         basis.append(v)
     return basis
 
 
 def det(rows: Sequence[Sequence]):
     """Determinant: the signed pivot product of forward elimination."""
-    m = [list(r) for r in rows]
-    pivots, product = _echelon(m, len(m))
-    return product if len(pivots) == len(m) else Fraction(0)
+    pivots, product = _echelon(_sparse(rows), len(rows))
+    return product if len(pivots) == len(rows) else Fraction(0)
 
 
 def invert(rows: Sequence[Sequence]) -> List[List]:
@@ -143,17 +174,13 @@ def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
 
 def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
     """Is ``target`` in the rational span of ``vectors``?"""
-    base = [list(v) for v in vectors]
-    return rank(base) == rank(base + [list(target)])
+    return rank(vectors) == rank(list(vectors) + [target])
 
 
 def span_dim(vectors: Sequence[Sequence[Fraction]]) -> int:
-    return rank([list(v) for v in vectors])
+    return rank(vectors)
 
 
 def same_span(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:
-    ra = rank([list(v) for v in a])
-    rb = rank([list(v) for v in b])
-    if ra != rb:
-        return False
-    return rank([list(v) for v in a] + [list(v) for v in b]) == ra
+    ra = rank(a)
+    return ra == rank(b) and rank(list(a) + list(b)) == ra

@@ -16,8 +16,10 @@ Elimination loop, per branch:
    lowest pivot in unknown order, then the earliest equation;
 3. when substitutions stall, row-reduce the equations over their monomials
    to surface linear or constant consequences of rational combinations
-   (each extracted row records its lineage so certificates replay); above
-   ``CONSEQUENCE_CAP`` equations this step is skipped;
+   (each extracted row records its lineage so certificates replay); the
+   rows are sparse, one dict per equation, and go straight to the linalg
+   elimination loop; above ``CONSEQUENCE_CAP`` equations this step is
+   skipped;
 4. split on a quadratic: a factor shape (unknown)*(linear) = 0, or a
    single-unknown quadratic a*u^2 + b*u + c resolved through its
    discriminant (zero forces the double root, a constant square splits on
@@ -400,31 +402,29 @@ def _linear_consequences(branch: Branch, unknown_set: frozenset) -> list:
 
     monos = sorted({m for eq in eqs for m in eq.poly.terms},
                    key=lambda m: (-udeg(m), m))
-    if not monos or udeg(monos[0]) <= 1:
+    quadratic = sum(1 for m in monos if udeg(m) > 1)
+    if not quadratic:
         return []
     col = {m: i for i, m in enumerate(monos)}
     width = len(monos)
-    n_eq = len(eqs)
     aug = []
     for i, eq in enumerate(eqs):
-        row = [Fraction(0)] * (width + n_eq)
-        for m, c in eq.poly.terms.items():
-            row[col[m]] = c
+        row = {col[m]: c for m, c in eq.poly.terms.items()}
         row[width + i] = Fraction(1)
         aug.append(row)
-    reduced, _ = linalg.rref(aug, width)
+    reduced, pivots = linalg.rref_sparse(aug, width)
     existing = set(branch.keys)
     out = []
-    for row in reduced:
-        poly = Poly({monos[j]: row[j] for j in range(width) if row[j]})
-        if poly.degree_in(unknown_set) > 1:
+    for row, pivot in zip(reduced, pivots):
+        if pivot < quadratic:
             continue
+        entries = sorted(row.items())
+        poly = Poly({monos[j]: c for j, c in entries if j < width})
         key = poly.normalized_key()
         if key in existing:
             continue
         existing.add(key)
-        lineage = tuple((eqs[j].prov, row[width + j])
-                        for j in range(n_eq) if row[width + j])
+        lineage = tuple((eqs[j - width].prov, c) for j, c in entries if j >= width)
         out.append((poly, lineage))
     return out
 

@@ -176,3 +176,129 @@ def test_span_helpers():
     assert linalg.in_span(a, [F(2), F(3), F(2)])
     assert not linalg.in_span(a, [F(0), F(0), F(1)])
     assert linalg.span_dim(a) == 2
+
+
+# -- the sparse loop against a dense reference -------------------------------
+#
+# The dense forward elimination and back-substitution below are the loop
+# linalg ran on row lists before its rows became sparse: same pivot rule,
+# same pivot-row division, same signed pivot product.  The sparse loop must
+# reproduce them exactly.
+
+
+def _dense_clear(row, col, tail):
+    f = row[col]
+    row[col:] = [f - f] + [x - f * y for x, y in zip(row[col + 1:], tail)]
+
+
+def _dense_echelon(m, ncols):
+    pivots, product, r = [], Fraction(1), 0
+    for col in range(ncols):
+        if r == len(m):
+            break
+        for pivot in range(r, len(m)):
+            if m[pivot][col] != 0:
+                break
+        else:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            product = -product
+        p = m[r][col]
+        product = product * p
+        tail = [x / p for x in m[r][col + 1:]]
+        m[r][col:] = [p / p] + tail
+        for i in range(r + 1, len(m)):
+            if m[i][col] != 0:
+                _dense_clear(m[i], col, tail)
+        pivots.append(col)
+        r += 1
+    return pivots, product
+
+
+def _dense_rref(rows, ncols=None):
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    pivots, _ = _dense_echelon(m, len(m[0]) if ncols is None else ncols)
+    for r in reversed(range(len(pivots))):
+        col = pivots[r]
+        tail = m[r][col + 1:]
+        for i in range(r):
+            if m[i][col] != 0:
+                _dense_clear(m[i], col, tail)
+    return m[:len(pivots)], pivots
+
+
+def _dense_det(rows):
+    m = [list(r) for r in rows]
+    pivots, product = _dense_echelon(m, len(m))
+    return product if len(pivots) == len(m) else Fraction(0)
+
+
+def _sparse_matrix(rng, n_rows, n_cols, density):
+    """Rational matrix with about ``density`` nonzeros; some rows repeat a
+    rational combination of earlier rows, so they cancel to exact zero."""
+    def entry():
+        return F(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3, 4]))
+
+    m = [[entry() if rng.random() < density else F(0) for _ in range(n_cols)]
+         for _ in range(n_rows)]
+    for i in range(2, n_rows):
+        if rng.random() < 0.25:
+            a, b = rng.sample(range(i), 2)
+            s, t = entry(), entry()
+            m[i] = [s * x + t * y for x, y in zip(m[a], m[b])]
+    return m
+
+
+def _random_matrices(rng, count):
+    for k in range(count):
+        n_rows = rng.randint(13, 30) if k % 12 == 0 else rng.randint(1, 12)
+        n_cols = n_rows if k % 4 == 0 else rng.randint(1, 40)
+        yield _sparse_matrix(rng, n_rows, n_cols, rng.uniform(0.03, 0.30))
+
+
+def test_sparse_loop_matches_the_dense_reference(rng):
+    deficient = 0
+    for m in _random_matrices(rng, 240):
+        n_rows, n_cols = len(m), len(m[0])
+        red = linalg.rref(m)
+        assert red == _dense_rref(m)
+        deficient += len(red[1]) < min(n_rows, n_cols)
+        # an identity augmentation records each reduced row's lineage
+        aug = [row + [F(int(i == j)) for j in range(n_rows)]
+               for i, row in enumerate(m)]
+        assert linalg.rref(aug, n_cols) == _dense_rref(aug, n_cols)
+        assert linalg.rank(m) == len(red[1])
+        if n_rows == n_cols:
+            assert linalg.det(m) == _dense_det(m)
+    assert deficient >= 40
+
+
+def test_sparse_rows_never_store_a_zero(rng):
+    for m in _random_matrices(rng, 120):
+        n_rows, n_cols = len(m), len(m[0])
+        rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+        for i, row in enumerate(rows):
+            row[n_cols + i] = F(1)
+        work = [dict(r) for r in rows]
+        linalg._echelon(work, n_cols)
+        assert all(x != 0 for row in work for x in row.values())
+        red, pivots = linalg.rref_sparse(rows, n_cols)
+        assert all(x != 0 for row in red for x in row.values())
+        dense, dense_pivots = linalg.rref(
+            [row + [F(int(i == j)) for j in range(n_rows)] for i, row in enumerate(m)],
+            n_cols)
+        assert pivots == dense_pivots
+        assert red == [{j: x for j, x in enumerate(row) if x} for row in dense]
+
+
+def test_quadext_matrices_get_quadext_zeros_back():
+    d = F(2)
+    q = [[QuadExt(1, 1, d), QuadExt(0, 0, d), QuadExt(2, 0, d)],
+         [QuadExt(0, 0, d), QuadExt(0, 1, d), QuadExt(0, 0, d)],
+         [QuadExt(1, 0, d), QuadExt(0, 0, d), QuadExt(0, 0, d)]]
+    for rows in (linalg.rref(q)[0], linalg.rref(q[:2])[0], linalg.invert(q)):
+        assert all(isinstance(x, QuadExt) for row in rows for x in row)
+        assert any(x == 0 for row in rows for x in row)
