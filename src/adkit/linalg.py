@@ -50,6 +50,7 @@ def _clear(row: SparseRow, col: int, tail: list):
 def _echelon(m: List[SparseRow], ncols: int) -> tuple[List[int], object]:
     """Forward elimination of ``m`` in place, pivoting in columns < ncols.
 
+    Each pivot row is divided by its pivot and cleared from the rows below.
     Returns the pivot columns (pivot k sits in row k) and the product of
     the pivots, negated once per row swap.
     """
