@@ -4,9 +4,12 @@ A bilinear product on an n-dimensional space is stored as an n*n*n tensor of
 polynomials: ``e_i o e_j = sum_k c[i][j][k] e_k`` (indices 0-based internally,
 1-based in files and reports).  A two-operation carrier holds one tensor for
 each operation; the anti-dendriform laws are checked symbolically, identically
-in any family parameters, by expanding both sides of each identity on basis
-triples.  Bilinearity makes the basis-triple check equivalent to the law on
-the whole space.
+in any family parameters, on basis triples.  The seven identities and the
+two defining equations read only six triple products; each triple's six are
+expanded once (``_triple_products``) and every law is a signed combination of
+them, the identities a table of signed pairs (``_IDENTITY_TERMS``).
+Bilinearity makes the basis-triple check equivalent to the law on the whole
+space.
 
 Every product of structure constants goes through one kernel: ``combine``
 forms a linear combination of rows, skipping zero coefficients and zero
@@ -273,32 +276,37 @@ def is_associative(alg: UnaryAlgebra) -> AssociativityReport:
     return AssociativityReport(n, tuple(bad))
 
 
-#: The seven component identities, in reporting order; ``_identity_residual``
-#: maps each, on a basis triple, to its residual vector.  With x>y = rhd,
-#: x<y = lhd and x.y the sum product:
+def _triple_products(r: StructureConstants, l: StructureConstants,
+                     s: StructureConstants, i: int, j: int, k: int) -> tuple:
+    """The six products the laws read on (e_i, e_j, e_k), in the order
+    A = x>(y>z), B = (x.y)>z, C = x<(y.z), D = (x<y)<z, E = (x>y)<z,
+    F = x>(y<z), with x>y = r, x<y = l and x.y = s."""
+    return (_apply_right(r, i, r.row(j, k)), _apply_left(r, s.row(i, j), k),
+            _apply_right(l, i, s.row(j, k)), _apply_left(l, l.row(i, j), k),
+            _apply_left(l, r.row(i, j), k), _apply_right(r, i, l.row(j, k)))
+
+
+#: The seven component identities, in reporting order, each a signed pair
+#: (first, sign, second) over the products A..F of ``_triple_products``:
 #: id1 (x>y)<z = x>(y<z),   id2 x>(y>z) = -(x.y)>z,  id3 x>(y>z) = -x<(y.z),
 #: id4 x>(y>z) = (x<y)<z,   id5 (x.y)>z = x<(y.z),   id6 -(x.y)>z = (x<y)<z,
 #: id7 -x<(y.z) = (x<y)<z.
-IDENTITY_NAMES = ("id1", "id2", "id3", "id4", "id5", "id6", "id7")
+_IDENTITY_TERMS = {
+    "id1": (4, -1, 5),  # E - F
+    "id2": (0, 1, 1),   # A + B
+    "id3": (0, 1, 2),   # A + C
+    "id4": (0, -1, 3),  # A - D
+    "id5": (1, -1, 2),  # B - C
+    "id6": (1, 1, 3),   # B + D
+    "id7": (2, 1, 3),   # C + D
+}
+IDENTITY_NAMES = tuple(_IDENTITY_TERMS)
 
 
-def _identity_residual(name: str, r: StructureConstants, l: StructureConstants,
-                       s: StructureConstants, i: int, j: int, k: int) -> Vector:
-    if name == "id1":
-        return _vec_sub(_apply_left(l, r.row(i, j), k), _apply_right(r, i, l.row(j, k)))
-    if name == "id2":
-        return _vec_add(_apply_right(r, i, r.row(j, k)), _apply_left(r, s.row(i, j), k))
-    if name == "id3":
-        return _vec_add(_apply_right(r, i, r.row(j, k)), _apply_right(l, i, s.row(j, k)))
-    if name == "id4":
-        return _vec_sub(_apply_right(r, i, r.row(j, k)), _apply_left(l, l.row(i, j), k))
-    if name == "id5":
-        return _vec_sub(_apply_left(r, s.row(i, j), k), _apply_right(l, i, s.row(j, k)))
-    if name == "id6":
-        return _vec_add(_apply_left(r, s.row(i, j), k), _apply_left(l, l.row(i, j), k))
-    if name == "id7":
-        return _vec_add(_apply_right(l, i, s.row(j, k)), _apply_left(l, l.row(i, j), k))
-    raise ValueError(name)
+def _identity_residual(name: str, prods: tuple) -> Vector:
+    """The residual of one identity from a triple's six products."""
+    a, sign, b = _IDENTITY_TERMS[name]
+    return (_vec_add if sign > 0 else _vec_sub)(prods[a], prods[b])
 
 
 @dataclass(frozen=True)
@@ -306,7 +314,8 @@ class AntidendriformReport:
     dim: int
     #: name -> tuple of ((i, j, k) 0-based, residual Vector), nonzero only
     failures: Mapping[str, tuple]
-    #: residuals of the two defining chains, computed independently
+    #: residuals of the two defining equations, combined from the same six
+    #: triple products as ``failures``; only the combination of laws differs
     chain_failures: Mapping[str, tuple]
 
     @property
@@ -324,39 +333,34 @@ class AntidendriformReport:
 def check_antidendriform(ad: AdPair) -> AntidendriformReport:
     """Symbolic residuals of the seven identities on every basis triple.
 
-    Also evaluates the two defining equations directly (the four-way chain
-    and the middle-swap law); a pair is anti-dendriform exactly when all
-    residuals vanish identically in the parameters.
+    Also combines the same products into the two defining equations (the
+    four-way chain and the middle-swap law); a pair is anti-dendriform
+    exactly when all residuals vanish identically in the parameters.
     """
     r, l = ad.rhd, ad.lhd
     s = r.add(l)
     n = ad.dim
+    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    prods = [_triple_products(r, l, s, *t) for t in triples]
     failures = {name: [] for name in IDENTITY_NAMES}
     for name in IDENTITY_NAMES:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    res = _identity_residual(name, r, l, s, i, j, k)
-                    if not _vec_is_zero(res):
-                        failures[name].append(((i, j, k), res))
-    # The defining chain x>(y>z) = -(x.y)>z = -x<(y.z) = (x<y)<z re-expanded
-    # as adjacent differences, plus the middle-swap law.
+        for t, pr in zip(triples, prods):
+            res = _identity_residual(name, pr)
+            if not _vec_is_zero(res):
+                failures[name].append((t, res))
+    # The defining chain x>(y>z) = -(x.y)>z = -x<(y.z) = (x<y)<z as adjacent
+    # differences, plus the middle-swap law, from the same six products.
     chain = {"eq_chain": [], "eq_swap": []}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left = _apply_right(r, i, r.row(j, k))
-                mid1 = tuple(-p for p in _apply_left(r, s.row(i, j), k))
-                mid2 = tuple(-p for p in _apply_right(l, i, s.row(j, k)))
-                right = _apply_left(l, l.row(i, j), k)
-                for u, v in ((left, mid1), (mid1, mid2), (mid2, right)):
-                    res = _vec_sub(u, v)
-                    if not _vec_is_zero(res):
-                        chain["eq_chain"].append(((i, j, k), res))
-                res = _vec_sub(_apply_left(l, r.row(i, j), k),
-                               _apply_right(r, i, l.row(j, k)))
-                if not _vec_is_zero(res):
-                    chain["eq_swap"].append(((i, j, k), res))
+    for t, (a, b, c, d, e, f) in zip(triples, prods):
+        mid1 = tuple(-p for p in b)
+        mid2 = tuple(-p for p in c)
+        for u, v in ((a, mid1), (mid1, mid2), (mid2, d)):
+            res = _vec_sub(u, v)
+            if not _vec_is_zero(res):
+                chain["eq_chain"].append((t, res))
+        res = _vec_sub(e, f)
+        if not _vec_is_zero(res):
+            chain["eq_swap"].append((t, res))
     return AntidendriformReport(
         n,
         {name: tuple(v) for name, v in failures.items()},

@@ -173,11 +173,6 @@ def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
     return total
 
 
-def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
-    """Is ``target`` in the rational span of ``vectors``?"""
-    return rank(vectors) == rank(list(vectors) + [target])
-
-
 def span_dim(vectors: Sequence[Sequence[Fraction]]) -> int:
     return rank(vectors)
 

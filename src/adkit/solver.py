@@ -65,7 +65,8 @@ from typing import Mapping, NamedTuple
 
 from . import linalg
 from .algebra import (AdPair, IDENTITY_NAMES, StructureConstants, UnaryAlgebra,
-                      _identity_residual, check_antidendriform, is_associative)
+                      _identity_residual, _triple_products, check_antidendriform,
+                      is_associative)
 from .errors import (ConstraintViolation, MissingAssignment, NotAssociative,
                      SideConditionViolation)
 from .scalars import (Poly, format_poly, is_rational_square, rational_sqrt)
@@ -99,10 +100,6 @@ class ConstraintSystem:
         object.__setattr__(self, "unknown_set", frozenset(self.unknowns))
 
 
-def _unknown_degree(p: Poly, unknowns: frozenset) -> int:
-    return p.degree_in(unknowns)
-
-
 def generate_constraints(assoc: UnaryAlgebra) -> ConstraintSystem:
     """Expand the seven identities over all basis triples into equations.
 
@@ -124,26 +121,25 @@ def generate_constraints(assoc: UnaryAlgebra) -> ConstraintSystem:
              for j in range(n)] for i in range(n)])
     l_sym = assoc.sc.add(r_sym.neg())
     s_sym = assoc.sc
+    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    prods = [_triple_products(r_sym, l_sym, s_sym, *t) for t in triples]
     seen: dict = {}
     equations = []
     for ident in IDENTITY_NAMES:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    res = _identity_residual(ident, r_sym, l_sym, s_sym, i, j, k)
-                    for m in range(n):
-                        p = res[m]
-                        if p.is_zero():
-                            continue
-                        if ident == "id5" and _unknown_degree(p, name_set) > 1:
-                            raise AssertionError(
-                                "mixed-associator equation is not linear")
-                        key = p.normalized_key()
-                        if key in seen:
-                            continue
-                        prov = f"{ident}@({i + 1},{j + 1},{k + 1})#{m + 1}"
-                        seen[key] = prov
-                        equations.append(Equation(prov, p))
+        for (i, j, k), pr in zip(triples, prods):
+            res = _identity_residual(ident, pr)
+            for m in range(n):
+                p = res[m]
+                if p.is_zero():
+                    continue
+                if ident == "id5" and p.degree_in(name_set) > 1:
+                    raise AssertionError("mixed-associator equation is not linear")
+                key = p.normalized_key()
+                if key in seen:
+                    continue
+                prov = f"{ident}@({i + 1},{j + 1},{k + 1})#{m + 1}"
+                seen[key] = prov
+                equations.append(Equation(prov, p))
     return ConstraintSystem(n, assoc, names, tuple(equations),
                             frozenset(assoc.sc.variables()))
 
@@ -377,7 +373,7 @@ def _factor_shape(p: Poly, unknowns: tuple):
     for var in unknowns:
         q = p.divide_by_var(var)
         if q is not None and not q.is_zero():
-            if _unknown_degree(q, unknowns) <= 1:
+            if q.degree_in(unknowns) <= 1:
                 return var, q
     return None
 

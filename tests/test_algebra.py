@@ -102,6 +102,45 @@ def brute_force_associativity_violations(alg: UnaryAlgebra):
     return bad
 
 
+def brute_force_identity_failures(ad: AdPair) -> dict:
+    """Oracle: each identity's failing basis triples and residual vectors.
+
+    The residual is lhs - rhs, expanded coordinatewise on the constant
+    tensors, with each law written so that its left side carries no sign
+    (id6 as (x.y)>z = -(x<y)<z, id7 as x<(y.z) = -(x<y)<z).
+    """
+    n = ad.dim
+    r, l = ad.rhd.constant_tensor(), ad.lhd.constant_tensor()
+    s = [[[r[i][j][k] + l[i][j][k] for k in range(n)] for j in range(n)]
+         for i in range(n)]
+
+    def left(a, b):  # (x a y) b z
+        return lambda i, j, k: [sum(a[i][j][m] * b[m][k][c] for m in range(n))
+                                for c in range(n)]
+
+    def right(a, b):  # x a (y b z)
+        return lambda i, j, k: [sum(b[j][k][m] * a[i][m][c] for m in range(n))
+                                for c in range(n)]
+
+    laws = {
+        "id1": (left(r, l), 1, right(r, l)),    # (x>y)<z = x>(y<z)
+        "id2": (right(r, r), -1, left(s, r)),   # x>(y>z) = -(x.y)>z
+        "id3": (right(r, r), -1, right(l, s)),  # x>(y>z) = -x<(y.z)
+        "id4": (right(r, r), 1, left(l, l)),    # x>(y>z) = (x<y)<z
+        "id5": (left(s, r), 1, right(l, s)),    # (x.y)>z = x<(y.z)
+        "id6": (left(s, r), -1, left(l, l)),    # (x.y)>z = -(x<y)<z
+        "id7": (right(l, s), -1, left(l, l)),   # x<(y.z) = -(x<y)<z
+    }
+    failures = {}
+    for name, (lhs, sign, rhs) in laws.items():
+        failures[name] = []
+        for t in itertools.product(range(n), repeat=3):
+            res = [a - sign * b for a, b in zip(lhs(*t), rhs(*t))]
+            if any(res):
+                failures[name].append((t, res))
+    return failures
+
+
 def _evaluated(sc: StructureConstants):
     """Entries of a tensor without parameters, read off its constant terms."""
     return [[[p.constant_value() for p in row] for row in plane] for plane in sc.c]
@@ -181,6 +220,17 @@ def test_chain_equivalence_on_random_pairs(rng):
         ad = random_pair(rng, rng.choice((2, 3)))
         rep = check_antidendriform(ad)
         assert rep.ok == rep.chains_ok
+
+
+def test_checker_failures_match_law_oracle(rng):
+    # every identity's failing triples and residuals, on constant pairs
+    for dim in (2, 3):
+        for _ in range(30):
+            ad = random_pair(rng, dim)
+            rep = check_antidendriform(ad)
+            got = {name: [(t, [p.constant_value() for p in res]) for t, res in fails]
+                   for name, fails in rep.failures.items()}
+            assert got == brute_force_identity_failures(ad)
 
 
 # -- centers ------------------------------------------------------------------------
