@@ -21,9 +21,10 @@ and isomorphism witnesses (``iso``) all use them.
 
 Rank-based computations (centers, annihilators, power series, quotients)
 require parameters to be instantiated first, because ranks can jump on
-parameter subvarieties; callers supply an assignment and the report echoes it.
-A tensor without parameters is evaluated to Fractions once and kept
-(``constant_tensor``), and the rank computations, basis changes and
+parameter subvarieties.  A caller substitutes a point once (``subs``) and
+hands the instantiated tensors to every rank computation; none of them takes
+an assignment.  A tensor without parameters is evaluated to Fractions once
+and kept (``constant_tensor``), and the rank computations, basis changes and
 2-nilpotency all read that value: basis changes contract it over Fraction,
 and 2-nilpotency runs on integers, the denominators cleared.  Parametric
 tensors run the same loops over Poly; the ring is the only difference
@@ -165,6 +166,9 @@ class UnaryAlgebra:
     @property
     def dim(self) -> int:
         return self.sc.dim
+
+    def subs(self, mapping) -> "UnaryAlgebra":
+        return UnaryAlgebra(self.sc.subs(mapping), self.label)
 
 
 @dataclass(frozen=True)
@@ -404,11 +408,11 @@ def _cleared(*tensors) -> list:
 # -- rank computations at an instantiated point ---------------------------------
 
 
-def _product_rows(tensors, assign, left: bool):
-    """Linear conditions on x for x o e_j = 0 (left) or e_j o x = 0."""
+def _product_rows(tensors, left: bool):
+    """Conditions on x for x o e_j = 0 (left) or e_j o x = 0, from the kept constants."""
     rows = []
     for sc in tensors:
-        t = sc.constant_tensor(assign)
+        t = sc.constant_tensor()
         n = sc.dim
         for j in range(n):
             for m in range(n):
@@ -419,28 +423,30 @@ def _product_rows(tensors, assign, left: bool):
     return rows
 
 
-def center_associative(alg: UnaryAlgebra, assign=None):
-    """Rational basis of {x : x.y = y.x = 0 for all y} at the assignment."""
-    rows = (_product_rows([alg.sc], assign, left=True)
-            + _product_rows([alg.sc], assign, left=False))
+def center_associative(alg: UnaryAlgebra):
+    """Rational basis of {x : x.y = y.x = 0 for all y}, from the kept constant."""
+    rows = (_product_rows([alg.sc], left=True)
+            + _product_rows([alg.sc], left=False))
     return linalg.nullspace(rows, alg.dim)
 
 
-def center_ad(ad: AdPair, assign=None):
-    """Basis of the two-operation center (four product conditions)."""
+def center_ad(ad: AdPair):
+    """Basis of the two-operation center (four conditions), from the kept constants."""
     tensors = [ad.rhd, ad.lhd]
-    rows = (_product_rows(tensors, assign, left=True)
-            + _product_rows(tensors, assign, left=False))
+    rows = (_product_rows(tensors, left=True)
+            + _product_rows(tensors, left=False))
     return linalg.nullspace(rows, ad.dim)
 
 
-def left_annihilator(tensors, dim: int, assign=None):
-    rows = _product_rows(tensors, assign, left=True)
+def left_annihilator(tensors, dim: int):
+    """Basis of {x : x o y = 0 for every y and tensor}, from the kept constants."""
+    rows = _product_rows(tensors, left=True)
     return linalg.nullspace(rows, dim)
 
 
-def right_annihilator(tensors, dim: int, assign=None):
-    rows = _product_rows(tensors, assign, left=False)
+def right_annihilator(tensors, dim: int):
+    """Basis of {x : y o x = 0 for every y and tensor}, from the kept constants."""
+    rows = _product_rows(tensors, left=False)
     return linalg.nullspace(rows, dim)
 
 
@@ -452,14 +458,14 @@ class PowerSeries:
     null_filiform: bool
 
 
-def power_series(alg: UnaryAlgebra, assign=None) -> PowerSeries:
+def power_series(alg: UnaryAlgebra) -> PowerSeries:
     """Dimensions of the descending power series A^1 >= A^2 >= ...
 
-    A^{i+1} = sum_k A^k A^{i+1-k}, computed on spanning sets at a rational
-    point.  Null-filiform means dim A^i = (n+1) - i for 1 <= i <= n+1.
+    A^{i+1} = sum_k A^k A^{i+1-k}, computed on spanning sets of the kept
+    constant.  Null-filiform means dim A^i = (n+1) - i for 1 <= i <= n+1.
     """
     n = alg.dim
-    t = alg.sc.constant_tensor(assign)
+    t = alg.sc.constant_tensor()
 
     powers = [[[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]]
     dims = [n]
@@ -489,16 +495,20 @@ class QuotientResult:
     kept_indices: tuple      # 0-based standard basis indices spanning the complement
 
 
-def quotient_by_center(ad: AdPair, assign=None) -> QuotientResult:
-    """Induced pair on A/Z when the one- and two-operation centers agree.
+def quotient_by_center(ad: AdPair) -> QuotientResult:
+    """Induced pair on A/Z from the kept constants, via ``quotient_by_centers``."""
+    return quotient_by_centers(ad, center_associative(sum_algebra(ad)),
+                               center_ad(ad))
+
+
+def quotient_by_centers(ad: AdPair, z_sum, z_ad) -> QuotientResult:
+    """Project onto A/Z, given the centers of the sum and of the pair; they must agree.
 
     The complement is spanned by the standard basis vectors that are not
     pivotal in the center's reduced echelon form, which makes the output
     basis deterministic.
     """
     n = ad.dim
-    z_sum = center_associative(sum_algebra(ad), assign)
-    z_ad = center_ad(ad, assign)
     if not linalg.same_span(z_sum, z_ad):
         raise CenterMismatch(
             "the associative and two-operation centers differ at this point")
@@ -511,7 +521,7 @@ def quotient_by_center(ad: AdPair, assign=None) -> QuotientResult:
     inv = linalg.invert(basis)
 
     def project(sc: StructureConstants) -> StructureConstants:
-        t = sc.constant_tensor(assign)
+        t = sc.constant_tensor()
         return StructureConstants(len(kept), [
             [combine(t[a][b], inv, Fraction(0))[len(center_rows):] for b in kept]
             for a in kept])

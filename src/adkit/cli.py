@@ -26,7 +26,7 @@ from itertools import product as iproduct
 from . import catalog, fileio, iso, solver
 from .algebra import (AdPair, UnaryAlgebra, center_ad, center_associative,
                       check_antidendriform, is_associative, is_two_nilpotent,
-                      power_series, quotient_by_center, sum_algebra)
+                      power_series, quotient_by_centers, sum_algebra)
 from .errors import AdkitError, CenterMismatch
 from .scalars import format_poly, is_rational_square
 
@@ -291,11 +291,13 @@ def _fingerprint_dict(fp: iso.Fingerprint) -> dict:
 
 def _analyze_at(obj, assign) -> dict:
     out = {"assignment": _assign_str(assign)}
+    if assign:
+        obj = obj.subs(assign)  # every helper reads the kept constants
     if isinstance(obj, AdPair):
         total = sum_algebra(obj)
-        z_sum = center_associative(total, assign)
-        z_ad = center_ad(obj, assign)
-        series = power_series(total, assign)
+        z_sum = center_associative(total)
+        z_ad = center_ad(obj)
+        series = power_series(total)
         out.update({
             "center_sum": {"dim": len(z_sum), "basis": [_vec_str(v) for v in z_sum]},
             "center_ad": {"dim": len(z_ad), "basis": [_vec_str(v) for v in z_ad]},
@@ -305,7 +307,7 @@ def _analyze_at(obj, assign) -> dict:
             "sum_null_filiform": series.null_filiform,
         })
         try:
-            quo = quotient_by_center(obj, assign)
+            quo = quotient_by_centers(obj, z_sum, z_ad)
             out["quotient_by_center"] = {
                 "dim": quo.pair.dim,
                 "rhd": fileio._entry_rows(quo.pair.rhd),
@@ -315,8 +317,8 @@ def _analyze_at(obj, assign) -> dict:
         except CenterMismatch as exc:
             out["quotient_by_center"] = {"error": str(exc)}
     else:
-        z = center_associative(obj, assign)
-        series = power_series(obj, assign)
+        z = center_associative(obj)
+        series = power_series(obj)
         out.update({
             "center": {"dim": len(z), "basis": [_vec_str(v) for v in z]},
             "power_dims": list(series.dims),

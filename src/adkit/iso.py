@@ -345,18 +345,15 @@ def search_witness(source: AdPair, target: AdPair, assign=None, bound: int = 3,
         solved = [solve_column(mat, rhs) for mat, rhs in systems]
         if any(s is None for s in solved):
             continue
-        free_dims = [len(s[1]) for s in solved]
+        # each column's values particular + sum c * null over the grid, built
+        # once per first row; a candidate takes one value per column
+        columns = [[[x + sum(c * v[k] for c, v in zip(choice, null))
+                     for k, x in enumerate(particular)]
+                    for choice in iproduct(grid, repeat=len(null))]
+                   for particular, null in solved]
         produced = 0
-        for choice in iproduct(*[iproduct(grid, repeat=fd) for fd in free_dims]):
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            rows[0] = list(first_row)
-            for m in range(n):
-                particular, null = solved[m]
-                col = list(particular)
-                for c, basis_vec in zip(choice[m], null):
-                    col = [x + c * y for x, y in zip(col, basis_vec)]
-                for k in range(1, n):
-                    rows[k][m] = col[k - 1]
+        for cols in iproduct(*columns):
+            rows = [first_row, *zip(*cols)]
             examined += 1
             produced += 1
             if linalg.det(rows) != 0 and verifies(rows):

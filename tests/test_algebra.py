@@ -247,7 +247,7 @@ def annihilates(alg, v):
 
 def test_center_of_as3_2_is_third_basis_vector():
     alg = catalog.get("As3_2")
-    basis = center_associative(alg, {})
+    basis = center_associative(alg)
     assert len(basis) == 1
     assert basis[0] == [F(0), F(0), F(1)]
     assert annihilates(alg, basis[0])
@@ -255,42 +255,42 @@ def test_center_of_as3_2_is_third_basis_vector():
 
 
 def test_center_of_abelian_is_everything():
-    assert len(center_associative(catalog.get("As3_1"), {})) == 3
+    assert len(center_associative(catalog.get("As3_1"))) == 3
 
 
 def test_center_of_null_filiform_3():
-    basis = center_associative(catalog.null_filiform(3), {})
+    basis = center_associative(catalog.null_filiform(3))
     assert len(basis) == 1 and basis[0] == [F(0), F(0), F(1)]
 
 
 def test_two_operation_centers():
-    assert center_ad(catalog.get("AD3_5"), {}) == [[F(0), F(1), F(0)],
+    assert center_ad(catalog.get("AD3_5")) == [[F(0), F(1), F(0)],
                                                    [F(0), F(0), F(1)]]
     zero = AdPair(StructureConstants.zero(3), StructureConstants.zero(3))
-    assert len(center_ad(zero, {})) == 3
-    assert center_ad(catalog.get("AD3_1"), {}) == [[F(0), F(0), F(1)]]
+    assert len(center_ad(zero)) == 3
+    assert center_ad(catalog.get("AD3_1")) == [[F(0), F(0), F(1)]]
 
 
 # -- power series ---------------------------------------------------------------------
 
 
 def test_power_series_null_filiform_3():
-    ps = power_series(catalog.null_filiform(3), {})
+    ps = power_series(catalog.null_filiform(3))
     assert ps.dims == (3, 2, 1, 0)
     assert ps.index == 4 and ps.nilpotent and ps.null_filiform
 
 
 def test_power_series_abelian():
-    ps = power_series(catalog.get("As3_1"), {})
+    ps = power_series(catalog.get("As3_1"))
     assert ps.dims == (3, 0) and ps.index == 2 and not ps.null_filiform
 
 
 def test_power_series_as3_6_is_null_filiform():
-    assert power_series(catalog.get("As3_6"), {}).null_filiform
+    assert power_series(catalog.get("As3_6")).null_filiform
 
 
 def test_power_series_detects_non_nilpotent():
-    ps = power_series(catalog.get("As2_2"), {})
+    ps = power_series(catalog.get("As2_2"))
     assert not ps.nilpotent and ps.index is None
 
 
@@ -406,7 +406,7 @@ def test_constant_tensor_of_parametric_tensor_is_never_cached():
 
 
 def test_quotient_of_corollary_algebra():
-    quo = quotient_by_center(catalog.get("AD3_1"), {})
+    quo = quotient_by_center(catalog.get("AD3_1"))
     assert quo.pair.dim == 2
     expected = StructureConstants.from_table(2, {(1, 1, 2): "1/2"})
     assert quo.pair.rhd == expected and quo.pair.lhd == expected
@@ -418,13 +418,13 @@ def test_quotient_of_corollary_algebra():
 
 def test_quotient_of_zero_pair_is_zero_dimensional():
     zero = AdPair(StructureConstants.zero(2), StructureConstants.zero(2))
-    assert quotient_by_center(zero, {}).pair.dim == 0
+    assert quotient_by_center(zero).pair.dim == 0
 
 
 def test_quotient_kills_central_products():
     # AD3_10 has matching centers spanned by e3; the quotient keeps only
     # the e2-valued products
-    quo = quotient_by_center(catalog.get("AD3_10"), {})
+    quo = quotient_by_center(catalog.get("AD3_10"))
     assert quo.pair.dim == 2
     assert quo.pair.rhd == StructureConstants.from_table(2, {(1, 1, 2): "1"})
     assert quo.pair.lhd == StructureConstants.from_table(2, {(1, 1, 2): "-1"})
@@ -434,7 +434,7 @@ def test_quotient_requires_matching_centers():
     # the sum of AD3_5 is abelian, so its one-operation center is the whole
     # space while the two-operation center is only span{e2, e3}
     with pytest.raises(CenterMismatch):
-        quotient_by_center(catalog.get("AD3_5"), {})
+        quotient_by_center(catalog.get("AD3_5"))
 
 
 def test_quotient_passes_checker_when_defined(rng):
@@ -443,7 +443,7 @@ def test_quotient_passes_checker_when_defined(rng):
         assign = {p: F(2) for p in entry.params}
         ad = catalog.get(eid, assign) if entry.params else catalog.get(eid)
         try:
-            quo = quotient_by_center(ad, {})
+            quo = quotient_by_center(ad)
         except CenterMismatch:
             continue
         assert check_antidendriform(quo.pair).ok
@@ -451,7 +451,7 @@ def test_quotient_passes_checker_when_defined(rng):
         # sum algebra through the same construction (as a pair with zero lhd)
         total = sum_algebra(ad)
         projected_sum = quotient_by_center(
-            AdPair(total.sc, StructureConstants.zero(ad.dim)), {}).pair.rhd
+            AdPair(total.sc, StructureConstants.zero(ad.dim))).pair.rhd
         assert sum_algebra(quo.pair).sc == projected_sum
 
 
@@ -520,9 +520,9 @@ def test_transport_preserves_checker_verdict_and_invariants(rng):
             t = random_invertible(rng, 3)
             moved = apply_basis_change(ad, t)
             assert check_antidendriform(moved).ok
-            assert len(center_ad(moved, {})) == len(center_ad(ad, {}))
-            assert (power_series(sum_algebra(moved), {}).dims
-                    == power_series(sum_algebra(ad), {}).dims)
+            assert len(center_ad(moved)) == len(center_ad(ad))
+            assert (power_series(sum_algebra(moved)).dims
+                    == power_series(sum_algebra(ad)).dims)
 
 
 def test_checker_pass_implies_associative_sum_across_catalog():
@@ -543,4 +543,4 @@ def test_nilpotency_of_sums_across_catalog():
         for value in points:
             assign = {p: value for p in e.params}
             ad = e.instantiate(assign, strict=False) if e.params else e.tensors()
-            assert power_series(sum_algebra(ad), {}).nilpotent
+            assert power_series(sum_algebra(ad)).nilpotent

@@ -3,7 +3,10 @@ import os
 import subprocess
 import sys
 
-from adkit import catalog, fileio
+import pytest
+
+from adkit import catalog, cli, fileio
+from adkit.algebra import StructureConstants
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
@@ -230,6 +233,47 @@ def test_analyze_two_operation_file(tmp_path):
     assert at["center_ad"]["dim"] == 2
     assert at["center_sum"]["dim"] == 3
     assert "error" in at["quotient_by_center"]
+
+
+@pytest.mark.parametrize("entry_id, points, per_point",
+                         [("AD3_15", 625, 3), ("As3_5", 5, 1)])
+def test_analyze_evaluates_each_tensor_once_per_point(
+        tmp_path, monkeypatch, capsys, entry_id, points, per_point):
+    # a pair point evaluates rhd, lhd and their sum once each; a unary
+    # point its one tensor; every rank helper then reads the kept constant
+    path = write_entry(tmp_path, entry_id)
+    evaluate = StructureConstants._evaluate
+    calls = []
+
+    def counted(self, assign):
+        calls.append(assign)
+        return evaluate(self, assign)
+
+    monkeypatch.setattr(StructureConstants, "_evaluate", counted)
+    assert cli.main(["analyze", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]["at"]) == points
+    assert len(calls) == per_point * points
+
+
+@pytest.mark.parametrize("entry_id, assign, points", [
+    ("AD3_15", "a=1/2,b=-2,g=3/4,l=5", 1),
+    ("AD3_15", "a=1/2,l=-3", 25),
+    ("As3_5", "l=2", 1),
+])
+def test_analyze_assign_matches_instantiated_export(tmp_path, capsys, entry_id,
+                                                    assign, points):
+    path = write_entry(tmp_path, entry_id)
+    assert cli.main(["analyze", str(path), "--assign", assign]) == 0
+    at = json.loads(capsys.readouterr().out)["results"]["at"]
+    assert len(at) == points
+    for point in at:
+        values = ",".join(f"{k}={v}" for k, v in point.pop("assignment").items())
+        moved = write_entry(tmp_path, entry_id, name="point", assign=values,
+                            force=True)
+        assert cli.main(["analyze", str(moved)]) == 0
+        (expected,) = json.loads(capsys.readouterr().out)["results"]["at"]
+        assert expected.pop("assignment") == {}
+        assert point == expected
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path):
