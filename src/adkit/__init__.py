@@ -10,7 +10,7 @@ from .algebra import (AdPair, StructureConstants, UnaryAlgebra,
                       power_series, product, quotient_by_center, sum_algebra)
 from .iso import (Fingerprint, SearchResult, Witness, fingerprint,
                   search_witness, verify_witness)
-from .scalars import Poly, QuadExt, Rational, poly_eval, poly_parse
+from .scalars import Poly, QuadExt, Rational, poly_parse
 from .solver import (ConstraintSystem, EnumerationResult, Family,
                      enumerate_compatible, eliminate, generate_constraints,
                      replay_certificate, sample_branch)
@@ -21,7 +21,7 @@ __all__ = [
     "is_associative", "is_two_nilpotent", "power_series", "product",
     "quotient_by_center", "sum_algebra", "Fingerprint", "SearchResult",
     "Witness", "fingerprint", "search_witness", "verify_witness", "Poly",
-    "QuadExt", "Rational", "poly_eval", "poly_parse", "ConstraintSystem",
+    "QuadExt", "Rational", "poly_parse", "ConstraintSystem",
     "EnumerationResult", "Family", "enumerate_compatible", "eliminate",
     "generate_constraints", "replay_certificate", "sample_branch",
 ]

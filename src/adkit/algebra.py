@@ -22,13 +22,14 @@ and isomorphism witnesses (``iso``) all use them.
 Rank-based computations (centers, annihilators, power series, quotients)
 require parameters to be instantiated first, because ranks can jump on
 parameter subvarieties.  A caller substitutes a point once (``subs``) and
-hands the instantiated tensors to every rank computation; none of them takes
-an assignment.  A tensor without parameters is evaluated to Fractions once
-and kept (``constant_tensor``), and the rank computations, basis changes and
-2-nilpotency all read that value: basis changes contract it over Fraction,
-and 2-nilpotency runs on integers, the denominators cleared.  Parametric
-tensors run the same loops over Poly; the ring is the only difference
-between the constant and the parametric path.
+hands the instantiated tensors to every rank computation; none of them, nor
+``constant_tensor`` itself, takes an assignment.  A tensor without
+parameters is evaluated to Fractions once and kept (``constant_tensor``),
+and the rank computations, basis changes and 2-nilpotency all read that
+value: basis changes contract it over Fraction, and 2-nilpotency runs on
+integers, the denominators cleared.  Parametric tensors run the same loops
+over Poly; the ring is the only difference between the constant and the
+parametric path.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to use concurrently; the one slot
@@ -131,21 +132,19 @@ class StructureConstants:
     def neg(self) -> "StructureConstants":
         return self.map_entries(lambda p: -p)
 
-    def constant_tensor(self, assign: Mapping[str, Fraction] | None = None):
-        """Evaluate every entry to a Fraction; parameters must be covered.
+    def constant_tensor(self):
+        """Every entry as a Fraction, in nested tuples.
 
-        Returns nested tuples.  Without an assignment the value is computed
-        on the first call and kept; a tensor with parameters raises
-        ``MissingAssignment`` on every such call and caches nothing.
+        The value is computed on the first call and kept; a tensor with
+        parameters raises ``MissingAssignment`` on every call and caches
+        nothing.  A point is evaluated as ``sc.subs(point).constant_tensor()``.
         """
-        if assign:
-            return self._evaluate(assign)
         if self._constant is None:
-            self._constant = self._evaluate({})
+            self._constant = self._evaluate()
         return self._constant
 
-    def _evaluate(self, assign: Mapping[str, Fraction]) -> tuple:
-        return tuple(tuple(tuple(p.eval(assign) for p in row) for row in plane)
+    def _evaluate(self) -> tuple:
+        return tuple(tuple(tuple(p.eval({}) for p in row) for row in plane)
                      for plane in self.c)
 
     def __eq__(self, other):
@@ -491,7 +490,6 @@ def power_series(alg: UnaryAlgebra) -> PowerSeries:
 @dataclass(frozen=True)
 class QuotientResult:
     pair: AdPair
-    center: tuple            # basis vectors of the common center
     kept_indices: tuple      # 0-based standard basis indices spanning the complement
 
 
@@ -528,7 +526,7 @@ def quotient_by_centers(ad: AdPair, z_sum, z_ad) -> QuotientResult:
 
     pair = AdPair(project(ad.rhd), project(ad.lhd),
                   label=None if ad.label is None else f"{ad.label}/Z")
-    return QuotientResult(pair, tuple(tuple(v) for v in z_ad), tuple(kept))
+    return QuotientResult(pair, tuple(kept))
 
 
 # -- basis change ---------------------------------------------------------------

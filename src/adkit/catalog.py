@@ -101,11 +101,7 @@ class CatalogEntry:
     def instantiate(self, assign: Mapping[str, Fraction], strict: bool = True):
         if strict:
             self.check_assignment(assign)
-        obj = self.tensors()
-        mapping = {k: Fraction(v) for k, v in assign.items()}
-        if isinstance(obj, UnaryAlgebra):
-            return UnaryAlgebra(obj.sc.subs(mapping), label=obj.label)
-        return obj.subs(mapping)
+        return self.tensors().subs({k: Fraction(v) for k, v in assign.items()})
 
 
 _REGISTRY: dict[str, CatalogEntry] = {}

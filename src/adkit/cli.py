@@ -8,9 +8,6 @@ golden-file diffable; ``--plain`` renders the same data for humans.
 Exit codes: 0 all checks passed; 1 a mathematical failure (an identity
 violation, an unexpected infeasibility, a failed witness); 2 usage or parse
 error; 3 inconclusive (stuck branches, search exhausted its bound).
-
-The environment variable ``ADKIT_MAX_SPLITS`` overrides the default split
-budget of ``enumerate``.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 from itertools import product as iproduct
@@ -419,10 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate",
                        help="enumerate compatible structures on an associative file")
     p.add_argument("file")
-    p.add_argument("--max-splits", type=int,
-                   default=int(os.environ.get("ADKIT_MAX_SPLITS", "32")),
-                   help="case-split budget per branch path (default 32, "
-                        "env ADKIT_MAX_SPLITS)")
+    p.add_argument("--max-splits", type=int, default=32,
+                   help="case-split budget per branch path (default 32)")
     p.add_argument("--depth", type=int, default=100_000,
                    help="hard cap on elimination steps per branch")
     p.set_defaults(fn=cmd_enumerate)

@@ -15,6 +15,12 @@ Non-isomorphism is certified exclusively by fingerprint separation: every
 fingerprint component is invariant under basis change, so differing values at
 a single assignment rule out any witness there.  A failed bounded search
 proves nothing and is reported as such.
+
+Fingerprints and the search need pairs without parameters.  The caller
+substitutes a point once (``ad.subs(point)``) and passes the instantiated
+pairs; both read the pairs' kept constants (``constant_tensor``), so a pair's
+two tensors are evaluated once however many fingerprints and searches read
+them.
 """
 
 from __future__ import annotations
@@ -182,13 +188,16 @@ def _image_dim(tensor, n: int) -> int:
     return linalg.span_dim([tensor[i][j] for i in range(n) for j in range(n)])
 
 
-def fingerprint(ad: AdPair, assign=None) -> Fingerprint:
-    """Compute the invariant profile; parameters must be instantiated."""
+def fingerprint(ad: AdPair) -> Fingerprint:
+    """Compute the invariant profile from the pair's kept constants.
+
+    Parameters must be instantiated (``ad.subs(point)``) first; a parametric
+    pair raises ``MissingAssignment``.
+    """
     n = ad.dim
-    pair = ad.subs(assign)
-    r = pair.rhd.constant_tensor()
-    l = pair.lhd.constant_tensor()
-    sum_alg = sum_algebra(pair)
+    r = ad.rhd.constant_tensor()
+    l = ad.lhd.constant_tensor()
+    sum_alg = sum_algebra(ad)
     s = sum_alg.sc.constant_tensor()
     series = power_series(sum_alg)
     sym_rows = []
@@ -202,13 +211,11 @@ def fingerprint(ad: AdPair, assign=None) -> Fingerprint:
         lhd_image_dim=_image_dim(l, n),
         sum_image_dim=_image_dim(s, n),
         sum_power_dims=series.dims,
-        center_ad_dim=len(center_ad(pair)),
+        center_ad_dim=len(center_ad(ad)),
         center_sum_dim=len(center_associative(sum_alg)),
-        left_annihilator_dim=len(left_annihilator(
-            (pair.rhd, pair.lhd), n)),
-        right_annihilator_dim=len(right_annihilator(
-            (pair.rhd, pair.lhd), n)),
-        two_nilpotent=is_two_nilpotent(pair),
+        left_annihilator_dim=len(left_annihilator((ad.rhd, ad.lhd), n)),
+        right_annihilator_dim=len(right_annihilator((ad.rhd, ad.lhd), n)),
+        two_nilpotent=is_two_nilpotent(ad),
         sum_commutative=all(s[i][j] == s[j][i] for i in range(n) for j in range(n)),
         sym_diff_image_dim=linalg.span_dim(sym_rows),
     )
@@ -265,9 +272,9 @@ class SearchResult:
     examined: int = 0
 
 
-def search_witness(source: AdPair, target: AdPair, assign=None, bound: int = 3,
+def search_witness(source: AdPair, target: AdPair, bound: int = 3,
                    radicand=None, budget: int = 200_000) -> SearchResult:
-    """Bounded enumeration of rational witnesses at an instantiated point.
+    """Bounded enumeration of rational witnesses between instantiated pairs.
 
     Fingerprints are compared first; unequal components short-circuit into a
     separation certificate.  Otherwise candidate matrices with entries p/q,
@@ -280,13 +287,13 @@ def search_witness(source: AdPair, target: AdPair, assign=None, bound: int = 3,
     """
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dims differ")
-    fp_s = fingerprint(source, assign)
-    fp_t = fingerprint(target, assign)
+    fp_s = fingerprint(source)
+    fp_t = fingerprint(target)
     if fp_s != fp_t:
         return SearchResult("separated", separation=fp_s.differing(fp_t))
     n = source.dim
-    src = (source.rhd.constant_tensor(assign), source.lhd.constant_tensor(assign))
-    tgt = (target.rhd.constant_tensor(assign), target.lhd.constant_tensor(assign))
+    src = (source.rhd.constant_tensor(), source.lhd.constant_tensor())
+    tgt = (target.rhd.constant_tensor(), target.lhd.constant_tensor())
 
     def verifies(rows) -> bool:
         return next(_transport_residuals(src, tgt, rows, Fraction(0)), None) is None

@@ -425,11 +425,6 @@ def _parse_factor(sc: _Scanner, names) -> Poly:
     return Poly({((name, exp),): Fraction(1)}, _trusted=True)
 
 
-def poly_eval(p: Poly, assign: Mapping[str, Fraction]) -> Fraction:
-    """Exact evaluation of ``p`` at a rational point."""
-    return p.eval(assign)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse a (possibly signed) rational literal such as ``-3/4``."""
     sc = _Scanner(text)

@@ -7,6 +7,10 @@ constraint (lhd = mul - rhd), so the seven defining identities expand to
 polynomial equations of total degree at most two in the unknowns.  Those from
 the mixed-associator law (id5) are linear, which the generator asserts.
 
+The elimination reads a ``ConstraintSystem``: named unknowns plus equations,
+nothing about the base algebra, so any producer of polynomial equations may
+build one; names that are not unknowns are treated as parameters.
+
 Elimination loop, per branch:
 
 1. canonicalise (drop zeros, deduplicate up to scaling, keeping the first
@@ -85,11 +89,14 @@ class Equation:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    dim: int
-    base: UnaryAlgebra
-    unknowns: tuple            # all n^3 names, lexicographic in (i, j, k)
-    equations: tuple           # deduplicated Equations
-    params: frozenset          # parameter names of the base algebra
+    """Polynomial equations in named unknowns; other names are parameters.
+
+    ``eliminate`` and ``replay_certificate`` read only these two fields, so
+    any producer of equations may build one; ``generate_constraints`` is the
+    producer for the compatibility problem.
+    """
+    unknowns: tuple            # names, in pivot order
+    equations: tuple           # Equations, each with a distinct prov
 
     def unknown_order(self, name: str) -> int:
         return self._index[name]
@@ -140,8 +147,7 @@ def generate_constraints(assoc: UnaryAlgebra) -> ConstraintSystem:
                 prov = f"{ident}@({i + 1},{j + 1},{k + 1})#{m + 1}"
                 seen[key] = prov
                 equations.append(Equation(prov, p))
-    return ConstraintSystem(n, assoc, names, tuple(equations),
-                            frozenset(assoc.sc.variables()))
+    return ConstraintSystem(names, tuple(equations))
 
 
 @dataclass(frozen=True)
@@ -153,25 +159,6 @@ class TraceStep:
     poly: Poly | None          # rhs, quotient, combination, or contradiction
     prov: str | None
     lineage: tuple = ()        # ((prov, coeff), ...) for combine steps
-
-    def describe(self) -> str:
-        if self.kind == "substitute":
-            return f"{self.var} := {format_poly(self.poly)}  [from {self.prov}]"
-        if self.kind == "case-zero":
-            return f"case {self.var} = 0  [splitting {self.prov}]"
-        if self.kind == "case-nonzero":
-            return (f"case {self.var} != 0: {self.prov} reduces to "
-                    f"{format_poly(self.poly)} = 0")
-        if self.kind == "root-case":
-            return f"case {self.var} = {format_poly(self.poly)}  [root of {self.prov}]"
-        if self.kind == "combine":
-            combo = " + ".join(f"({c})*{p}" for p, c in self.lineage)
-            return f"{self.prov}: {combo} = {format_poly(self.poly)}"
-        if self.kind == "equation-contradiction":
-            return f"{self.prov} reduces to {format_poly(self.poly)} != 0"
-        if self.kind == "side-contradiction":
-            return f"side condition {self.prov} != 0 reduces to 0"
-        return self.kind
 
 
 class _Row(NamedTuple):
@@ -779,7 +766,7 @@ def enumerate_compatible(assoc: UnaryAlgebra, max_depth: int = 32,
 
     families = []
     constrained = []
-    n = system.dim
+    n = assoc.dim
     for number, branch in enumerate(solved + stuck, start=1):
         free = branch.free_unknowns(system)
         rename = {u: f"p{i}" for i, u in enumerate(free, start=1)}
@@ -814,27 +801,25 @@ def enumerate_compatible(assoc: UnaryAlgebra, max_depth: int = 32,
                              tuple(dead))
 
 
-def sample_branch(family: Family, assign: Mapping[str, Fraction],
-                  base_assign: Mapping[str, Fraction] | None = None) -> AdPair:
+def sample_branch(family: Family, assign: Mapping[str, Fraction]) -> AdPair:
     """Instantiate a family at rational parameter values.
 
-    The point must satisfy the side conditions (strictly nonzero) and any
-    residual equations; the result then passes the defining identities by
-    construction, which callers are encouraged to re-check.
+    ``assign`` covers the family parameters and any parameters of the base
+    algebra.  The point must satisfy the side conditions (strictly nonzero)
+    and any residual equations; the result then passes the defining
+    identities by construction, which callers are encouraged to re-check.
     """
-    full = dict(base_assign or {})
-    full.update(assign)
     for p in family.params:
-        if p not in full:
+        if p not in assign:
             raise MissingAssignment(f"no value for family parameter {p}")
     for cond in family.side:
-        if cond.eval(full) == 0:
+        if cond.eval(assign) == 0:
             raise SideConditionViolation(
                 f"side condition {format_poly(cond)} != 0 fails at the sample")
     for eq in family.residual:
-        if eq.poly.eval(full) != 0:
+        if eq.poly.eval(assign) != 0:
             raise ConstraintViolation(
                 f"residual equation {eq.prov} is violated at the sample")
-    rhd = family.rhd.map_entries(lambda p: Poly.const(p.eval(full)))
-    lhd = family.lhd.map_entries(lambda p: Poly.const(p.eval(full)))
+    rhd = family.rhd.map_entries(lambda p: Poly.const(p.eval(assign)))
+    lhd = family.lhd.map_entries(lambda p: Poly.const(p.eval(assign)))
     return AdPair(rhd, lhd, label=f"{family.label}@sample")

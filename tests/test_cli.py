@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -8,13 +7,9 @@ import pytest
 from adkit import catalog, cli, fileio
 from adkit.algebra import StructureConstants
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run([sys.executable, "-m", "adkit", *args],
-                          capture_output=True, text=True, env=env)
-    return proc
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "adkit", *args],
+                          capture_output=True, text=True)
 
 
 def write_entry(tmp_path, entry_id, name=None, assign=None, n=None, force=False):
@@ -148,11 +143,11 @@ def test_enumerate_stuck_exits_3(tmp_path):
     assert report["status"] == "inconclusive"
 
 
-def test_split_budget_env_variable(tmp_path):
+def test_split_budget_option(tmp_path):
     path = write_entry(tmp_path, "As3_3")
     ok = run_cli("enumerate", str(path))
     assert ok.returncode == 0
-    starved = run_cli("enumerate", str(path), env_extra={"ADKIT_MAX_SPLITS": "0"})
+    starved = run_cli("enumerate", str(path), "--max-splits", "0")
     assert starved.returncode == 3
     report = json.loads(starved.stdout)
     assert any(f["stuck_reason"] == "split-budget"
@@ -245,9 +240,9 @@ def test_analyze_evaluates_each_tensor_once_per_point(
     evaluate = StructureConstants._evaluate
     calls = []
 
-    def counted(self, assign):
-        calls.append(assign)
-        return evaluate(self, assign)
+    def counted(self):
+        calls.append(self)
+        return evaluate(self)
 
     monkeypatch.setattr(StructureConstants, "_evaluate", counted)
     assert cli.main(["analyze", str(path)]) == 0

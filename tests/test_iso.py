@@ -6,8 +6,8 @@ import pytest
 
 from adkit import catalog, iso
 from adkit.algebra import AdPair, StructureConstants, apply_basis_change
-from adkit.errors import DimensionMismatch, SingularMatrix
-from adkit.scalars import QuadExt, poly_parse
+from adkit.errors import DimensionMismatch, MissingAssignment, SingularMatrix
+from adkit.scalars import Poly, QuadExt, poly_parse
 
 from conftest import random_invertible
 
@@ -111,6 +111,26 @@ def test_search_finds_identity_for_self():
     res = iso.search_witness(ad, ad, bound=1)
     assert res.status == "found"
     assert res.witness.entries == iso.Witness.identity(3).entries
+
+
+def test_search_reads_the_callers_constants(monkeypatch):
+    # The pair's rhd and lhd are evaluated once, on the pair itself, and
+    # each fingerprint's sum tensor once: 4 tensors of 27 entries; nothing
+    # is substituted.
+    calls = {"subs": 0, "eval": 0}
+    for name in calls:
+        original = getattr(Poly, name)
+
+        def counted(self, mapping, name=name, original=original):
+            calls[name] += 1
+            return original(self, mapping)
+
+        monkeypatch.setattr(Poly, name, counted)
+    ad = catalog.get("AD3_10")
+    assert iso.search_witness(ad, ad).status == "found"
+    assert calls == {"subs": 0, "eval": 108}
+    with pytest.raises(MissingAssignment):
+        iso.fingerprint(catalog.get("AD3_22"))
 
 
 def test_search_finds_the_boundary_identification():

@@ -4,7 +4,7 @@ import pytest
 
 from adkit.errors import CoefficientSyntaxError, MissingAssignment
 from adkit.scalars import (Poly, QuadExt, format_poly, is_rational_square,
-                           parse_rational, poly_eval, poly_parse,
+                           parse_rational, poly_parse,
                            rational_sqrt)
 
 from conftest import random_poly
@@ -64,22 +64,22 @@ def test_parse_print_parse_is_fixed_point(rng):
 
 def test_eval_linear_root():
     p = Poly.const(1) - Poly.var("a")
-    assert poly_eval(p, {"a": Fraction(1)}) == 0
+    assert p.eval({"a": Fraction(1)}) == 0
 
 
 def test_eval_identity_on_indeterminate():
-    assert poly_eval(Poly.var("l"), {"l": Fraction(3)}) == 3
+    assert Poly.var("l").eval({"l": Fraction(3)}) == 3
 
 
 def test_eval_direct_substitution():
     # independent oracle: -1 - b at b = 2 is -1 - 2
     p = poly_parse("-1-b")
-    assert poly_eval(p, {"b": Fraction(2)}) == Fraction(-1) - Fraction(2)
+    assert p.eval({"b": Fraction(2)}) == Fraction(-1) - Fraction(2)
 
 
 def test_eval_missing_assignment():
     with pytest.raises(MissingAssignment):
-        poly_eval(poly_parse("a+b"), {"a": Fraction(1)})
+        poly_parse("a+b").eval({"a": Fraction(1)})
 
 
 def test_additive_inverse_cancels():
