@@ -26,10 +26,13 @@ hands the instantiated tensors to every rank computation; none of them, nor
 ``constant_tensor`` itself, takes an assignment.  A tensor without
 parameters is evaluated to Fractions once and kept (``constant_tensor``),
 and the rank computations, basis changes and 2-nilpotency all read that
-value: basis changes contract it over Fraction, and 2-nilpotency runs on
-integers, the denominators cleared.  Parametric tensors run the same loops
-over Poly; the ring is the only difference between the constant and the
-parametric path.
+value.  Basis changes contract it over Fraction and hand the result its
+Fractions as its kept value, so a moved copy is never evaluated back.
+2-nilpotency and the power series run on integers, the denominators
+cleared (``_cleared``); the power series keeps each power as the
+fraction-free echelon rows of ``linalg.echelon_int``.  Parametric tensors
+run the same loops over Poly; the ring is the only difference between the
+constant and the parametric path.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to use concurrently; the one slot
@@ -408,11 +411,10 @@ def _cleared(*tensors) -> list:
 
 
 def _product_rows(tensors, left: bool):
-    """Conditions on x for x o e_j = 0 (left) or e_j o x = 0, from the kept constants."""
+    """Conditions on x for x o e_j = 0 (left) or e_j o x = 0, from raw tensors."""
     rows = []
-    for sc in tensors:
-        t = sc.constant_tensor()
-        n = sc.dim
+    for t in tensors:
+        n = len(t)
         for j in range(n):
             for m in range(n):
                 if left:
@@ -424,14 +426,14 @@ def _product_rows(tensors, left: bool):
 
 def center_associative(alg: UnaryAlgebra):
     """Rational basis of {x : x.y = y.x = 0 for all y}, from the kept constant."""
-    rows = (_product_rows([alg.sc], left=True)
-            + _product_rows([alg.sc], left=False))
+    t = [alg.sc.constant_tensor()]
+    rows = _product_rows(t, left=True) + _product_rows(t, left=False)
     return linalg.nullspace(rows, alg.dim)
 
 
 def center_ad(ad: AdPair):
     """Basis of the two-operation center (four conditions), from the kept constants."""
-    tensors = [ad.rhd, ad.lhd]
+    tensors = [ad.rhd.constant_tensor(), ad.lhd.constant_tensor()]
     rows = (_product_rows(tensors, left=True)
             + _product_rows(tensors, left=False))
     return linalg.nullspace(rows, ad.dim)
@@ -439,13 +441,13 @@ def center_ad(ad: AdPair):
 
 def left_annihilator(tensors, dim: int):
     """Basis of {x : x o y = 0 for every y and tensor}, from the kept constants."""
-    rows = _product_rows(tensors, left=True)
+    rows = _product_rows([sc.constant_tensor() for sc in tensors], left=True)
     return linalg.nullspace(rows, dim)
 
 
 def right_annihilator(tensors, dim: int):
     """Basis of {x : y o x = 0 for every y and tensor}, from the kept constants."""
-    rows = _product_rows(tensors, left=False)
+    rows = _product_rows([sc.constant_tensor() for sc in tensors], left=False)
     return linalg.nullspace(rows, dim)
 
 
@@ -460,21 +462,25 @@ class PowerSeries:
 def power_series(alg: UnaryAlgebra) -> PowerSeries:
     """Dimensions of the descending power series A^1 >= A^2 >= ...
 
-    A^{i+1} = sum_k A^k A^{i+1-k}, computed on spanning sets of the kept
-    constant.  Null-filiform means dim A^i = (n+1) - i for 1 <= i <= n+1.
+    A^{i+1} = sum_k A^k A^{i+1-k}, computed on integers: the kept constant
+    is scaled by the lcm of its denominators (a nonzero multiple of the
+    product has the same powers), each A^k is kept as the fraction-free
+    echelon rows of its spanning set, and products of those rows are
+    integer contractions.  Null-filiform means dim A^i = (n+1) - i for
+    1 <= i <= n+1.
     """
     n = alg.dim
-    t = alg.sc.constant_tensor()
+    (t,) = _cleared(alg.sc.constant_tensor())
 
-    powers = [[[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]]
+    powers = [[[1 if i == j else 0 for j in range(n)] for i in range(n)]]
     dims = [n]
     while True:
         i = len(powers)  # computing A^{i+1}
         spanning = []
         for k in range(i):
-            spanning.extend(contract(t, u, v, Fraction(0))
+            spanning.extend(contract(t, u, v, 0)
                             for u in powers[k] for v in powers[i - 1 - k])
-        basis = [list(v) for v in linalg.rref(spanning)[0]] if spanning else []
+        basis = linalg.echelon_int(spanning)
         d = len(basis)
         dims.append(d)
         powers.append(basis)
@@ -542,15 +548,20 @@ def transport_tensor(sc: StructureConstants, t_rows) -> StructureConstants:
         raise DimensionMismatch("basis-change matrix has the wrong shape")
     t = [[Fraction(x) for x in row] for row in t_rows]
     inv = linalg.invert(t)
-    if sc.variables():
-        c, zero = sc.c, Poly.zero()
-    else:
+    constant = not sc.variables()
+    if constant:
         c, zero = sc.constant_tensor(), Fraction(0)
+    else:
+        c, zero = sc.c, Poly.zero()
     # inner[j][k] = e_k o e'_j, once per new basis vector; e'_i o e'_j is
     # then sum_k T[i][k] inner[j][k], written back in the new basis by inv
     inner = [[combine(row, plane, zero) for plane in c] for row in t]
-    return StructureConstants(n, [[combine(combine(t[i], inner[j], zero), inv, zero)
-                                   for j in range(n)] for i in range(n)])
+    moved = tuple(tuple(tuple(combine(combine(t[i], inner[j], zero), inv, zero))
+                        for j in range(n)) for i in range(n))
+    out = StructureConstants(n, moved)
+    if constant:
+        out._constant = moved  # the Fractions just computed, not evaluated back
+    return out
 
 
 def apply_basis_change(obj, t_rows):

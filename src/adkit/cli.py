@@ -383,6 +383,16 @@ def _render_plain(value, indent=0) -> str:
     return f"{pad}{value}"
 
 
+def _at_least(low: int):
+    """argparse type for a budget: an int below ``low`` is a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adkit",
@@ -415,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate",
                        help="enumerate compatible structures on an associative file")
     p.add_argument("file")
-    p.add_argument("--max-splits", type=int, default=32,
+    p.add_argument("--max-splits", type=_at_least(0), default=32,
                    help="case-split budget per branch path (default 32)")
-    p.add_argument("--depth", type=int, default=100_000,
+    p.add_argument("--depth", type=_at_least(0), default=100_000,
                    help="hard cap on elimination steps per branch")
     p.set_defaults(fn=cmd_enumerate)
 
@@ -426,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_b")
     p.add_argument("--witness", default=None, help="witness file to verify")
     p.add_argument("--search", action="store_true", help="bounded witness search")
-    p.add_argument("--bound", type=int, default=3,
+    p.add_argument("--bound", type=_at_least(1), default=3,
                    help="numerator/denominator bound for searched entries")
     p.add_argument("--assign", default=None, help="instantiate parameters")
     p.add_argument("--radicand", default=None,

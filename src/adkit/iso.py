@@ -30,9 +30,8 @@ from fractions import Fraction
 from itertools import permutations, product as iproduct
 
 from . import linalg
-from .algebra import (AdPair, StructureConstants, center_ad, center_associative,
-                      combine, contract, is_two_nilpotent, left_annihilator,
-                      power_series, right_annihilator, sum_algebra)
+from .algebra import (AdPair, StructureConstants, _product_rows, combine, contract,
+                      is_two_nilpotent, power_series, sum_algebra)
 from .errors import DimensionMismatch, SingularMatrix
 from .scalars import Poly, QuadExt
 
@@ -205,16 +204,20 @@ def fingerprint(ad: AdPair) -> Fingerprint:
         for j in range(i, n):
             sym_rows.append([r[i][j][k] - l[i][j][k] + r[j][i][k] - l[j][i][k]
                              for k in range(n)])
+    # each center and annihilator is the nullspace of its product rows
+    left = _product_rows([r, l], left=True)
+    right = _product_rows([r, l], left=False)
+    sum_rows = _product_rows([s], left=True) + _product_rows([s], left=False)
     return Fingerprint(
         dim=n,
         rhd_image_dim=_image_dim(r, n),
         lhd_image_dim=_image_dim(l, n),
         sum_image_dim=_image_dim(s, n),
         sum_power_dims=series.dims,
-        center_ad_dim=len(center_ad(ad)),
-        center_sum_dim=len(center_associative(sum_alg)),
-        left_annihilator_dim=len(left_annihilator((ad.rhd, ad.lhd), n)),
-        right_annihilator_dim=len(right_annihilator((ad.rhd, ad.lhd), n)),
+        center_ad_dim=n - linalg.span_dim(left + right),
+        center_sum_dim=n - linalg.span_dim(sum_rows),
+        left_annihilator_dim=n - linalg.span_dim(left),
+        right_annihilator_dim=n - linalg.span_dim(right),
         two_nilpotent=is_two_nilpotent(ad),
         sum_commutative=all(s[i][j] == s[j][i] for i in range(n) for j in range(n)),
         sym_diff_image_dim=linalg.span_dim(sym_rows),

@@ -1,12 +1,13 @@
 """Small exact linear algebra over a field (Fraction or QuadExt).
 
-There is one elimination loop, ``_echelon``, on sparse rows: a row is a dict
-column -> value that never stores a zero.  It pivots on the leftmost column
-that still has a nonzero entry at or below the current row (first such row
-wins), divides the pivot row by its pivot, clears it from the rows below and
-negates the pivot product once per row swap.  It touches only nonzero
-entries, with the exact operations a dense loop makes on them, so reduced
-rows, pivots and determinants equal the dense ones.
+Two elimination loops.  ``_echelon`` is the field loop behind ``rref``,
+``det``, ``invert`` and ``nullspace``; it runs on sparse rows: a row is a
+dict column -> value that never stores a zero.  It pivots on the leftmost
+column that still has a nonzero entry at or below the current row (first
+such row wins), divides the pivot row by its pivot, clears it from the rows
+below and negates the pivot product once per row swap.  It touches only
+nonzero entries, with the exact operations a dense loop makes on them, so
+reduced rows, pivots and determinants equal the dense ones.
 
 ``rref_sparse`` adds back-substitution; its ``ncols`` keeps appended columns
 (an identity that records how each reduced row combines the inputs) from
@@ -16,12 +17,22 @@ boundary and run the same loop; reduced rows come back with the zero of the
 first entry's field (a QuadExt matrix gets QuadExt zeros).  ``det`` is the
 pivot product of forward elimination and ``invert`` reduces ``[A | I]``.
 
+``echelon_int`` is the fraction-free loop behind ``rank`` (and so
+``span_dim`` and ``same_span``), which is over Q.  A rank needs no reduced
+rows, pivot product or lineage, only the number of pivots, so it stands
+apart from the field loop: each row is scaled to integers by the lcm of its
+denominators, which keeps the span, and Bareiss elimination (E. H. Bareiss,
+Math. Comp. 22, 1968) divides every update exactly by the previous pivot,
+so entries stay integer minors and no Fraction is formed.  The fingerprint
+ranks and the power series run on it.
+
 Determinants of polynomial matrices are computed by cofactor expansion
 since no division is available there.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
@@ -117,9 +128,49 @@ def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[List[List]
     return [[row.get(j, zero) for j in range(width)] for row in red], pivots
 
 
+def echelon_int(rows: Sequence[Sequence]) -> List[List[int]]:
+    """Integer echelon rows spanning the same space as rational ``rows``.
+
+    Each row is scaled by the lcm of its denominators, then eliminated
+    fraction-free: the leftmost column with a nonzero entry gives the pivot
+    (first row wins), and every other row becomes ``(p*x - f*y) // prev``,
+    where p is the pivot, f the row's entry in the pivot column, y the pivot
+    row's entry and prev the previous pivot.  The division is exact
+    (Sylvester's identity: each entry is a minor of the scaled input), also
+    when a column has no pivot.  Rows that become zero are dropped.
+    """
+    rest = []
+    for row in rows:
+        d = math.lcm(*(x.denominator for x in row))
+        scaled = [x.numerator * (d // x.denominator) for x in row]
+        if any(scaled):
+            rest.append(scaled)
+    out = []
+    prev = 1
+    for col in range(len(rows[0]) if rows else 0):
+        if not rest:
+            break
+        for k, row in enumerate(rest):
+            if row[col]:
+                break
+        else:
+            continue
+        pivot = rest.pop(k)
+        p = pivot[col]
+        out.append(pivot)
+        reduced = []
+        for row in rest:
+            f = row[col]
+            row = [(p * x - f * y) // prev for x, y in zip(row, pivot)]
+            if any(row):
+                reduced.append(row)
+        rest, prev = reduced, p
+    return out
+
+
 def rank(rows: Sequence[Sequence]) -> int:
-    """Number of pivots of forward elimination."""
-    return len(_echelon(_sparse(rows), len(rows[0]))[0]) if rows else 0
+    """Rank over Q: the number of fraction-free echelon rows."""
+    return len(echelon_int(rows))
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:

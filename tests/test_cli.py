@@ -197,6 +197,28 @@ def test_iso_search_requires_instantiation(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("entry_id, args", [
+    ("AD3_10", ["iso", "--search", "--bound", "0"]),
+    ("AD3_10", ["iso", "--search", "--bound", "-2"]),
+    ("As2_1", ["enumerate", "--max-splits", "-1"]),
+    ("As2_1", ["enumerate", "--depth", "-5"]),
+])
+def test_budget_below_its_floor_is_a_usage_error(tmp_path, entry_id, args):
+    path = str(write_entry(tmp_path, entry_id))
+    command, *options = args
+    files = [path, path] if command == "iso" else [path]
+    proc = run_cli(command, *files, *options)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument {options[-2]}: must be at least" in proc.stderr
+
+
+def test_zero_split_and_step_budgets_stay_valid():
+    args = cli.build_parser().parse_args(
+        ["enumerate", "f.json", "--max-splits", "0", "--depth", "0"])
+    assert (args.max_splits, args.depth) == (0, 0)
+
+
 def test_analyze_null_filiform(tmp_path):
     path = write_entry(tmp_path, "mu0", name="mu3", n=3)
     proc = run_cli("analyze", str(path))

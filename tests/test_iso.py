@@ -4,8 +4,10 @@ from itertools import islice, product as iproduct
 
 import pytest
 
-from adkit import catalog, iso
-from adkit.algebra import AdPair, StructureConstants, apply_basis_change
+from adkit import catalog, iso, linalg
+from adkit.algebra import (AdPair, StructureConstants, apply_basis_change, center_ad,
+                           center_associative, contract, left_annihilator,
+                           power_series, right_annihilator, sum_algebra)
 from adkit.errors import DimensionMismatch, MissingAssignment, SingularMatrix
 from adkit.scalars import Poly, QuadExt, poly_parse
 
@@ -101,6 +103,71 @@ def test_fingerprint_invariance_under_basis_change(rng):
         for _ in range(5):
             t = random_invertible(rng, ad.dim)
             assert iso.fingerprint(apply_basis_change(ad, t)) == base
+
+
+def _registry_points():
+    """Every two-operation registry entry, parameters at 0, 1 and -1."""
+    for e in catalog.entries():
+        if e.kind != "antidendriform":
+            continue
+        for v in (F(0), F(1), F(-1)) if e.params else (F(0),):
+            yield e.instantiate({p: v for p in e.params}, strict=False)
+
+
+def _power_dims_by_rref(alg):
+    """dim A^1, A^2, ... by the definition: Fraction rref of every product
+    A^k A^(i-k), until 0 or stabilisation."""
+    n = alg.dim
+    t = alg.sc.constant_tensor()
+    powers = [[[F(int(i == j)) for j in range(n)] for i in range(n)]]
+    dims = [n]
+    while dims[-1] and (len(dims) == 1 or dims[-1] != dims[-2]):
+        i = len(powers)
+        spanning = [contract(t, u, v, F(0))
+                    for k in range(i) for u in powers[k] for v in powers[i - 1 - k]]
+        basis = linalg.rref(spanning)[0]
+        powers.append(basis)
+        dims.append(len(basis))
+    return tuple(dims)
+
+
+def test_fingerprint_ranks_match_the_basis_helpers(rng):
+    points = 0
+    for ad in _registry_points():
+        for moved in [ad] + [apply_basis_change(ad, random_invertible(rng, ad.dim))
+                             for _ in range(3)]:
+            fp = iso.fingerprint(moved)
+            pair = (moved.rhd, moved.lhd)
+            total = sum_algebra(moved)
+            assert fp.center_ad_dim == len(center_ad(moved))
+            assert fp.center_sum_dim == len(center_associative(total))
+            assert fp.left_annihilator_dim == len(left_annihilator(pair, moved.dim))
+            assert fp.right_annihilator_dim == len(right_annihilator(pair, moved.dim))
+            assert fp.sum_power_dims == power_series(total).dims
+            assert fp.sum_power_dims == _power_dims_by_rref(total)
+        points += 1
+    assert points == 57
+
+
+def test_moved_copy_keeps_the_constants_of_its_basis_change(monkeypatch, rng):
+    # The basis change hands each moved tensor the Fractions it computed, so
+    # a fingerprint of the copy evaluates only its sum tensor.
+    moved = apply_basis_change(catalog.get("AD3_10"), random_invertible(rng, 3))
+    evaluate = StructureConstants._evaluate
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return evaluate(self)
+
+    monkeypatch.setattr(StructureConstants, "_evaluate", counted)
+    iso.fingerprint(moved)
+    assert len(calls) == 1
+    assert moved.rhd.constant_tensor() == evaluate(moved.rhd)
+    assert moved.lhd.constant_tensor() == evaluate(moved.lhd)
+    parametric = apply_basis_change(catalog.get("AD3_22"), random_invertible(rng, 3))
+    with pytest.raises(MissingAssignment):
+        parametric.rhd.constant_tensor()
 
 
 # -- search --------------------------------------------------------------------------

@@ -300,3 +300,56 @@ def test_quadext_matrices_get_quadext_zeros_back():
     for rows in (linalg.rref(q)[0], linalg.rref(q[:2])[0], linalg.invert(q)):
         assert all(isinstance(x, QuadExt) for row in rows for x in row)
         assert any(x == 0 for row in rows for x in row)
+
+
+# -- the fraction-free rank loop against the field loop ------------------------
+#
+# Row scaling keeps the span and Bareiss's division by the previous pivot is
+# exact, so the integer echelon rows reduce to the field loop's reduced rows.
+# A truncating division anywhere would change some row and fail the match.
+
+
+def _integer_matrix(rng, n_rows, n_cols):
+    """Integers up to 10^6 in size; some rows and columns repeat small
+    integer combinations of earlier ones, so rows cancel and columns go
+    without a pivot."""
+    big = 10 ** 6
+    m = [[F(rng.randint(-big, big)) for _ in range(n_cols)] for _ in range(n_rows)]
+    for i in range(2, n_rows):
+        if rng.random() < 0.3:
+            a, b = rng.sample(range(i), 2)
+            s, t = rng.randint(-9, 9), rng.randint(-9, 9)
+            m[i] = [s * x + t * y for x, y in zip(m[a], m[b])]
+    for c in range(1, n_cols):
+        if rng.random() < 0.3:
+            k, s = rng.randrange(c), rng.randint(-3, 3)
+            for row in m:
+                row[c] = s * row[k]
+    return m
+
+
+def test_fraction_free_echelon_reduces_to_the_field_rref(rng):
+    matrices = list(_random_matrices(rng, 240))
+    matrices += [_integer_matrix(rng, rng.randint(1, 10), rng.randint(1, 10))
+                 for _ in range(120)]
+    # zero leading columns: the first pivot sits to the right
+    for m in matrices[:60] + matrices[240:300]:
+        lead = [F(0)] * rng.randint(1, 3)
+        matrices.append([lead + row for row in m])
+    skipped = 0
+    for m in matrices:
+        rows = linalg.echelon_int(m)
+        assert all(type(x) is int for row in rows for x in row)
+        red, pivots = linalg.rref(m)
+        assert linalg.rref([[F(x) for x in row] for row in rows]) == (red, pivots)
+        assert len(rows) == len(pivots)
+        skipped += pivots != list(range(len(pivots)))
+    assert skipped >= 150
+
+
+def test_rank_is_over_q_for_ints_and_fractions():
+    assert linalg.rank([[1, 2], [2, 4]]) == 1
+    assert linalg.rank([[F(1, 3), F(1, 2)], [F(2), F(3)]]) == 1
+    assert linalg.rank([[F(1, 3), F(1, 2)], [F(2), F(1)]]) == 2
+    assert linalg.rank([]) == 0 and linalg.rank([[F(0), F(0)]]) == 0
+    assert linalg.echelon_int([[F(1, 2), F(-1, 3)]]) == [[3, -2]]
