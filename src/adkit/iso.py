@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product as iproduct
+from itertools import islice, permutations, product as iproduct
 
 from . import linalg
 from .algebra import (AdPair, StructureConstants, _product_rows, combine, contract,
@@ -355,11 +355,11 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
         solved = [solve_column(mat, rhs) for mat, rhs in systems]
         if any(s is None for s in solved):
             continue
-        # each column's values particular + sum c * null over the grid, built
-        # once per first row; a candidate takes one value per column
-        columns = [[[x + sum(c * v[k] for c, v in zip(choice, null))
-                     for k, x in enumerate(particular)]
-                    for choice in iproduct(grid, repeat=len(null))]
+        # a candidate takes one value per column; at most ``limit`` are
+        # tried, and the first K products of the lists read only the first
+        # K entries of each, so no list needs more than ``limit``
+        limit = min(per_cell_cap, max(1, budget - examined))
+        columns = [_column_values(particular, null, grid, limit)
                    for particular, null in solved]
         produced = 0
         for cols in iproduct(*columns):
@@ -378,6 +378,14 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
         if found is not None:
             return SearchResult("found", found, examined=examined)
     return SearchResult("not_found", examined=examined)
+
+
+def _column_values(particular, null, grid, limit: int) -> list:
+    """The first ``limit`` values particular + sum c * null of one column,
+    with the coefficients c running over the grid in product order."""
+    return [[x + sum(c * v[k] for c, v in zip(choice, null))
+             for k, x in enumerate(particular)]
+            for choice in islice(iproduct(grid, repeat=len(null)), limit)]
 
 
 def _search_quadratic(src, tgt, n, bound, d, budget=500_000):

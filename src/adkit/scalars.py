@@ -59,9 +59,10 @@ class Poly:
     polynomial, and constructors prune zero coefficients.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_key")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None, _trusted: bool = False):
+        self._key = None
         if terms is None:
             self.terms = {}
         elif _trusted:
@@ -201,12 +202,18 @@ class Poly:
         """
         if not mapping:
             return self
-        touched = self.variables() & set(mapping)
+        touched = {name for m in self.terms for name, _ in m if name in mapping}
         if not touched:
             return self
         powers: dict = {}
         out: dict = {}
         for m, c in self.terms.items():
+            for name, _ in m:
+                if name in touched:
+                    break
+            else:  # no substituted variable: the term passes through as is
+                out[m] = out[m] + c if m in out else c
+                continue
             partial = {tuple(f for f in m if f[0] not in touched): c}
             for name, e in m:
                 if name not in touched:
@@ -275,14 +282,30 @@ class Poly:
         return Poly(out, _trusted=True)
 
     def normalized_key(self) -> tuple:
-        """Canonical key identifying the equation ``self = 0`` up to scaling."""
-        if not self.terms:
-            return ()
-        items = sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]))
-        lead = items[-1][1]
-        if lead == 1:
-            return tuple(items)
-        return tuple((m, c / lead) for m, c in items)
+        """Canonical key identifying the equation ``self = 0`` up to scaling.
+
+        The key is the primitive integer form: the monomials in tuple order,
+        then their coefficients scaled to coprime integers with the last one
+        positive, so two polynomials share a key exactly when one is a
+        nonzero rational multiple of the other.  It is computed once and
+        kept on the polynomial.
+        """
+        key = self._key
+        if key is None:
+            if not self.terms:
+                key = ()
+            else:
+                monos, coeffs = zip(*sorted(self.terms.items()))
+                den = math.lcm(*[c.denominator for c in coeffs])
+                nums = [c.numerator * (den // c.denominator) for c in coeffs]
+                g = math.gcd(*nums)
+                if nums[-1] < 0:
+                    g = -g
+                if g != 1:
+                    nums = [x // g for x in nums]
+                key = monos + tuple(nums)
+            self._key = key
+        return key
 
     # -- printing ---------------------------------------------------------------
 

@@ -37,15 +37,17 @@ Elimination loop, per branch:
    "consequence-cap" (step 3 was skipped) or "nonlinear".
 
 Each branch keeps its equations as rows with their unknowns and
-linear-pivot candidate, computed when the row is written, and their
-canonical key, computed when the row is canonicalised; an index maps each
-unknown to the rows containing it.  A substitution rewrites only
-the rows, substitutions and side conditions that contain its unknown, and
-steps 1 and 5 look only at the rows written since the last pass; rows keep
-their place in the list, so every tie-break above and the contradiction
-reported are those of a full pass over the list.  Certificate replay keeps
-the substitutions in trace order and brings an equation up to date only
-when a step reads it.
+linear-pivot candidate, computed in one pass over the terms when the row is
+written, and their canonical key, read when the row is canonicalised; the
+key is the equation's primitive integer form, computed once and kept on its
+Poly, so the root branch reuses the keys the generator deduplicated with.
+An index maps each unknown to the rows containing it.  A substitution
+rewrites only the rows, substitutions and side conditions that contain its
+unknown, and steps 1 and 5 look only at the rows written since the last
+pass; rows keep their place in the list, so every tie-break above and the
+contradiction reported are those of a full pass over the list.
+Certificate replay keeps the substitutions in trace order and brings an
+equation up to date only when a step reads it.
 
 The union of the surviving branches' solution sets (side conditions
 included), together with the stuck branches, equals the original solution
@@ -62,7 +64,6 @@ making the output order-independent.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -229,25 +230,31 @@ class Branch:
         return tuple(out)
 
 
-def _pivot(p: Poly, unknowns: tuple, order):
-    """(unknown count, pivot order, var) for the lowest unknown ``var`` with
-    p = a*var + rest, ``a`` a nonzero rational and ``rest`` free of ``var``;
-    None unless p has degree one in the unknowns."""
-    if not unknowns:
-        return None
-    occurrences = Counter()
+def _index_row(p: Poly, system: ConstraintSystem):
+    """The unknowns of p in pivot order, and its linear pivot, from one pass
+    over p's terms.
+
+    The pivot is (unknown count, pivot order, var) for the lowest unknown
+    ``var`` with p = a*var + rest, ``a`` a nonzero rational and ``rest`` free
+    of ``var``; None unless p has degree one in the unknowns.
+    """
+    index = system._index
+    occurrences: dict = {}
+    linear = True
     for m in p.terms:
         degree = 0
         for name, e in m:
-            if name in unknowns:
+            if name in index:
                 degree += e
-                occurrences[name] += 1
+                occurrences[name] = occurrences.get(name, 0) + 1
         if degree > 1:
-            return None
-    for var in unknowns:
-        if occurrences[var] == 1 and ((var, 1),) in p.terms:
-            return (len(unknowns), order(var), var)
-    return None
+            linear = False
+    unknowns = tuple(sorted(occurrences, key=index.__getitem__))
+    if linear:
+        for var in unknowns:
+            if occurrences[var] == 1 and ((var, 1),) in p.terms:
+                return unknowns, (len(unknowns), index[var], var)
+    return unknowns, None
 
 
 def _write_row(branch: Branch, system: ConstraintSystem, rid: int | None,
@@ -261,13 +268,11 @@ def _write_row(branch: Branch, system: ConstraintSystem, rid: int | None,
     before = () if old is None else old.unknowns
     if old is not None and old.key is not None:
         del branch.keys[old.key]
-    order = system.unknown_order
-    unknowns = tuple(sorted(eq.poly.variables() & system.unknown_set,
-                            key=order))
+    unknowns, pivot = _index_row(eq.poly, system)
     for u in unknowns:
         if u not in before:
             branch.uses.setdefault(u, []).append(rid)
-    branch.rows[rid] = _Row(eq, unknowns, _pivot(eq.poly, unknowns, order))
+    branch.rows[rid] = _Row(eq, unknowns, pivot)
     branch.fresh.add(rid)
 
 

@@ -240,6 +240,28 @@ def test_first_rows_are_generated_lazily():
     assert peak < 2_000_000
 
 
+def test_search_columns_follow_the_budget_not_the_bound(monkeypatch):
+    # the candidates of a first row are the first products of its column
+    # lists, so lists cut at the candidate limit leave every outcome as it
+    # was, at any bound
+    ad = catalog.get("AD3_12", {"a": F(2), "b": F(2)})
+    moved = apply_basis_change(ad, [[F(1), F(0), F(0)], [F(1), F(1), F(0)],
+                                    [F(0), F(0), F(1)]])
+    lengths = []
+    original = iso._column_values
+
+    def recorded(*args):
+        values = original(*args)
+        lengths.append(len(values))
+        return values
+
+    monkeypatch.setattr(iso, "_column_values", recorded)
+    for bound in (2, 4, 8):
+        res = iso.search_witness(ad, moved, bound=bound, budget=1000)
+        assert (res.status, res.examined) == ("not_found", 1000)
+    assert lengths and max(lengths) <= min(4096, 1000)
+
+
 def test_search_returns_separation_immediately():
     res = iso.search_witness(catalog.get("AD3_5"), catalog.get("AD3_6"))
     assert res.status == "separated"

@@ -136,6 +136,47 @@ def test_subs_cancels_to_zero_and_keeps_untouched():
     assert p.subs({"b": Fraction(2)}) is p
 
 
+def _fraction_key(p: Poly) -> tuple:
+    """The earlier key: terms by total degree then monomial, divided by the
+    last coefficient."""
+    if not p.terms:
+        return ()
+    items = sorted(p.terms.items(),
+                   key=lambda kv: (sum(e for _, e in kv[0]), kv[0]))
+    lead = items[-1][1]
+    return tuple((m, c / lead) for m, c in items)
+
+
+def test_normalized_key_relates_what_the_fraction_key_relates(rng):
+    scales = [Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-2, 7),
+              Fraction(5), Fraction(-1, 6)]
+    polys = [Poly.zero(), Poly.const(3), Poly.const(Fraction(-1, 2)),
+             poly_parse("a-b"), poly_parse("b-a"), poly_parse("a+b")]
+    for _ in range(60):
+        p = random_poly(rng)
+        polys.append(p)
+        polys.extend(p * rng.choice(scales) for _ in range(3))
+    keys = [p.normalized_key() for p in polys]
+    oracle = [_fraction_key(p) for p in polys]
+    for k1, o1 in zip(keys, oracle):
+        for k2, o2 in zip(keys, oracle):
+            assert (k1 == k2) == (o1 == o2)
+
+
+def test_normalized_key_is_the_primitive_integer_form_kept_per_poly():
+    p = poly_parse("2*a^2-4*b+6")
+    key = p.normalized_key()
+    assert key == ((), (("a", 2),), (("b", 1),), -3, -1, 2)
+    assert p.normalized_key() is key
+    assert (p * Fraction(-3, 4)).normalized_key() == key
+    assert Poly.zero().normalized_key() == ()
+    assert Poly.const(Fraction(-5, 3)).normalized_key() == ((), 1)
+    # a derived polynomial computes its own key, never its parent's
+    for derived in (p.subs({"b": Fraction(1, 2)}), p + 1, p * poly_parse("a")):
+        assert derived.normalized_key() == Poly(derived.terms).normalized_key()
+        assert derived.normalized_key() != key
+
+
 def test_canonical_difference_is_empty(rng):
     for _ in range(100):
         p = random_poly(rng)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -95,6 +96,54 @@ def test_null_filiform_4_closes_infeasible_with_replayable_contradiction():
     assert "equation-contradiction" in kinds
     for branch in result.infeasible:
         assert solver.replay_certificate(result.system, branch)
+
+
+def _two_pass_row_index(p: Poly, system: solver.ConstraintSystem):
+    """The earlier row bookkeeping: the unknowns of p, sorted, then a second
+    pass over the terms for the lowest linear pivot."""
+    order = system.unknown_order
+    unknowns = tuple(sorted(p.variables() & system.unknown_set, key=order))
+    if not unknowns:
+        return unknowns, None
+    occurrences = Counter()
+    for m in p.terms:
+        degree = 0
+        for name, e in m:
+            if name in unknowns:
+                degree += e
+                occurrences[name] += 1
+        if degree > 1:
+            return unknowns, None
+    for var in unknowns:
+        if occurrences[var] == 1 and ((var, 1),) in p.terms:
+            return unknowns, (len(unknowns), order(var), var)
+    return unknowns, None
+
+
+@pytest.mark.parametrize("label", ["mu0_4", "As3_3"])
+def test_index_row_matches_the_two_pass_oracle(label):
+    alg = catalog.null_filiform(4) if label == "mu0_4" else catalog.get(label)
+    system = solver.generate_constraints(alg)
+    polys = [eq.poly for eq in system.equations]
+    # with a parameter, an unknown can occur linearly in several terms
+    u, v, w, l = (Poly.var(x) for x in ("u1_1_1", "u1_1_2", "u1_2_1", "l"))
+    checked = polys + [u + l * u + v, l * u + v * 2 + 1, u * v + w, u * u + w,
+                       l * l * w - u, Poly.const(3), Poly.zero()]
+    # the longest branch, replayed one step at a time: every equation it
+    # rewrites or adds is checked again
+    branch = max(solver.eliminate(system), key=lambda b: len(b.trace))
+    for step in branch.trace:
+        if step.kind in ("substitute", "case-zero", "root-case"):
+            mapping = {step.var: step.poly}
+            rewritten = [p.subs(mapping) for p in polys]
+            checked.extend(q for p, q in zip(polys, rewritten) if q is not p)
+            polys = rewritten
+        elif step.kind in ("case-nonzero", "combine"):
+            polys.append(step.poly)
+            checked.append(step.poly)
+    assert len(checked) > len(system.equations)
+    for p in checked:
+        assert solver._index_row(p, system) == _two_pass_row_index(p, system)
 
 
 def test_replay_rejects_tampered_certificates():
