@@ -26,13 +26,14 @@ hands the instantiated tensors to every rank computation; none of them, nor
 ``constant_tensor`` itself, takes an assignment.  A tensor without
 parameters is evaluated to Fractions once and kept (``constant_tensor``),
 and the rank computations, basis changes and 2-nilpotency all read that
-value.  Basis changes contract it over Fraction and hand the result its
-Fractions as its kept value, so a moved copy is never evaluated back.
-2-nilpotency and the power series run on integers, the denominators
-cleared (``_cleared``); the power series keeps each power as the
+value.  Basis changes, 2-nilpotency and the power series run on integers:
+each rational operand is cleared once by the lcm of its denominators
+(``_cleared`` for tensors, ``_cleared_rows`` for matrices) and contracted
+over int.  A basis change then forms one Fraction per nonzero entry and
+hands the result those Fractions as its kept value, so a moved copy is
+never evaluated back; the power series keeps each power as the
 fraction-free echelon rows of ``linalg.echelon_int``.  Parametric tensors
-run the same loops over Poly; the ring is the only difference between the
-constant and the parametric path.
+run the same loops over Poly, uncleared.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to use concurrently; the one slot
@@ -387,7 +388,7 @@ def is_two_nilpotent(ad: AdPair) -> bool:
     if ad.variables():
         tensors, zero = (ad.rhd.c, ad.lhd.c), Poly.zero()
     else:
-        tensors, zero = _cleared(ad.rhd.constant_tensor(), ad.lhd.constant_tensor()), 0
+        tensors, zero = _cleared(ad.rhd.constant_tensor(), ad.lhd.constant_tensor())[0], 0
     # e_k o v combines the rows of plane k; v o e_k combines the column k rows.
     sides = [rows for t in tensors for k in range(n)
              for rows in (t[k], [plane[k] for plane in t])]
@@ -399,12 +400,20 @@ def is_two_nilpotent(ad: AdPair) -> bool:
     return True
 
 
-def _cleared(*tensors) -> list:
-    """Rational tensors times the lcm of their denominators, as ints."""
+def _cleared(*tensors) -> tuple[list, int]:
+    """Rational tensors times the lcm d of all their denominators, as ints,
+    and d."""
     d = math.lcm(*(x.denominator for t in tensors for plane in t
                    for row in plane for x in row))
     return [[[[x.numerator * (d // x.denominator) for x in row] for row in plane]
-             for plane in t] for t in tensors]
+             for plane in t] for t in tensors], d
+
+
+def _cleared_rows(rows) -> tuple[list, int]:
+    """Rational matrix rows times the lcm e of their denominators, as ints,
+    and e."""
+    e = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (e // x.denominator) for x in row] for row in rows], e
 
 
 # -- rank computations at an instantiated point ---------------------------------
@@ -470,7 +479,7 @@ def power_series(alg: UnaryAlgebra) -> PowerSeries:
     1 <= i <= n+1.
     """
     n = alg.dim
-    (t,) = _cleared(alg.sc.constant_tensor())
+    (t,), _ = _cleared(alg.sc.constant_tensor())
 
     powers = [[[1 if i == j else 0 for j in range(n)] for i in range(n)]]
     dims = [n]
@@ -542,25 +551,36 @@ def transport_tensor(sc: StructureConstants, t_rows) -> StructureConstants:
     """Structure constants in the new basis e'_i = sum_j T[i][j] e_j.
 
     T has rational entries; tensor entries may still carry parameters.
+    e'_i o e'_j is sum_k T[i][k] (e_k o e'_j) in the old basis, written in
+    the new one by T^-1.  A tensor without parameters runs this on integers:
+    with c = C/D, T = T'/e and T^-1 = I'/f cleared by the lcm of their
+    denominators, the moved tensor is the integer contraction of T', T', C
+    and I' over e^2 D f, one Fraction per nonzero entry.  The result keeps
+    those Fractions as its constant value, so it is never evaluated back.
     """
     n = sc.dim
     if len(t_rows) != n or any(len(r) != n for r in t_rows):
         raise DimensionMismatch("basis-change matrix has the wrong shape")
     t = [[Fraction(x) for x in row] for row in t_rows]
     inv = linalg.invert(t)
-    constant = not sc.variables()
-    if constant:
-        c, zero = sc.constant_tensor(), Fraction(0)
-    else:
+    if sc.variables():
         c, zero = sc.c, Poly.zero()
-    # inner[j][k] = e_k o e'_j, once per new basis vector; e'_i o e'_j is
-    # then sum_k T[i][k] inner[j][k], written back in the new basis by inv
+        scale = None
+    else:
+        (c,), d = _cleared(sc.constant_tensor())
+        (t, e), (inv, f) = _cleared_rows(t), _cleared_rows(inv)
+        zero, scale = 0, e * e * d * f
+    # inner[j][k] = e_k o e'_j, once per new basis vector
     inner = [[combine(row, plane, zero) for plane in c] for row in t]
-    moved = tuple(tuple(tuple(combine(combine(t[i], inner[j], zero), inv, zero))
-                        for j in range(n)) for i in range(n))
+    moved = [[combine(combine(t[i], inner[j], zero), inv, zero) for j in range(n)]
+             for i in range(n)]
+    if scale is None:
+        return StructureConstants(n, moved)
+    frac0 = Fraction(0)
+    moved = tuple(tuple(tuple(Fraction(x, scale) if x else frac0 for x in row)
+                        for row in plane) for plane in moved)
     out = StructureConstants(n, moved)
-    if constant:
-        out._constant = moved  # the Fractions just computed, not evaluated back
+    out._constant = moved
     return out
 
 

@@ -250,8 +250,7 @@ def cmd_iso(args) -> tuple[dict, int]:
     if radicand is not None and is_rational_square(radicand):
         raise AdkitError(f"radicand {radicand} is a rational square")
     result = iso.search_witness(a, b, bound=args.bound, radicand=radicand)
-    fp_a = iso.fingerprint(a)
-    fp_b = iso.fingerprint(b)
+    fp_a, fp_b = result.fingerprints
     report["results"] = {
         "mode": "search",
         "outcome": result.status,

@@ -21,6 +21,14 @@ substitutes a point once (``ad.subs(point)``) and passes the instantiated
 pairs; both read the pairs' kept constants (``constant_tensor``), so a pair's
 two tensors are evaluated once however many fingerprints and searches read
 them.
+
+Both run on cleared integers.  A fingerprint reads the pair scaled by the
+common denominator of its two tensors.  The search scales its four tensors
+by one common denominator, which the identity (linear in each) does not
+see, and each rational candidate T by the lcm e of its own denominators;
+it keeps T when the integer matrix eT has full rank and carries the scaled
+source onto e times the scaled target (``_carries``).  Found witnesses keep
+their rational entries.
 """
 
 from __future__ import annotations
@@ -30,8 +38,8 @@ from fractions import Fraction
 from itertools import islice, permutations, product as iproduct
 
 from . import linalg
-from .algebra import (AdPair, StructureConstants, _product_rows, combine, contract,
-                      is_two_nilpotent, power_series, sum_algebra)
+from .algebra import (AdPair, StructureConstants, _cleared, _cleared_rows, _product_rows,
+                      combine, contract, is_two_nilpotent, power_series, sum_algebra)
 from .errors import DimensionMismatch, SingularMatrix
 from .scalars import Poly, QuadExt
 
@@ -102,6 +110,25 @@ def _transport_residuals(src, tgt, t, zero):
                     res = lhs[m] - rhs[m]
                     if res:
                         yield (name, i, j, m), res
+
+
+def _carries(src, tgt, t, e: int) -> bool:
+    """Do the integer rows t, a candidate T scaled by e, carry ``src`` onto
+    ``tgt``?
+
+    The transport identity times e^2 on integers: ``src`` and ``tgt`` are
+    the cleared tensors, scaled alike, so the test is
+    contract(s, t_i, t_j) == e * combine(g[i][j], t) for every pair (i, j)
+    and both operations.  Nonsingularity is the caller's test.
+    """
+    n = len(t)
+    et = t if e == 1 else [[e * x for x in row] for row in t]
+    for s, g in zip(src, tgt):
+        for i in range(n):
+            for j in range(n):
+                if contract(s, t[i], t[j], 0) != combine(g[i][j], et, 0):
+                    return False
+    return True
 
 
 def verify_witness_tensors(src_tensors, tgt_tensors, witness: Witness) -> WitnessReport:
@@ -191,14 +218,15 @@ def fingerprint(ad: AdPair) -> Fingerprint:
     """Compute the invariant profile from the pair's kept constants.
 
     Parameters must be instantiated (``ad.subs(point)``) first; a parametric
-    pair raises ``MissingAssignment``.
+    pair raises ``MissingAssignment``.  The ranks and flags are read on the
+    pair cleared to integers by one common denominator, so r + l is a
+    nonzero multiple of the sum's tensor, with its ranks and its symmetry.
     """
     n = ad.dim
-    r = ad.rhd.constant_tensor()
-    l = ad.lhd.constant_tensor()
-    sum_alg = sum_algebra(ad)
-    s = sum_alg.sc.constant_tensor()
-    series = power_series(sum_alg)
+    (r, l), _ = _cleared(ad.rhd.constant_tensor(), ad.lhd.constant_tensor())
+    s = [[[x + y for x, y in zip(xr, yr)] for xr, yr in zip(rp, lp)]
+         for rp, lp in zip(r, l)]
+    series = power_series(sum_algebra(ad))
     sym_rows = []
     for i in range(n):
         for j in range(i, n):
@@ -273,6 +301,7 @@ class SearchResult:
     witness: Witness | None = None
     separation: tuple = ()            # differing fingerprint components
     examined: int = 0
+    fingerprints: tuple = ()          # (source, target), compared first
 
 
 def search_witness(source: AdPair, target: AdPair, bound: int = 3,
@@ -292,19 +321,22 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
         raise DimensionMismatch("source and target dims differ")
     fp_s = fingerprint(source)
     fp_t = fingerprint(target)
+    fps = (fp_s, fp_t)
     if fp_s != fp_t:
-        return SearchResult("separated", separation=fp_s.differing(fp_t))
+        return SearchResult("separated", separation=fp_s.differing(fp_t),
+                            fingerprints=fps)
     n = source.dim
     src = (source.rhd.constant_tensor(), source.lhd.constant_tensor())
     tgt = (target.rhd.constant_tensor(), target.lhd.constant_tensor())
-
-    def verifies(rows) -> bool:
-        return next(_transport_residuals(src, tgt, rows, Fraction(0)), None) is None
+    # the identity is linear in src and in tgt: one scale clears all four
+    cleared, _ = _cleared(*src, *tgt)
+    src_int, tgt_int = cleared[:2], cleared[2:]
 
     examined = 0
     ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    if verifies(ident):
-        return SearchResult("found", Witness.from_rows(ident), examined=1)
+    if _carries(src_int, tgt_int, *_cleared_rows(ident)):
+        return SearchResult("found", Witness.from_rows(ident), examined=1,
+                            fingerprints=fps)
     examined += 1
 
     grid = rational_grid(bound)
@@ -366,8 +398,10 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
             rows = [first_row, *zip(*cols)]
             examined += 1
             produced += 1
-            if linalg.det(rows) != 0 and verifies(rows):
-                return SearchResult("found", Witness.from_rows(rows), examined=examined)
+            t, e = _cleared_rows(rows)
+            if linalg.rank(t) == n and _carries(src_int, tgt_int, t, e):
+                return SearchResult("found", Witness.from_rows(rows), examined=examined,
+                                    fingerprints=fps)
             if examined >= budget or produced >= per_cell_cap:
                 break
         if examined >= budget:
@@ -376,8 +410,8 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
     if radicand is not None:
         found = _search_quadratic(src, tgt, n, bound, radicand)
         if found is not None:
-            return SearchResult("found", found, examined=examined)
-    return SearchResult("not_found", examined=examined)
+            return SearchResult("found", found, examined=examined, fingerprints=fps)
+    return SearchResult("not_found", examined=examined, fingerprints=fps)
 
 
 def _column_values(particular, null, grid, limit: int) -> list:

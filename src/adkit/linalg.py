@@ -20,11 +20,13 @@ pivot product of forward elimination and ``invert`` reduces ``[A | I]``.
 ``echelon_int`` is the fraction-free loop behind ``rank`` (and so
 ``span_dim`` and ``same_span``), which is over Q.  A rank needs no reduced
 rows, pivot product or lineage, only the number of pivots, so it stands
-apart from the field loop: each row is scaled to integers by the lcm of its
-denominators, which keeps the span, and Bareiss elimination (E. H. Bareiss,
-Math. Comp. 22, 1968) divides every update exactly by the previous pivot,
-so entries stay integer minors and no Fraction is formed.  The fingerprint
-ranks and the power series run on it.
+apart from the field loop: a row of ints is taken as it is, any other row
+is scaled to integers by the lcm of its denominators, which keeps the
+span, and Bareiss elimination (E. H. Bareiss, Math. Comp. 22, 1968)
+divides every update exactly by the previous pivot, so entries stay
+integer minors and no Fraction is formed.  The fingerprint ranks and the
+power series run on it, and the witness search tests each candidate for
+nonsingularity by its rank, not by ``det``.
 
 Determinants of polynomial matrices are computed by cofactor expansion
 since no division is available there.
@@ -131,20 +133,23 @@ def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[List[List]
 def echelon_int(rows: Sequence[Sequence]) -> List[List[int]]:
     """Integer echelon rows spanning the same space as rational ``rows``.
 
-    Each row is scaled by the lcm of its denominators, then eliminated
-    fraction-free: the leftmost column with a nonzero entry gives the pivot
-    (first row wins), and every other row becomes ``(p*x - f*y) // prev``,
-    where p is the pivot, f the row's entry in the pivot column, y the pivot
-    row's entry and prev the previous pivot.  The division is exact
-    (Sylvester's identity: each entry is a minor of the scaled input), also
-    when a column has no pivot.  Rows that become zero are dropped.
+    A row of ints is taken as it is (and may come back as a pivot row; no
+    row is changed in place); any other row is scaled by the lcm of its
+    denominators.  The rows are then eliminated fraction-free: the leftmost
+    column with a nonzero entry gives the pivot (first row wins), and every
+    other row becomes ``(p*x - f*y) // prev``, where p is the pivot, f the
+    row's entry in the pivot column, y the pivot row's entry and prev the
+    previous pivot.  The division is exact (Sylvester's identity: each entry
+    is a minor of the scaled input), also when a column has no pivot.  Rows
+    that become zero are dropped.
     """
     rest = []
     for row in rows:
-        d = math.lcm(*(x.denominator for x in row))
-        scaled = [x.numerator * (d // x.denominator) for x in row]
-        if any(scaled):
-            rest.append(scaled)
+        if not all(type(x) is int for x in row):
+            d = math.lcm(*(x.denominator for x in row))
+            row = [x.numerator * (d // x.denominator) for x in row]
+        if any(row):
+            rest.append(row)
     out = []
     prev = 1
     for col in range(len(rows[0]) if rows else 0):

@@ -505,6 +505,57 @@ def test_round_trip_through_inverse(rng):
         assert back.rhd == ad.rhd and back.lhd == ad.lhd
 
 
+def _moved_by_fractions(c, t):
+    """The basis change written out over Fraction: e'_i o e'_j is
+    sum_{p,q} T[i][p] T[j][q] (e_p o e_q), read in the new basis by T^-1."""
+    from adkit.linalg import invert
+    n = len(t)
+    inv = invert(t)
+    out = []
+    for i in range(n):
+        plane = []
+        for j in range(n):
+            old = [sum((t[i][p] * t[j][q] * c[p][q][k]
+                        for p in range(n) for q in range(n)), F(0)) for k in range(n)]
+            plane.append(tuple(sum((old[k] * inv[k][m] for k in range(n)), F(0))
+                               for m in range(n)))
+        out.append(tuple(plane))
+    return tuple(out)
+
+
+def _denominators(rows) -> int:
+    return max(x.denominator for row in rows for x in row)
+
+
+def test_constant_transport_equals_the_fraction_contraction(rng):
+    # the integer path clears the tensor (D), the matrix (e) and its inverse
+    # (f); every one of them must have run with a denominator above 1
+    from adkit.linalg import invert
+    seen = {"tensor": 0, "matrix": 0, "inverse": 0}
+    points = 0
+    for e in catalog.entries():
+        if e.kind != "antidendriform":
+            continue
+        for v in (F(0), F(1), F(-1)) if e.params else (F(0),):
+            ad = e.instantiate({p: v for p in e.params}, strict=False)
+            points += 1
+            for _ in range(3):
+                t = random_invertible(rng, ad.dim)
+                moved = apply_basis_change(ad, t)
+                seen["matrix"] += _denominators(t) > 1
+                seen["inverse"] += _denominators(invert(t)) > 1
+                for sc, new in ((ad.rhd, moved.rhd), (ad.lhd, moved.lhd)):
+                    c = sc.constant_tensor()
+                    seen["tensor"] += _denominators(
+                        [row for plane in c for row in plane]) > 1
+                    assert new.constant_tensor() == _moved_by_fractions(c, t)
+                    assert new._constant == new._evaluate()
+                    assert all(type(x) is Fraction for plane in new._constant
+                               for row in plane for x in row)
+    assert points == 57
+    assert min(seen.values()) > 0, seen
+
+
 def test_singular_matrix_rejected():
     ad = catalog.get("AD3_10")
     with pytest.raises(SingularMatrix):

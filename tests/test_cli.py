@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from adkit import catalog, cli, fileio
+from adkit import catalog, cli, fileio, iso
 from adkit.algebra import StructureConstants
 
 def run_cli(*args):
@@ -189,6 +191,32 @@ def test_iso_search_and_separation(tmp_path):
     report = json.loads(proc.stdout)
     assert report["results"]["outcome"] == "separated"
     assert report["results"]["separating_components"] == ["center_ad_dim"]
+
+
+def test_iso_search_computes_each_fingerprint_once(tmp_path, monkeypatch):
+    # the report's two fingerprints are the ones the search compared
+    calls = []
+    original = iso.fingerprint
+
+    def counted(ad):
+        calls.append(ad)
+        return original(ad)
+
+    monkeypatch.setattr(iso, "fingerprint", counted)
+    a21 = write_entry(tmp_path, "AD3_21", name="a21", assign="a=-1", force=True)
+    a20 = write_entry(tmp_path, "AD3_20", name="a20", assign="a=0")
+    a5 = write_entry(tmp_path, "AD3_5", name="a5")
+    a6 = write_entry(tmp_path, "AD3_6", name="a6")
+    for a, b, outcome in ((a21, a20, "found"), (a5, a6, "separated")):
+        calls.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["iso", str(a), str(b), "--search"])
+        report = json.loads(out.getvalue())
+        assert (code, report["results"]["outcome"]) == (0, outcome)
+        assert len(calls) == 2
+        assert report["results"]["fingerprint_a"] == cli._fingerprint_dict(
+            original(calls[0]))
 
 
 def test_iso_search_requires_instantiation(tmp_path):

@@ -5,9 +5,10 @@ from itertools import islice, product as iproduct
 import pytest
 
 from adkit import catalog, iso, linalg
-from adkit.algebra import (AdPair, StructureConstants, apply_basis_change, center_ad,
-                           center_associative, contract, left_annihilator,
-                           power_series, right_annihilator, sum_algebra)
+from adkit.algebra import (AdPair, StructureConstants, _cleared, _cleared_rows,
+                           apply_basis_change, center_ad, center_associative, contract,
+                           left_annihilator, power_series, right_annihilator,
+                           sum_algebra)
 from adkit.errors import DimensionMismatch, MissingAssignment, SingularMatrix
 from adkit.scalars import Poly, QuadExt, poly_parse
 
@@ -260,6 +261,66 @@ def test_search_columns_follow_the_budget_not_the_bound(monkeypatch):
         res = iso.search_witness(ad, moved, bound=bound, budget=1000)
         assert (res.status, res.examined) == ("not_found", 1000)
     assert lengths and max(lengths) <= min(4096, 1000)
+
+
+def _candidates(rng, witness):
+    """Rows the search could try on a pair with this witness: the witness,
+    random grid and invertible matrices, and singular ones (the zero matrix
+    carries every pair)."""
+    n = len(witness)
+    grid = iso.rational_grid(2)
+    out = [witness, [[F(0)] * n for _ in range(n)],
+           [witness[0], witness[0]] + witness[2:],
+           [[2 * x for x in witness[0]]] + witness[1:n - 1]
+           + [[x + y for x, y in zip(witness[0], witness[-2])]]]
+    out += [random_invertible(rng, n) for _ in range(3)]
+    out += [[[rng.choice(grid) for _ in range(n)] for _ in range(n)] for _ in range(3)]
+    return out
+
+
+def test_integer_candidate_test_agrees_with_the_fraction_one(rng):
+    # the search clears the four tensors by one lcm and each candidate by its
+    # own; its transport check must match the Fraction residuals, and its
+    # integer rank test the Fraction determinant
+    outcomes = {"witness": 0, "scaled witness": 0, "singular carrier": 0,
+                "singular": 0, "rejected": 0}
+    for ad in _registry_points():
+        t = random_invertible(rng, ad.dim)
+        moved = apply_basis_change(ad, t)
+        for src_pair, tgt_pair, witness in ((ad, moved, t),
+                                            (moved, ad, linalg.invert(t))):
+            src = (src_pair.rhd.constant_tensor(), src_pair.lhd.constant_tensor())
+            tgt = (tgt_pair.rhd.constant_tensor(), tgt_pair.lhd.constant_tensor())
+            cleared, _ = _cleared(*src, *tgt)
+            for rows in _candidates(rng, witness):
+                ints, e = _cleared_rows(rows)
+                carries = iso._carries(cleared[:2], cleared[2:], ints, e)
+                assert carries == (
+                    next(iso._transport_residuals(src, tgt, rows, F(0)), None) is None)
+                nonsingular = linalg.rank(ints) == ad.dim
+                assert nonsingular == (linalg.det(rows) != 0)
+                if carries and nonsingular:
+                    outcomes["scaled witness" if e > 1 else "witness"] += 1
+                elif carries:
+                    outcomes["singular carrier"] += 1
+                else:
+                    outcomes["singular" if not nonsingular else "rejected"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_search_clears_source_and_target_alike():
+    # integer pairs against copies with denominators, both ways round: the
+    # witness holds only if source and target are scaled by the same factor
+    half = [[F(1, 2), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
+    for eid in ("AD3_5", "AD3_10", "AD3_14"):
+        ad = catalog.get(eid)
+        moved = apply_basis_change(ad, half)
+        assert any(x.denominator > 1 for sc in (moved.rhd, moved.lhd)
+                   for plane in sc.constant_tensor() for row in plane for x in row)
+        for src, tgt in ((ad, moved), (moved, ad)):
+            res = iso.search_witness(src, tgt, bound=2)
+            assert res.status == "found", eid
+            assert iso.verify_witness(src, tgt, res.witness).ok
 
 
 def test_search_returns_separation_immediately():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -353,3 +354,18 @@ def test_rank_is_over_q_for_ints_and_fractions():
     assert linalg.rank([[F(1, 3), F(1, 2)], [F(2), F(1)]]) == 2
     assert linalg.rank([]) == 0 and linalg.rank([[F(0), F(0)]]) == 0
     assert linalg.echelon_int([[F(1, 2), F(-1, 3)]]) == [[3, -2]]
+
+
+def test_integer_rows_are_taken_as_they_are(monkeypatch):
+    # rows of ints need no scaling, so no lcm is formed for them
+    rows = [[2, 4, 6], [1, 2, 3], [0, 5, -1], [0, 0, 0]]
+    expected = linalg.echelon_int([[F(x) for x in row] for row in rows])
+    calls = []
+    lcm = math.lcm
+    monkeypatch.setattr(math, "lcm", lambda *xs: calls.append(xs) or lcm(*xs))
+    assert linalg.echelon_int(rows) == expected == [[2, 4, 6], [0, 10, -2]]
+    assert linalg.rank(rows) == 2
+    assert calls == []
+    # a row with one Fraction in it is still scaled
+    assert linalg.echelon_int([[1, F(1, 2)]]) == [[2, 1]]
+    assert len(calls) == 1
