@@ -23,7 +23,7 @@ from . import catalog, fileio, iso, solver
 from .algebra import (AdPair, UnaryAlgebra, center_ad, center_associative,
                       check_antidendriform, is_associative, is_two_nilpotent,
                       power_series, quotient_by_centers, sum_algebra)
-from .errors import AdkitError, CenterMismatch
+from .errors import AdkitError, BudgetExceeded, CenterMismatch
 from .scalars import format_poly, is_rational_square
 
 EXIT_PASS = 0
@@ -47,7 +47,7 @@ def _load(path: str):
 
 
 def _vec_str(vec) -> list:
-    return [str(x) if isinstance(x, Fraction) else format_poly(x) for x in vec]
+    return [str(x) if isinstance(x, (int, Fraction)) else format_poly(x) for x in vec]
 
 
 def _assign_str(assign) -> dict:
@@ -180,20 +180,26 @@ def cmd_enumerate(args) -> tuple[dict, int]:
     obj = _load(args.file)
     if not isinstance(obj, UnaryAlgebra):
         raise AdkitError("enumerate expects an associative algebra file")
-    result = solver.enumerate_compatible(obj, max_depth=args.max_splits,
-                                         step_limit=args.depth)
     report = {
         "command": "enumerate",
         "inputs": [_digest(args.file)],
         "options": {"max_splits": args.max_splits, "depth": args.depth},
-        "results": {
-            "outcome": result.status,
-            "families": [_family_dict(f) for f in result.families],
-            "constrained_families": [_family_dict(f) for f in result.constrained],
-            "infeasible_branches": [
-                {"case_path": list(b.path), "certificate": _certificate_dict(b)}
-                for b in result.infeasible],
-        },
+    }
+    try:
+        result = solver.enumerate_compatible(obj, max_depth=args.max_splits,
+                                             step_limit=args.depth)
+    except BudgetExceeded as exc:
+        report["status"] = "inconclusive"
+        report["results"] = {"outcome": "inconclusive", "budget": exc.budget,
+                             "reason": str(exc)}
+        return report, EXIT_INCONCLUSIVE
+    report["results"] = {
+        "outcome": result.status,
+        "families": [_family_dict(f) for f in result.families],
+        "constrained_families": [_family_dict(f) for f in result.constrained],
+        "infeasible_branches": [
+            {"case_path": list(b.path), "certificate": _certificate_dict(b)}
+            for b in result.infeasible],
     }
     if result.status == "families":
         report["status"] = "pass"

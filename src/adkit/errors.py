@@ -47,3 +47,11 @@ class NotAssociative(AdkitError):
 
 class SideConditionViolation(AdkitError):
     """A sample point violates a branch side condition."""
+
+
+class BudgetExceeded(AdkitError):
+    """An input is larger than a named budget admits; nothing was expanded."""
+
+    def __init__(self, budget: str, message: str):
+        super().__init__(message)
+        self.budget = budget

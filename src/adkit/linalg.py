@@ -1,5 +1,9 @@
 """Small exact linear algebra over a field (Fraction or QuadExt).
 
+Entries may also be ints, as a polynomial's integral coefficients are: the
+field loop makes an int pivot a Fraction before dividing by it, so int rows
+reduce to the same Fraction rows as the equal Fraction rows.
+
 Two elimination loops.  ``_echelon`` is the field loop behind ``rref``,
 ``det``, ``invert`` and ``nullspace``; it runs on sparse rows: a row is a
 dict column -> value that never stores a zero.  It pivots on the leftmost
@@ -83,6 +87,8 @@ def _echelon(m: List[SparseRow], ncols: int) -> tuple[List[int], object]:
             product = -product
         row = m[r]
         p = row.pop(col)
+        if type(p) is int:  # int / int would be a float
+            p = Fraction(p)
         product = product * p
         tail = [(j, x / p) for j, x in row.items()]
         m[r] = {col: p / p}

@@ -8,6 +8,17 @@ pairs sorted by name, so equal polynomials have identical representations
 and the zero polynomial is the empty dict.  This makes identity testing a
 structural comparison, with no tolerances anywhere.
 
+A coefficient is stored as an ``int`` when it is integral and as a
+``Fraction`` only when its denominator exceeds 1; every operation that
+builds a polynomial turns an integral result back into an ``int``.  The
+solver's systems come from integer structure constants, so nearly every
+coefficient is an integer, and int arithmetic skips the normalisation that
+each Fraction operation pays for.  The two types compare and hash alike,
+and both have ``numerator`` and ``denominator``, so the rule changes no
+value, key or printed form.  A coefficient that leaves a polynomial to be
+divided must be made a Fraction first (``constant_value`` returns one),
+since int / int is a float.
+
 Coefficient expressions in files and on the command line use a small grammar
 over the indeterminates ``a``, ``b``, ``g``, ``l``::
 
@@ -36,6 +47,23 @@ Monomial = tuple  # tuple[tuple[str, int], ...], sorted by name
 Scalar = Union[int, Fraction, "Poly"]
 
 
+def _num(c):
+    """``c`` as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _ints(terms: dict) -> dict:
+    """``terms`` with each integral Fraction turned into an int, in place."""
+    for m, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[m] = c.numerator
+    return terms
+
+
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1:
         return m2
@@ -53,10 +81,14 @@ def _mono_key(m: Monomial):
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with rational coefficients.
 
     Instances are treated as immutable: every operation returns a new
-    polynomial, and constructors prune zero coefficients.
+    polynomial, and constructors prune zero coefficients.  A coefficient is
+    an ``int`` when integral and a ``Fraction`` otherwise (see the module
+    docstring): the solver's coefficients are almost all integers, and int
+    arithmetic is several times cheaper than Fraction arithmetic.
+    ``_trusted`` callers pass terms that already follow this rule.
     """
 
     __slots__ = ("terms", "_key")
@@ -68,7 +100,7 @@ class Poly:
         elif _trusted:
             self.terms = dict(terms)
         else:
-            self.terms = {m: Fraction(c) for m, c in terms.items() if c != 0}
+            self.terms = {m: _num(c) for m, c in terms.items() if c != 0}
 
     # -- constructors ------------------------------------------------------
 
@@ -78,14 +110,14 @@ class Poly:
 
     @classmethod
     def const(cls, value) -> "Poly":
-        c = Fraction(value)
+        c = _num(value)
         if c == 0:
             return cls()
         return cls({(): c}, _trusted=True)
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls({((name, 1),): Fraction(1)}, _trusted=True)
+        return cls({((name, 1),): 1}, _trusted=True)
 
     @classmethod
     def coerce(cls, value: Scalar) -> "Poly":
@@ -107,7 +139,7 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms[()]
+        return Fraction(self.terms[()])
 
     def variables(self) -> frozenset:
         return frozenset(name for m in self.terms for name, _ in m)
@@ -128,11 +160,16 @@ class Poly:
         other = Poly.coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
+            if m not in out:
+                out[m] = c
+                continue
+            s = out[m] + c
+            if not s:
+                del out[m]
+            elif type(s) is int or s.denominator != 1:
                 out[m] = s
             else:
-                out.pop(m, None)
+                out[m] = s.numerator
         return Poly(out, _trusted=True)
 
     __radd__ = __add__
@@ -148,20 +185,24 @@ class Poly:
 
     def __mul__(self, other: Scalar) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c0 = Fraction(other)
+            c0 = _num(other)
             if c0 == 0:
                 return Poly()
-            return Poly({m: c * c0 for m, c in self.terms.items()}, _trusted=True)
+            return Poly(_ints({m: c * c0 for m, c in self.terms.items()}),
+                        _trusted=True)
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
+                if m not in out:
+                    out[m] = c1 * c2
+                    continue
+                s = out[m] + c1 * c2
                 if s:
                     out[m] = s
                 else:
-                    out.pop(m, None)
-        return Poly(out, _trusted=True)
+                    del out[m]
+        return Poly(_ints(out), _trusted=True)
 
     __rmul__ = __mul__
 
@@ -232,7 +273,7 @@ class Poly:
                 partial = expanded
             for mono, coeff in partial.items():
                 out[mono] = out[mono] + coeff if mono in out else coeff
-        return Poly({m: c for m, c in out.items() if c}, _trusted=True)
+        return Poly(_ints({m: c for m, c in out.items() if c}), _trusted=True)
 
     def eval(self, assign: Mapping[str, Fraction]) -> Fraction:
         """Exact evaluation; every occurring variable must be assigned."""
@@ -297,7 +338,8 @@ class Poly:
             else:
                 monos, coeffs = zip(*sorted(self.terms.items()))
                 den = math.lcm(*[c.denominator for c in coeffs])
-                nums = [c.numerator * (den // c.denominator) for c in coeffs]
+                nums = (list(coeffs) if den == 1 else
+                        [c.numerator * (den // c.denominator) for c in coeffs])
                 g = math.gcd(*nums)
                 if nums[-1] < 0:
                     g = -g
@@ -445,7 +487,7 @@ def _parse_factor(sc: _Scanner, names) -> Poly:
         exp = sc.integer()
         if exp < 1:
             raise CoefficientSyntaxError("exponent must be positive", at)
-    return Poly({((name, exp),): Fraction(1)}, _trusted=True)
+    return Poly({((name, exp),): 1}, _trusted=True)
 
 
 def parse_rational(text: str) -> Fraction:

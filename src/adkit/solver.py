@@ -72,8 +72,8 @@ from . import linalg
 from .algebra import (AdPair, IDENTITY_NAMES, StructureConstants, UnaryAlgebra,
                       _identity_residual, _triple_products, check_antidendriform,
                       is_associative)
-from .errors import (ConstraintViolation, MissingAssignment, NotAssociative,
-                     SideConditionViolation)
+from .errors import (BudgetExceeded, ConstraintViolation, MissingAssignment,
+                     NotAssociative, SideConditionViolation)
 from .scalars import (Poly, format_poly, is_rational_square, rational_sqrt)
 
 
@@ -108,18 +108,32 @@ class ConstraintSystem:
         object.__setattr__(self, "unknown_set", frozenset(self.unknowns))
 
 
+#: The most residual coordinates ``generate_constraints`` expands: seven
+#: identities over n^3 basis triples with n coordinates each, 7*n^4 in all.
+#: It admits dimension 8 (28,672 coordinates), mu0(8) included.
+RESIDUAL_BUDGET = 7 * 8 ** 4
+
+
 def generate_constraints(assoc: UnaryAlgebra) -> ConstraintSystem:
     """Expand the seven identities over all basis triples into equations.
 
     The input must be associative (symbolically, in any parameters); the
     equations are deduplicated up to scaling, keeping the provenance of the
-    first occurrence.
+    first occurrence.  An input whose 7*n^4 residual coordinates exceed
+    ``RESIDUAL_BUDGET`` raises ``BudgetExceeded`` before anything is
+    expanded.
     """
+    n = assoc.dim
+    size = len(IDENTITY_NAMES) * n ** 4
+    if size > RESIDUAL_BUDGET:
+        raise BudgetExceeded(
+            "residual-budget",
+            f"dimension {n} needs {size:,} residual coordinates; "
+            f"the residual-budget admits {RESIDUAL_BUDGET:,}")
     rep = is_associative(assoc)
     if not rep.ok:
         bad = ", ".join(str(tuple(x + 1 for x in t)) for t, _ in rep.violations[:3])
         raise NotAssociative(f"input is not associative (triples {bad})")
-    n = assoc.dim
     names = tuple(unknown_name(i, j, k)
                   for i in range(1, n + 1) for j in range(1, n + 1)
                   for k in range(1, n + 1))

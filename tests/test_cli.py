@@ -145,6 +145,21 @@ def test_enumerate_stuck_exits_3(tmp_path):
     assert report["status"] == "inconclusive"
 
 
+def test_enumerate_over_the_residual_budget_exits_3(tmp_path, monkeypatch):
+    from adkit import solver
+    path = write_entry(tmp_path, "mu0", name="mu3", n=3)
+    monkeypatch.setattr(solver, "RESIDUAL_BUDGET", 7 * 3 ** 4 - 1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["enumerate", str(path)])
+    assert code == 3
+    report = json.loads(out.getvalue())
+    assert report["status"] == "inconclusive"
+    assert report["results"]["outcome"] == "inconclusive"
+    assert report["results"]["budget"] == "residual-budget"
+    assert "residual-budget" in report["results"]["reason"]
+
+
 def test_split_budget_option(tmp_path):
     path = write_entry(tmp_path, "As3_3")
     ok = run_cli("enumerate", str(path))

@@ -369,3 +369,29 @@ def test_integer_rows_are_taken_as_they_are(monkeypatch):
     # a row with one Fraction in it is still scaled
     assert linalg.echelon_int([[1, F(1, 2)]]) == [[2, 1]]
     assert len(calls) == 1
+
+
+def test_integer_sparse_rows_reduce_to_the_fraction_rows(rng):
+    # Poly coefficients are ints when integral, and the solver's consequence
+    # step hands them to rref_sparse as they are: the field loop must divide
+    # exactly (int / int is a float) and give the Fraction input's rows
+    for _ in range(120):
+        n_rows, n_cols = rng.randint(1, 10), rng.randint(1, 12)
+        m = [[rng.choice([-3, -2, -1, 1, 2, 5, 6]) if rng.random() < 0.3 else 0
+              for _ in range(n_cols)] for _ in range(n_rows)]
+        if n_rows > 2:
+            m[-1] = [2 * x - 3 * y for x, y in zip(m[0], m[1])]
+        ints = [{j: x for j, x in enumerate(row) if x} for row in m]
+        fracs = [{j: F(x) for j, x in row.items()} for row in ints]
+        for i in range(n_rows):
+            ints[i][n_cols + i] = 1
+            fracs[i][n_cols + i] = F(1)
+        red_i, piv_i = linalg.rref_sparse(ints, n_cols)
+        red_f, piv_f = linalg.rref_sparse(fracs, n_cols)
+        assert piv_i == piv_f
+        assert red_i == red_f
+        assert all(type(x) is Fraction for row in red_i for x in row.values())
+        if n_rows == n_cols:
+            det = linalg.det(m)
+            assert type(det) is Fraction and det == linalg.det([[F(x) for x in row]
+                                                                 for row in m])

@@ -144,7 +144,7 @@ def _fraction_key(p: Poly) -> tuple:
     items = sorted(p.terms.items(),
                    key=lambda kv: (sum(e for _, e in kv[0]), kv[0]))
     lead = items[-1][1]
-    return tuple((m, c / lead) for m, c in items)
+    return tuple((m, Fraction(c) / lead) for m, c in items)
 
 
 def test_normalized_key_relates_what_the_fraction_key_relates(rng):

@@ -9,8 +9,9 @@ import pytest
 from adkit import catalog, solver
 from adkit.algebra import (StructureConstants, UnaryAlgebra,
                            check_antidendriform)
-from adkit.errors import (ConstraintViolation, MissingAssignment,
-                          NotAssociative, SideConditionViolation)
+from adkit.errors import (BudgetExceeded, ConstraintViolation,
+                          MissingAssignment, NotAssociative,
+                          SideConditionViolation)
 from adkit.scalars import Poly, format_poly
 
 F = Fraction
@@ -46,6 +47,25 @@ def test_generator_requires_associativity():
         2, {(1, 1, 1): "1", (1, 2, 1): "1"}))
     with pytest.raises(NotAssociative):
         solver.generate_constraints(bad)
+
+
+def test_residual_budget_admits_dimension_8_and_stops_before_expanding(monkeypatch):
+    # 7 identities x n^3 triples x n coordinates: mu0(8) fits, dimension 9 not
+    assert 7 * 8 ** 4 <= solver.RESIDUAL_BUDGET < 7 * 9 ** 4
+    mu3 = catalog.null_filiform(3)
+    monkeypatch.setattr(solver, "RESIDUAL_BUDGET", 7 * 3 ** 4)
+    assert solver.generate_constraints(mu3).equations
+    expanded = []
+    monkeypatch.setattr(solver, "RESIDUAL_BUDGET", 7 * 3 ** 4 - 1)
+    monkeypatch.setattr(solver, "is_associative",
+                        lambda alg: expanded.append(alg))
+    monkeypatch.setattr(solver, "_triple_products",
+                        lambda *args: expanded.append(args))
+    with pytest.raises(BudgetExceeded) as err:
+        solver.enumerate_compatible(mu3)
+    assert err.value.budget == "residual-budget"
+    assert "567" in str(err.value) and "566" in str(err.value)
+    assert expanded == []
 
 
 def test_mixed_associator_equations_are_linear():
