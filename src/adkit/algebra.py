@@ -321,9 +321,6 @@ class AntidendriformReport:
     dim: int
     #: name -> tuple of ((i, j, k) 0-based, residual Vector), nonzero only
     failures: Mapping[str, tuple]
-    #: residuals of the two defining equations, combined from the same six
-    #: triple products as ``failures``; only the combination of laws differs
-    chain_failures: Mapping[str, tuple]
 
     @property
     def ok(self) -> bool:
@@ -331,7 +328,11 @@ class AntidendriformReport:
 
     @property
     def chains_ok(self) -> bool:
-        return not any(self.chain_failures.values())
+        # The chain x>(y>z) = -(x.y)>z = -x<(y.z) = (x<y)<z has the adjacent
+        # differences A + B = id2, C - B = -id5 and -(C + D) = -id7, and the
+        # middle-swap law is E - F = id1: the two defining equations hold
+        # exactly when these four identities do.
+        return not any(self.failures[n] for n in ("id1", "id2", "id5", "id7"))
 
     def failing_identities(self) -> tuple:
         return tuple(n for n in IDENTITY_NAMES if self.failures[n])
@@ -340,9 +341,9 @@ class AntidendriformReport:
 def check_antidendriform(ad: AdPair) -> AntidendriformReport:
     """Symbolic residuals of the seven identities on every basis triple.
 
-    Also combines the same products into the two defining equations (the
-    four-way chain and the middle-swap law); a pair is anti-dendriform
-    exactly when all residuals vanish identically in the parameters.
+    A pair is anti-dendriform exactly when all residuals vanish identically
+    in the parameters; the two defining equations (the four-way chain and
+    the middle-swap law) are read off four of them (``chains_ok``).
     """
     r, l = ad.rhd, ad.lhd
     s = r.add(l)
@@ -355,23 +356,7 @@ def check_antidendriform(ad: AdPair) -> AntidendriformReport:
             res = _identity_residual(name, pr)
             if not _vec_is_zero(res):
                 failures[name].append((t, res))
-    # The defining chain x>(y>z) = -(x.y)>z = -x<(y.z) = (x<y)<z as adjacent
-    # differences, plus the middle-swap law, from the same six products.
-    chain = {"eq_chain": [], "eq_swap": []}
-    for t, (a, b, c, d, e, f) in zip(triples, prods):
-        mid1 = tuple(-p for p in b)
-        mid2 = tuple(-p for p in c)
-        for u, v in ((a, mid1), (mid1, mid2), (mid2, d)):
-            res = _vec_sub(u, v)
-            if not _vec_is_zero(res):
-                chain["eq_chain"].append((t, res))
-        res = _vec_sub(e, f)
-        if not _vec_is_zero(res):
-            chain["eq_swap"].append((t, res))
-    return AntidendriformReport(
-        n,
-        {name: tuple(v) for name, v in failures.items()},
-        {name: tuple(v) for name, v in chain.items()})
+    return AntidendriformReport(n, {name: tuple(v) for name, v in failures.items()})
 
 
 def is_two_nilpotent(ad: AdPair) -> bool:

@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_catalog_verify)
     p = csub.add_parser("export", help="write an entry in the file format")
     p.add_argument("id")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_at_least(1), default=None,
                    help="dimension for the null-filiform generator mu0")
     p.add_argument("--assign", default=None, help="e.g. a=1/2,l=-1")
     p.add_argument("--force", action="store_true",

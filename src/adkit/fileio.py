@@ -61,7 +61,10 @@ def parse_algebra(text: str):
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise AlgebraFormatError("'dim' must be a positive integer")
-    params = tuple(doc.get("params", []))
+    params = doc.get("params", [])
+    if not isinstance(params, list):
+        raise AlgebraFormatError("'params' must be a list of parameter names")
+    params = tuple(params)
     for p in params:
         if p not in PARAM_NAMES:
             raise AlgebraFormatError(
@@ -139,6 +142,8 @@ def parse_witness(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AlgebraFormatError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise AlgebraFormatError("top level must be an object")
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise AlgebraFormatError("'dim' must be a positive integer")

@@ -27,8 +27,11 @@ common denominator of its two tensors.  The search scales its four tensors
 by one common denominator, which the identity (linear in each) does not
 see, and each rational candidate T by the lcm e of its own denominators;
 it keeps T when the integer matrix eT has full rank and carries the scaled
-source onto e times the scaled target (``_carries``).  Found witnesses keep
-their rational entries.
+source onto e times the scaled target.  Found witnesses keep their rational
+entries.
+
+The identity is written once, in ``_transport_residuals``: the verifier,
+the rational search and the sqrt(d) search all test witnesses through it.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from fractions import Fraction
 from itertools import islice, permutations, product as iproduct
 
 from . import linalg
-from .algebra import (AdPair, StructureConstants, _cleared, _cleared_rows, _product_rows,
-                      combine, contract, is_two_nilpotent, power_series, sum_algebra)
+from .algebra import (AdPair, _cleared, _cleared_rows, _product_rows, combine, contract,
+                      is_two_nilpotent, power_series, sum_algebra)
 from .errors import DimensionMismatch, SingularMatrix
 from .scalars import Poly, QuadExt
 
@@ -92,43 +95,34 @@ class WitnessReport:
     failures: tuple
 
 
-def _transport_residuals(src, tgt, t, zero):
+def _transport_residuals(src, tgt, t, zero, e=1):
     """((op, i, j, m), residual) at every coordinate where the witness rows
     ``t`` break the transport identity, in (op, i, j, m) order.
 
     ``src`` and ``tgt`` are raw tensors paired op by op, over the ring of
     ``zero``; a verifier stops at the first residual, a report takes them all.
+    Rows ``t`` that are a witness T scaled by e are compared with e times the
+    target, the identity times e^2: the search's integer test.
+    Nonsingularity is the caller's test.
     """
     n = len(t)
+    et = t if e == 1 else [[e * x for x in row] for row in t]
     names = ("rhd", "lhd") if len(src) == 2 else ("mul",)
     for name, s, g in zip(names, src, tgt):
         for i in range(n):
             for j in range(n):
                 lhs = contract(s, t[i], t[j], zero)
-                rhs = combine(g[i][j], t, zero)
-                for m in range(n):
-                    res = lhs[m] - rhs[m]
-                    if res:
-                        yield (name, i, j, m), res
+                rhs = combine(g[i][j], et, zero)
+                if lhs != rhs:
+                    for m in range(n):
+                        res = lhs[m] - rhs[m]
+                        if res:
+                            yield (name, i, j, m), res
 
 
-def _carries(src, tgt, t, e: int) -> bool:
-    """Do the integer rows t, a candidate T scaled by e, carry ``src`` onto
-    ``tgt``?
-
-    The transport identity times e^2 on integers: ``src`` and ``tgt`` are
-    the cleared tensors, scaled alike, so the test is
-    contract(s, t_i, t_j) == e * combine(g[i][j], t) for every pair (i, j)
-    and both operations.  Nonsingularity is the caller's test.
-    """
-    n = len(t)
-    et = t if e == 1 else [[e * x for x in row] for row in t]
-    for s, g in zip(src, tgt):
-        for i in range(n):
-            for j in range(n):
-                if contract(s, t[i], t[j], 0) != combine(g[i][j], et, 0):
-                    return False
-    return True
+def _lifted(tensor, zero) -> list:
+    """A rational tensor over the ring of ``zero`` (QuadExt)."""
+    return [[[zero + x for x in row] for row in plane] for plane in tensor]
 
 
 def verify_witness_tensors(src_tensors, tgt_tensors, witness: Witness) -> WitnessReport:
@@ -142,19 +136,14 @@ def verify_witness_tensors(src_tensors, tgt_tensors, witness: Witness) -> Witnes
     d = witness.determinant()
     if d == 0:
         raise SingularMatrix("witness matrix has (identically) zero determinant")
-    quad = witness.is_quadratic
-    zero = QuadExt(0, 0, witness.radicand) if quad else Poly.zero()
-
-    def lifted(sc: StructureConstants):
-        """The tensor over the witness's ring, lifted once if quadratic."""
-        if not quad:
-            return sc.c
-        return [[[zero + p.constant_value() for p in row] for row in plane]
-                for plane in sc.c]
-
-    failures = tuple(_transport_residuals([lifted(sc) for sc in src_tensors],
-                                          [lifted(sc) for sc in tgt_tensors],
-                                          witness.entries, zero))
+    if witness.is_quadratic:
+        zero = QuadExt(0, 0, witness.radicand)
+        src = [_lifted(sc.constant_tensor(), zero) for sc in src_tensors]
+        tgt = [_lifted(sc.constant_tensor(), zero) for sc in tgt_tensors]
+    else:
+        zero = Poly.zero()
+        src, tgt = [sc.c for sc in src_tensors], [sc.c for sc in tgt_tensors]
+    failures = tuple(_transport_residuals(src, tgt, witness.entries, zero))
     return WitnessReport(not failures, str(d), failures)
 
 
@@ -314,8 +303,9 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
     imposed by the first-row image are solved before enumerating deeper rows.
     A not-found outcome is inconclusive, never a proof.
 
-    With a radicand, a second pass retries first rows scaled by sqrt(d);
-    this covers the diagonal-rescaling witnesses that need a square root.
+    With a radicand, a second pass tries diagonal-times-permutation matrices
+    with entries a + b*sqrt(d); this covers the diagonal rescalings that need
+    a square root.
     """
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dims differ")
@@ -332,74 +322,52 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
     cleared, _ = _cleared(*src, *tgt)
     src_int, tgt_int = cleared[:2], cleared[2:]
 
+    def carries(t, e):
+        return next(_transport_residuals(src_int, tgt_int, t, 0, e), None) is None
+
     examined = 0
     ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    if _carries(src_int, tgt_int, *_cleared_rows(ident)):
+    if carries(*_cleared_rows(ident)):
         return SearchResult("found", Witness.from_rows(ident), examined=1,
                             fingerprints=fps)
     examined += 1
 
     grid = rational_grid(bound)
-
-    def column_constraints(first_row):
-        """Rows k>=1 constraints per column from the (e'_1, e'_1) products.
-
-        Returns per-column (matrix, rhs) linear systems over T[1..n-1][m],
-        or None when inconsistent.
-        """
-        images = [contract(src[o], first_row, first_row, Fraction(0))
-                  for o in range(2)]
-        systems = []
-        for m in range(n):
-            mat, rhs = [], []
-            for o in range(2):
-                row = [tgt[o][0][0][k] for k in range(1, n)]
-                const = images[o][m] - tgt[o][0][0][0] * first_row[m]
-                if any(row):
-                    mat.append(row)
-                    rhs.append(const)
-                elif const != 0:
-                    return None
-            systems.append((mat, rhs))
-        return systems
-
-    def solve_column(mat, rhs):
-        """Particular solution + nullspace basis, or None if inconsistent."""
-        w = n - 1
-        if not mat:
-            return [Fraction(0)] * w, [[Fraction(1 if i == j else 0) for j in range(w)]
-                                       for i in range(w)]
-        aug = [list(r) + [v] for r, v in zip(mat, rhs)]
-        red, pivots = linalg.rref(aug)
-        if w in pivots:
-            return None
-        particular = [Fraction(0)] * w
-        for row, pc in zip(red, pivots):
-            particular[pc] = row[-1]
-        null = linalg.nullspace([r[:-1] for r in red], w)
-        return particular, null
-
+    # The (e'_1, e'_1) products fix rows 1..n-1 of each column m linearly:
+    # sum_k tgt[o][0][0][k] T[k][m] = (first_row o first_row)_m for both
+    # operations.  The coefficients (k >= 1) depend on neither the first row
+    # nor the column, so their nullspace is one per search, and one rref of
+    # [lead | rhs_0 ... rhs_{n-1}] per first row solves every column.
+    w = n - 1
+    lead = [list(tgt[o][0][0][1:]) for o in range(2)]
+    null = linalg.nullspace(lead, w)
     per_cell_cap = 4096  # keeps one unconstrained first row from eating the budget
     for first_row in _first_rows(grid, n):
-        systems = column_constraints(list(first_row))
-        if systems is None:
-            continue
-        solved = [solve_column(mat, rhs) for mat, rhs in systems]
-        if any(s is None for s in solved):
-            continue
+        images = [contract(src[o], first_row, first_row, Fraction(0)) for o in range(2)]
+        red, pivots = linalg.rref([lead[o] + [x - tgt[o][0][0][0] * v
+                                              for x, v in zip(images[o], first_row)]
+                                   for o in range(2)])
+        if pivots and pivots[-1] >= w:
+            continue  # some column has no solution
+        particulars = []
+        for m in range(n):
+            particular = [Fraction(0)] * w
+            for row, pc in zip(red, pivots):
+                particular[pc] = row[w + m]
+            particulars.append(particular)
         # a candidate takes one value per column; at most ``limit`` are
         # tried, and the first K products of the lists read only the first
         # K entries of each, so no list needs more than ``limit``
         limit = min(per_cell_cap, max(1, budget - examined))
         columns = [_column_values(particular, null, grid, limit)
-                   for particular, null in solved]
+                   for particular in particulars]
         produced = 0
         for cols in iproduct(*columns):
             rows = [first_row, *zip(*cols)]
             examined += 1
             produced += 1
             t, e = _cleared_rows(rows)
-            if linalg.rank(t) == n and _carries(src_int, tgt_int, t, e):
+            if linalg.rank(t) == n and carries(t, e):
                 return SearchResult("found", Witness.from_rows(rows), examined=examined,
                                     fingerprints=fps)
             if examined >= budget or produced >= per_cell_cap:
@@ -425,40 +393,23 @@ def _column_values(particular, null, grid, limit: int) -> list:
 def _search_quadratic(src, tgt, n, bound, d, budget=500_000):
     """Small search over matrices with entries a + b*sqrt(d).
 
-    Only diagonal-times-permutation shapes are tried; these cover the
-    square-root rescalings that arise in normalisation arguments.  For a
-    candidate e'_i = d_i e_{s(i)} the transport condition collapses to one
-    scalar identity per tensor cell, so candidates are cheap to reject.
+    Only diagonal-times-permutation shapes are tried, e'_i = d_i e_{s(i)};
+    these cover the square-root rescalings that arise in normalisation
+    arguments.  Each candidate is tested on the tensors lifted to Q(sqrt d).
     """
     grid = rational_grid(bound)
-    scalars = []
-    for a in grid:
-        for b in grid:
-            if a == 0 and b == 0:
-                continue
-            scalars.append(QuadExt(a, b, d))
+    zero = QuadExt(0, 0, d)
+    scalars = [QuadExt(a, b, d) for a in grid for b in grid if a or b]
+    src_q = [_lifted(s, zero) for s in src]
+    tgt_q = [_lifted(g, zero) for g in tgt]
     idx = range(n)
-    cells = [(i, j, k) for i in idx for j in idx for k in idx]
     examined = 0
     for perm in permutations(idx):
         for diag in iproduct(scalars, repeat=n):
             examined += 1
             if examined > budget:
                 return None
-            ok = True
-            for o in range(2):
-                s, g = src[o], tgt[o]
-                for i, j, k in cells:
-                    lhs = diag[i] * diag[j] * s[perm[i]][perm[j]][perm[k]]
-                    rhs = diag[k] * g[i][j][k]
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                rows = [[QuadExt(0, 0, d) for _ in idx] for _ in idx]
-                for i in idx:
-                    rows[i][perm[i]] = diag[i]
+            rows = [[diag[i] if perm[i] == k else zero for k in idx] for i in idx]
+            if next(_transport_residuals(src_q, tgt_q, rows, zero), None) is None:
                 return Witness(tuple(tuple(r) for r in rows), Fraction(d))
     return None

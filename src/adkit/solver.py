@@ -201,7 +201,6 @@ class Branch:
     condition.
     """
     subs: dict = field(default_factory=dict)        # var -> Poly, fully reduced
-    sub_order: list = field(default_factory=list)
     rows: dict = field(default_factory=dict)        # id -> _Row, in list order
     uses: dict = field(default_factory=dict)        # unknown -> [row id]
     keys: dict = field(default_factory=dict)        # normalized_key -> row id
@@ -222,8 +221,7 @@ class Branch:
         return [row.eq for row in self.rows.values()]
 
     def clone(self) -> "Branch":
-        return replace(self, subs=dict(self.subs),
-                       sub_order=list(self.sub_order), rows=dict(self.rows),
+        return replace(self, subs=dict(self.subs), rows=dict(self.rows),
                        uses={u: list(ids) for u, ids in self.uses.items()},
                        keys=dict(self.keys), fresh=set(self.fresh),
                        side=list(self.side), trace=list(self.trace))
@@ -305,7 +303,6 @@ def _apply_substitution(branch: Branch, system: ConstraintSystem, var: str,
         if var in p.variables():
             branch.subs[v] = p.subs(mapping)
     branch.subs[var] = rhs
-    branch.sub_order.append(var)
     for rid in sorted(set(branch.uses.pop(var, ()))):
         row = branch.rows.get(rid)
         if row is None or var not in row.unknowns:

@@ -78,6 +78,41 @@ def test_unknown_catalog_id_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_witness_file_that_is_not_an_object_exits_2(tmp_path):
+    a = write_entry(tmp_path, "AD3_10")
+    w = tmp_path / "w.json"
+    w.write_text("[1, 2]")
+    proc = run_cli("iso", str(a), str(a), "--witness", str(w))
+    assert proc.returncode == 2
+    assert "error: top level must be an object" in proc.stderr
+
+
+def test_quadratic_witness_on_a_parametric_pair_exits_2(tmp_path):
+    a = write_entry(tmp_path, "AD3_22")
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"dim": 3, "radicand": "2", "entries": [
+        [["0", "1"], "0", "0"], ["0", "1", "0"], ["0", "0", "2"]]}))
+    proc = run_cli("iso", str(a), str(a), "--witness", str(w))
+    assert proc.returncode == 2
+    assert "error: no value for a" in proc.stderr
+
+
+def test_params_that_are_not_a_list_exit_2(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"dim": 2, "kind": "antidendriform",
+                                "params": 5, "rhd": [], "lhd": []}))
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert "error: 'params' must be a list" in proc.stderr
+
+
+def test_export_dimension_below_one_exits_2():
+    proc = run_cli("catalog", "export", "mu0", "--n", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: argument --n: must be at least 1" in proc.stderr
+
+
 def test_catalog_list_counts():
     proc = run_cli("catalog", "list")
     assert proc.returncode == 0

@@ -1,6 +1,6 @@
 import tracemalloc
 from fractions import Fraction
-from itertools import islice, product as iproduct
+from itertools import islice, permutations, product as iproduct
 
 import pytest
 
@@ -294,7 +294,8 @@ def test_integer_candidate_test_agrees_with_the_fraction_one(rng):
             cleared, _ = _cleared(*src, *tgt)
             for rows in _candidates(rng, witness):
                 ints, e = _cleared_rows(rows)
-                carries = iso._carries(cleared[:2], cleared[2:], ints, e)
+                carries = next(iso._transport_residuals(cleared[:2], cleared[2:],
+                                                        ints, 0, e), None) is None
                 assert carries == (
                     next(iso._transport_residuals(src, tgt, rows, F(0)), None) is None)
                 nonsingular = linalg.rank(ints) == ad.dim
@@ -389,6 +390,57 @@ def test_quadratic_retry_finds_sqrt_witness():
     assert res.status == "found"
     assert res.witness.is_quadratic
     assert iso.verify_witness(src, tgt, res.witness).ok
+
+
+def _per_cell_quadratic(src, tgt, n, bound, d, budget=500_000):
+    """The sqrt(d) pass as a loop over tensor cells: for e'_i = d_i e_{s(i)}
+    the transport identity is d_i d_j src[s(i)][s(j)][s(k)] = d_k tgt[i][j][k]
+    cell by cell.  An oracle for the shared transport check."""
+    grid = iso.rational_grid(bound)
+    scalars = [QuadExt(a, b, d) for a in grid for b in grid if a or b]
+    idx = range(n)
+    cells = [(i, j, k) for i in idx for j in idx for k in idx]
+    examined = 0
+    for perm in permutations(idx):
+        for diag in iproduct(scalars, repeat=n):
+            examined += 1
+            if examined > budget:
+                return None
+            if all(diag[i] * diag[j] * s[perm[i]][perm[j]][perm[k]] == diag[k] * g[i][j][k]
+                   for s, g in zip(src, tgt) for i, j, k in cells):
+                rows = [[QuadExt(0, 0, d) for _ in idx] for _ in idx]
+                for i in idx:
+                    rows[i][perm[i]] = diag[i]
+                return iso.Witness(tuple(tuple(r) for r in rows), F(d))
+    return None
+
+
+def _constants(ad):
+    return (ad.rhd.constant_tensor(), ad.lhd.constant_tensor())
+
+
+def test_quadratic_pass_matches_the_per_cell_oracle(rng):
+    pairs = [(quad_pair_needing_sqrt2(), catalog.get("AD3_22", {"a": F(0), "b": F(0)}),
+              2, 1000)]
+    # every third registry point against a signed-permutation copy; the
+    # budgets leave some pairs without a witness
+    for ad in list(_registry_points())[::3]:
+        n = ad.dim
+        perm = list(range(n))
+        rng.shuffle(perm)
+        t = [[F(rng.choice((-1, 1))) if perm[i] == j else F(0) for j in range(n)]
+             for i in range(n)]
+        bound, budget = (2, 300) if n == 2 else (1, 160)
+        pairs.append((ad, apply_basis_change(ad, t), bound, budget))
+    found = 0
+    for src, tgt, bound, budget in pairs:
+        args = (_constants(src), _constants(tgt), src.dim, bound, F(2), budget)
+        w = iso._search_quadratic(*args)
+        assert w == _per_cell_quadratic(*args)
+        if w is not None:
+            found += 1
+            assert iso.verify_witness(src, tgt, w).ok
+    assert 2 < found < len(pairs) - 2
 
 
 def test_quad_witness_verification_directly():
