@@ -31,9 +31,10 @@ each rational operand is cleared once by the lcm of its denominators
 (``_cleared`` for tensors, ``_cleared_rows`` for matrices) and contracted
 over int.  A basis change then forms one Fraction per nonzero entry and
 hands the result those Fractions as its kept value, so a moved copy is
-never evaluated back; the power series keeps each power as the
-fraction-free echelon rows of ``linalg.echelon_int``.  Parametric tensors
-run the same loops over Poly, uncleared.
+never evaluated back; the power series keeps each power as the integer
+echelon rows of ``linalg.echelon_int``, the pivot rows of the one
+fraction-free elimination loop.  Parametric tensors run the same loops
+over Poly, uncleared.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to use concurrently; the one slot
@@ -458,10 +459,10 @@ def power_series(alg: UnaryAlgebra) -> PowerSeries:
 
     A^{i+1} = sum_k A^k A^{i+1-k}, computed on integers: the kept constant
     is scaled by the lcm of its denominators (a nonzero multiple of the
-    product has the same powers), each A^k is kept as the fraction-free
-    echelon rows of its spanning set, and products of those rows are
-    integer contractions.  Null-filiform means dim A^i = (n+1) - i for
-    1 <= i <= n+1.
+    product has the same powers), each A^k is kept as the integer echelon
+    rows of its spanning set (``linalg.echelon_int``), and products of
+    those rows are integer contractions.  Null-filiform means
+    dim A^i = (n+1) - i for 1 <= i <= n+1.
     """
     n = alg.dim
     (t,), _ = _cleared(alg.sc.constant_tensor())

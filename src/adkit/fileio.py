@@ -170,7 +170,8 @@ def parse_witness(text: str):
                 else:
                     raise AlgebraFormatError(
                         "parametric entries cannot mix with a radicand")
-            elif isinstance(cell, list) and len(cell) == 2 and radicand is not None:
+            elif (isinstance(cell, list) and len(cell) == 2 and radicand is not None
+                  and all(isinstance(part, str) for part in cell)):
                 a = poly_parse(cell[0])
                 b = poly_parse(cell[1])
                 if not (a.is_constant() and b.is_constant()):

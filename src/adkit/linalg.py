@@ -1,39 +1,32 @@
-"""Small exact linear algebra over a field (Fraction or QuadExt).
+"""Small exact linear algebra over Q, and determinants over any commutative ring.
 
-Entries may also be ints, as a polynomial's integral coefficients are: the
-field loop makes an int pivot a Fraction before dividing by it, so int rows
-reduce to the same Fraction rows as the equal Fraction rows.
+One elimination loop, ``_echelon``, on sparse integer rows: dicts column ->
+int that never store a zero.  ``_integer_rows`` scales a rational row once
+by the lcm of its denominators and takes a row of ints as it is.  The loop
+pivots on the leftmost column that still has an entry at or below the
+current row (first such row wins) and clears that column fraction-free,
+after E. H. Bareiss (Math. Comp. 22, 1968): a row with entry f there becomes
+(p/g)·row − (f/g)·pivot_row, g = gcd(p, f), divided by the gcd of its
+entries.  Rows without that column are not touched, and a row left with no
+entry in the pivot columns stays where it is, so later swaps are the field
+loop's swaps.
 
-Two elimination loops.  ``_echelon`` is the field loop behind ``rref``,
-``det``, ``invert`` and ``nullspace``; it runs on sparse rows: a row is a
-dict column -> value that never stores a zero.  It pivots on the leftmost
-column that still has a nonzero entry at or below the current row (first
-such row wins), divides the pivot row by its pivot, clears it from the rows
-below and negates the pivot product once per row swap.  It touches only
-nonzero entries, with the exact operations a dense loop makes on them, so
-reduced rows, pivots and determinants equal the dense ones.
+At every step each row is a nonzero multiple of the row that the field
+loop (divide the pivot row by its pivot, subtract f times it) would hold,
+so the same entries are nonzero and every pivot choice is the same.
+``rref_sparse`` back-substitutes the same way and then forms one
+``Fraction(x, pivot)`` per kept entry: its reduced rows, pivots and lineage
+are the field loop's, and no Fraction is formed inside the loop.  Its
+``ncols`` keeps appended columns (an identity that records how each reduced
+row combines the inputs) from taking a pivot; the solver's consequence step
+builds such rows directly.  ``rref``, ``nullspace`` and ``invert`` convert
+dense rows (lists) at the boundary.  ``rank`` (and so ``span_dim`` and
+``same_span``) is the loop's pivot count; ``echelon_int`` returns its
+integer pivot rows, which the power series keeps.
 
-``rref_sparse`` adds back-substitution; its ``ncols`` keeps appended columns
-(an identity that records how each reduced row combines the inputs) from
-taking a pivot.  The solver's consequence step builds such rows directly.
-The dense functions (matrices as lists of row lists) convert at the
-boundary and run the same loop; reduced rows come back with the zero of the
-first entry's field (a QuadExt matrix gets QuadExt zeros).  ``det`` is the
-pivot product of forward elimination and ``invert`` reduces ``[A | I]``.
-
-``echelon_int`` is the fraction-free loop behind ``rank`` (and so
-``span_dim`` and ``same_span``), which is over Q.  A rank needs no reduced
-rows, pivot product or lineage, only the number of pivots, so it stands
-apart from the field loop: a row of ints is taken as it is, any other row
-is scaled to integers by the lcm of its denominators, which keeps the
-span, and Bareiss elimination (E. H. Bareiss, Math. Comp. 22, 1968)
-divides every update exactly by the previous pivot, so entries stay
-integer minors and no Fraction is formed.  The fingerprint ranks and the
-power series run on it, and the witness search tests each candidate for
-nonsingularity by its rank, not by ``det``.
-
-Determinants of polynomial matrices are computed by cofactor expansion
-since no division is available there.
+``det`` is Berkowitz's division-free algorithm (S. J. Berkowitz, Inform.
+Process. Lett. 18, 1984), O(n^4) ring operations, so the same code takes
+Fraction, int, QuadExt and Poly matrices; ``det_poly`` is its value as a Poly.
 """
 
 from __future__ import annotations
@@ -48,74 +41,86 @@ from .scalars import Poly
 SparseRow = Dict[int, object]
 
 
-def _clear(row: SparseRow, col: int, tail: list):
-    """Subtract row[col] times the normalised pivot row, whose entries
-    other than its 1 at ``col`` are the (column, value) pairs ``tail``."""
+def _integer_rows(rows: Sequence[SparseRow]) -> List[SparseRow]:
+    """Integer rows with the spans of the rational ``rows``."""
+    out = []
+    for row in rows:
+        for x in row.values():
+            if type(x) is not int:
+                d = math.lcm(*(x.denominator for x in row.values()))
+                row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+                break
+        out.append(row)
+    return out
+
+
+def _clear(row: SparseRow, col: int, p: int, tail: list) -> None:
+    """Clear ``col`` from ``row`` against the pivot row whose entry there
+    is p and whose other entries are the (column, value) pairs ``tail``."""
     f = row.pop(col)
+    if not tail:  # the pivot row is p at col: dropping f leaves a multiple
+        return
+    g = math.gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
     for j, y in tail:
-        x = row.get(j)
-        if x is None:
-            row[j] = -(f * y)
+        x = row.get(j, 0) - b * y
+        if x:
+            row[j] = x
         else:
-            x = x - f * y
-            if x:
-                row[j] = x
-            else:
-                del row[j]
+            del row[j]
+    g = math.gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
 
 
-def _echelon(m: List[SparseRow], ncols: int) -> tuple[List[int], object]:
-    """Forward elimination of ``m`` in place, pivoting in columns < ncols.
-
-    Each pivot row is divided by its pivot and cleared from the rows below.
-    Returns the pivot columns (pivot k sits in row k) and the product of
-    the pivots, negated once per row swap.
-    """
+def _echelon(m: List[SparseRow], ncols: int) -> List[int]:
+    """Forward elimination of integer rows ``m`` in place, pivoting in
+    columns < ncols; returns the pivot columns (pivot k sits in row k)."""
     pivots: List[int] = []
-    product = Fraction(1)
-    r = 0
+    n = len(m)
     for col in range(ncols):
-        if r == len(m):
+        r = len(pivots)
+        if r == n:
             break
-        for pivot in range(r, len(m)):
-            if col in m[pivot]:
+        for k in range(r, n):
+            if col in m[k]:
                 break
         else:
             continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-            product = -product
-        row = m[r]
-        p = row.pop(col)
-        if type(p) is int:  # int / int would be a float
-            p = Fraction(p)
-        product = product * p
-        tail = [(j, x / p) for j, x in row.items()]
-        m[r] = {col: p / p}
-        m[r].update(tail)
-        for i in range(r + 1, len(m)):
+        m[r], m[k] = m[k], m[r]
+        p = m[r][col]
+        tail = None
+        for i in range(k + 1, n):  # rows r+1..k lack col
             if col in m[i]:
-                _clear(m[i], col, tail)
+                if tail is None:
+                    tail = [(j, y) for j, y in m[r].items() if j != col]
+                _clear(m[i], col, p, tail)
         pivots.append(col)
-        r += 1
-    return pivots, product
+    return pivots
 
 
 def rref_sparse(rows: List[SparseRow], ncols: int) -> tuple[List[SparseRow], List[int]]:
-    """Reduced row echelon form of sparse rows, reduced in place; returns
-    (rows, pivot column indices).
+    """Reduced row echelon form of sparse rational rows; returns (rows of
+    Fractions, pivot column indices).
 
     Pivots are taken only in columns < ncols; rows with no entry there are
     dropped.
     """
-    pivots, _ = _echelon(rows, ncols)
+    m = _integer_rows(rows)
+    pivots = _echelon(m, ncols)
     for r in reversed(range(len(pivots))):
         col = pivots[r]
-        tail = [(j, y) for j, y in rows[r].items() if j != col]
+        p = m[r][col]
+        tail = [(j, y) for j, y in m[r].items() if j != col]
         for i in range(r):
-            if col in rows[i]:
-                _clear(rows[i], col, tail)
-    return rows[:len(pivots)], pivots
+            if col in m[i]:
+                _clear(m[i], col, p, tail)
+    return [{j: Fraction(x, row[col]) for j, x in row.items()}
+            for row, col in zip(m, pivots)], pivots
 
 
 def _sparse(rows: Sequence[Sequence]) -> List[SparseRow]:
@@ -132,56 +137,26 @@ def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[List[List]
         return [], []
     width = len(rows[0])
     red, pivots = rref_sparse(_sparse(rows), width if ncols is None else ncols)
-    zero = rows[0][0] - rows[0][0] if red else None  # a pivot needs a column
+    zero = Fraction(0)
     return [[row.get(j, zero) for j in range(width)] for row in red], pivots
 
 
 def echelon_int(rows: Sequence[Sequence]) -> List[List[int]]:
-    """Integer echelon rows spanning the same space as rational ``rows``.
-
-    A row of ints is taken as it is (and may come back as a pivot row; no
-    row is changed in place); any other row is scaled by the lcm of its
-    denominators.  The rows are then eliminated fraction-free: the leftmost
-    column with a nonzero entry gives the pivot (first row wins), and every
-    other row becomes ``(p*x - f*y) // prev``, where p is the pivot, f the
-    row's entry in the pivot column, y the pivot row's entry and prev the
-    previous pivot.  The division is exact (Sylvester's identity: each entry
-    is a minor of the scaled input), also when a column has no pivot.  Rows
-    that become zero are dropped.
-    """
-    rest = []
-    for row in rows:
-        if not all(type(x) is int for x in row):
-            d = math.lcm(*(x.denominator for x in row))
-            row = [x.numerator * (d // x.denominator) for x in row]
-        if any(row):
-            rest.append(row)
+    """Integer echelon rows spanning the same space as rational ``rows``:
+    the pivot rows of the elimination loop, each divided by the gcd of its
+    entries."""
+    width = len(rows[0]) if rows else 0
+    m = _integer_rows(_sparse(rows))
     out = []
-    prev = 1
-    for col in range(len(rows[0]) if rows else 0):
-        if not rest:
-            break
-        for k, row in enumerate(rest):
-            if row[col]:
-                break
-        else:
-            continue
-        pivot = rest.pop(k)
-        p = pivot[col]
-        out.append(pivot)
-        reduced = []
-        for row in rest:
-            f = row[col]
-            row = [(p * x - f * y) // prev for x, y in zip(row, pivot)]
-            if any(row):
-                reduced.append(row)
-        rest, prev = reduced, p
+    for row in m[:len(_echelon(m, width))]:
+        g = math.gcd(*row.values())
+        out.append([row.get(j, 0) // g for j in range(width)])
     return out
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over Q: the number of fraction-free echelon rows."""
-    return len(echelon_int(rows))
+    """Rank over Q: the pivot count of the elimination loop."""
+    return len(_echelon(_integer_rows(_sparse(rows)), len(rows[0]) if rows else 0))
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
@@ -204,15 +179,33 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
 
 
 def det(rows: Sequence[Sequence]):
-    """Determinant: the signed pivot product of forward elimination."""
-    pivots, product = _echelon(_sparse(rows), len(rows))
-    return product if len(pivots) == len(rows) else Fraction(0)
+    """Determinant by Berkowitz's algorithm, with no division.
+
+    ``charpoly`` holds the coefficients of det(xI - A_k), highest first, for
+    the leading k x k block A_k.  The next block adds diagonal entry a, row
+    R and column C; its coefficients are the product of ``charpoly`` and the
+    lower-triangular Toeplitz matrix with first column 1, -a, -R C,
+    -R A_k C, ..., -R A_k^(k-1) C.  The determinant is (-1)^n times the
+    constant coefficient.
+    """
+    n = len(rows)
+    charpoly = [1]
+    for k in range(n):
+        row = rows[k][:k]
+        col = [rows[i][k] for i in range(k)]
+        toeplitz = [1, -rows[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(x * y for x, y in zip(row, col) if x))
+            col = [sum(x * y for x, y in zip(rows[i][:k], col) if x) for i in range(k)]
+        charpoly = [sum(toeplitz[i - j] * charpoly[j] for j in range(min(i, k) + 1))
+                    for i in range(k + 2)]
+    return charpoly[n] if n % 2 == 0 else -charpoly[n]
 
 
 def invert(rows: Sequence[Sequence]) -> List[List]:
     """Matrix inverse by reducing [A | I]; raises SingularMatrix when singular."""
     n = len(rows)
-    red, pivots = rref([list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+    red, pivots = rref([list(r) + [int(i == j) for j in range(n)]
                         for i, r in enumerate(rows)], n)
     if len(pivots) < n:
         raise SingularMatrix("matrix is singular")
@@ -220,19 +213,8 @@ def invert(rows: Sequence[Sequence]) -> List[List]:
 
 
 def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a polynomial matrix by cofactor expansion."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Poly.zero()
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        cofactor = entry * det_poly(minor)
-        total = total + (cofactor if j % 2 == 0 else -cofactor)
-    return total
+    """Determinant of a polynomial matrix, as a Poly."""
+    return Poly.coerce(det(rows))
 
 
 def span_dim(vectors: Sequence[Sequence[Fraction]]) -> int:

@@ -409,7 +409,7 @@ def _linear_consequences(branch: Branch, unknown_set: frozenset) -> list:
     aug = []
     for i, eq in enumerate(eqs):
         row = {col[m]: c for m, c in eq.poly.terms.items()}
-        row[width + i] = Fraction(1)
+        row[width + i] = 1
         aug.append(row)
     reduced, pivots = linalg.rref_sparse(aug, width)
     existing = set(branch.keys)

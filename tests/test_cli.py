@@ -97,6 +97,17 @@ def test_quadratic_witness_on_a_parametric_pair_exits_2(tmp_path):
     assert "error: no value for a" in proc.stderr
 
 
+def test_quadratic_entry_whose_parts_are_not_strings_exits_2(tmp_path):
+    a = write_entry(tmp_path, "AD3_10")
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"dim": 3, "radicand": "2", "entries": [
+        [[1, 0], "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}))
+    proc = run_cli("iso", str(a), str(a), "--witness", str(w))
+    assert proc.returncode == 2
+    assert "error: bad witness entry [1, 0]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_params_that_are_not_a_list_exit_2(tmp_path):
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"dim": 2, "kind": "antidendriform",

@@ -7,6 +7,7 @@ import pytest
 from adkit import linalg
 from adkit.algebra import combine, contract
 from adkit.errors import SingularMatrix
+from adkit.iso import Witness
 from adkit.scalars import Poly, QuadExt, poly_parse
 
 
@@ -70,11 +71,6 @@ def test_quadext_field_operations_in_matrices():
          [QuadExt(0, 0, d), QuadExt(0, 1, d)]]
     # det of diag(1 + sqrt2, sqrt2) is sqrt2 + 2
     assert linalg.det(m) == QuadExt(2, 1, d)
-    inv = linalg.invert(m)
-    prod = [[sum(m[i][k] * inv[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)]
-    assert prod[0][0] == 1 and prod[1][1] == 1
-    assert prod[0][1] == 0 and prod[1][0] == 0
 
 
 def _cofactor_det(rows, zero):
@@ -88,23 +84,47 @@ def _cofactor_det(rows, zero):
     return total
 
 
+def _random_square(rng, n, draw, scale):
+    """n x n matrix of ``draw()`` entries; about half of them have a
+    last row that is a combination of the first two, so they are singular."""
+    m = [[draw() for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.5:
+        m[-1] = [x * scale + y for x, y in zip(m[0], m[1])]
+    return m
+
+
 def test_det_matches_cofactor_expansion(rng):
-    values = [F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4)]
-    singular = 0
-    for n in (1, 2, 3, 4) * 15:
-        m = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
-        if rng.random() < 0.3 and n > 1:
-            m[-1] = [x + 2 * y for x, y in zip(m[0], m[1])]  # force rank < n
-        expected = linalg.det_poly([[Poly.const(x) for x in row] for row in m])
-        assert linalg.det(m) == expected.constant_value()
-        singular += expected.is_zero()
-    assert singular >= 10
     d = F(3)
+    polys = [poly_parse(t) for t in ("0", "0", "1", "-1", "a", "2*b", "a*b+1", "1/2*a^2")]
+    rings = [
+        (F(0), lambda: rng.choice([F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4)]),
+         F(2), (1, 2, 3, 4, 5)),
+        (QuadExt(0, 0, d), lambda: QuadExt(rng.randint(-1, 1), rng.randint(-1, 1), d),
+         QuadExt(1, 1, d), (1, 2, 3, 4)),
+        (Poly.zero(), lambda: rng.choice(polys), poly_parse("a-b"), (1, 2, 3, 4)),
+    ]
+    for zero, draw, scale, sizes in rings:
+        singular = 0
+        for n in sizes * 12:
+            m = _random_square(rng, n, draw, scale)
+            expected = _cofactor_det(m, zero)
+            assert linalg.det(m) == expected
+            singular += expected == 0
+        assert singular >= 10
     q = [[QuadExt(1, 1, d), QuadExt(2, 0, d), QuadExt(0, -1, d)],
          [QuadExt(0, 0, d), QuadExt(1, 2, d), QuadExt(1, 0, d)],
          [QuadExt(1, 0, d), QuadExt(0, 1, d), QuadExt(0, 0, d)]]
     assert linalg.det(q) == _cofactor_det(q, QuadExt(0, 0, d))
     assert linalg.det([q[0], q[0], q[1]]) == 0
+
+
+def test_dense_constant_witness_determinant(rng):
+    # a dense 12 x 12 determinant: Berkowitz takes O(n^4) ring operations,
+    # where a cofactor expansion would take 12! products
+    m = [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(12)] for _ in range(12)]
+    expected = _dense_det(m)
+    assert expected != 0
+    assert Witness.from_rows(m).determinant() == Poly.const(expected)
 
 
 def test_invert_rejects_singular_matrices():
@@ -179,10 +199,11 @@ def test_span_helpers():
 
 # -- the sparse loop against a dense reference -------------------------------
 #
-# The dense forward elimination and back-substitution below are the loop
-# linalg ran on row lists before its rows became sparse: same pivot rule,
-# same pivot-row division, same signed pivot product.  The sparse loop must
-# reproduce them exactly.
+# The dense forward elimination and back-substitution below are the field
+# loop linalg ran before its rows became sparse integer rows: same pivot
+# rule, but each pivot row is divided by its pivot, and the signed pivot
+# product gives the determinant.  The fraction-free loop must reproduce its
+# reduced rows, pivots and lineage exactly.
 
 
 def _dense_clear(row, col, tail):
@@ -275,15 +296,33 @@ def test_sparse_loop_matches_the_dense_reference(rng):
     assert deficient >= 40
 
 
+def test_zero_rows_stay_in_place_for_later_swaps():
+    # At the first pivot, row 1 cancels against row 0 in the pivot columns;
+    # only its lineage is left.  Rows 2 and 3 both have column 1 and are
+    # parallel, so the first of them must become the pivot and the other
+    # cancel: a loop that moved the cancelled row away (say, by swapping the
+    # last row into its place) would pick row 3 and give the reduced row
+    # another lineage.
+    m = [[F(1), F(1), F(0)],
+         [F(1), F(1), F(0)],
+         [F(0), F(1), F(0)],
+         [F(0), F(2), F(0)]]
+    aug = [row + [F(int(i == j)) for j in range(4)] for i, row in enumerate(m)]
+    rows, pivots = linalg.rref(aug, 3)
+    assert (rows, pivots) == _dense_rref(aug, 3)
+    assert pivots == [0, 1]
+    assert rows[1] == [F(0), F(1), F(0), F(0), F(0), F(1), F(0)]
+
+
 def test_sparse_rows_never_store_a_zero(rng):
     for m in _random_matrices(rng, 120):
         n_rows, n_cols = len(m), len(m[0])
         rows = [{j: x for j, x in enumerate(row) if x} for row in m]
         for i, row in enumerate(rows):
             row[n_cols + i] = F(1)
-        work = [dict(r) for r in rows]
+        work = linalg._integer_rows(rows)
         linalg._echelon(work, n_cols)
-        assert all(x != 0 for row in work for x in row.values())
+        assert all(type(x) is int and x != 0 for row in work for x in row.values())
         red, pivots = linalg.rref_sparse(rows, n_cols)
         assert all(x != 0 for row in red for x in row.values())
         dense, dense_pivots = linalg.rref(
@@ -293,20 +332,10 @@ def test_sparse_rows_never_store_a_zero(rng):
         assert red == [{j: x for j, x in enumerate(row) if x} for row in dense]
 
 
-def test_quadext_matrices_get_quadext_zeros_back():
-    d = F(2)
-    q = [[QuadExt(1, 1, d), QuadExt(0, 0, d), QuadExt(2, 0, d)],
-         [QuadExt(0, 0, d), QuadExt(0, 1, d), QuadExt(0, 0, d)],
-         [QuadExt(1, 0, d), QuadExt(0, 0, d), QuadExt(0, 0, d)]]
-    for rows in (linalg.rref(q)[0], linalg.rref(q[:2])[0], linalg.invert(q)):
-        assert all(isinstance(x, QuadExt) for row in rows for x in row)
-        assert any(x == 0 for row in rows for x in row)
-
-
 # -- the fraction-free rank loop against the field loop ------------------------
 #
-# Row scaling keeps the span and Bareiss's division by the previous pivot is
-# exact, so the integer echelon rows reduce to the field loop's reduced rows.
+# Row scaling keeps the span and every division in the loop is by a common
+# divisor, so the integer echelon rows reduce to the field loop's reduced rows.
 # A truncating division anywhere would change some row and fail the match.
 
 
@@ -363,7 +392,7 @@ def test_integer_rows_are_taken_as_they_are(monkeypatch):
     calls = []
     lcm = math.lcm
     monkeypatch.setattr(math, "lcm", lambda *xs: calls.append(xs) or lcm(*xs))
-    assert linalg.echelon_int(rows) == expected == [[2, 4, 6], [0, 10, -2]]
+    assert linalg.echelon_int(rows) == expected == [[1, 2, 3], [0, 5, -1]]
     assert linalg.rank(rows) == 2
     assert calls == []
     # a row with one Fraction in it is still scaled
@@ -373,8 +402,8 @@ def test_integer_rows_are_taken_as_they_are(monkeypatch):
 
 def test_integer_sparse_rows_reduce_to_the_fraction_rows(rng):
     # Poly coefficients are ints when integral, and the solver's consequence
-    # step hands them to rref_sparse as they are: the field loop must divide
-    # exactly (int / int is a float) and give the Fraction input's rows
+    # step hands them to rref_sparse as they are: int rows must give the
+    # Fraction input's rows, as Fractions (int / int would be a float)
     for _ in range(120):
         n_rows, n_cols = rng.randint(1, 10), rng.randint(1, 12)
         m = [[rng.choice([-3, -2, -1, 1, 2, 5, 6]) if rng.random() < 0.3 else 0
@@ -392,6 +421,5 @@ def test_integer_sparse_rows_reduce_to_the_fraction_rows(rng):
         assert red_i == red_f
         assert all(type(x) is Fraction for row in red_i for x in row.values())
         if n_rows == n_cols:
-            det = linalg.det(m)
-            assert type(det) is Fraction and det == linalg.det([[F(x) for x in row]
-                                                                 for row in m])
+            fracs = [[F(x) for x in row] for row in m]
+            assert linalg.det(m) == linalg.det(fracs) == _dense_det(fracs)
