@@ -262,6 +262,11 @@ PINNED_OUTPUTS = {
     "mu0_4": (lambda: catalog.null_filiform(4),
               "4f82ce616899376fb5fcdb1551ffc57af4f8bc7c4fb3bdd24d1f26ec84f80cb4",
               "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    # Recorded before the one-pass substitution step; the heaviest system
+    # the benchmark refutes.
+    "mu0_5": (lambda: catalog.null_filiform(5),
+              "af4bee8b37a7faa6f126c736890ff442491b6e1ce97965fe06a2411fb2e4feb8",
+              "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "As3_3": (lambda: catalog.get("As3_3"),
               "384f9afc21860e5a4d191f57318265f2c04ff6180323a4ea2ee7d5484682a2d3",
               "1502f58b7707346520a191129b5a29522ab05f86c3cbf8eabe4afb723359f669"),
