@@ -21,12 +21,14 @@ are the field loop's, and no Fraction is formed inside the loop.  Its
 row combines the inputs) from taking a pivot; the solver's consequence step
 builds such rows directly.  ``rref``, ``nullspace`` and ``invert`` convert
 dense rows (lists) at the boundary.  ``rank`` (and so ``span_dim`` and
-``same_span``) is the loop's pivot count; ``echelon_int`` returns its
-integer pivot rows, which the power series keeps.
+``same_span``) is the loop's pivot count on the rows that are not all zero;
+``echelon_int`` returns its integer pivot rows, which the power series
+keeps.
 
 ``det`` is Berkowitz's division-free algorithm (S. J. Berkowitz, Inform.
 Process. Lett. 18, 1984), O(n^4) ring operations, so the same code takes
-Fraction, int, QuadExt and Poly matrices; ``det_poly`` is its value as a Poly.
+int, QuadExt and Poly matrices, and a Fraction matrix once its rows are
+cleared to integers; ``det_poly`` is its value as a Poly.
 """
 
 from __future__ import annotations
@@ -155,8 +157,10 @@ def echelon_int(rows: Sequence[Sequence]) -> List[List[int]]:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over Q: the pivot count of the elimination loop."""
-    return len(_echelon(_integer_rows(_sparse(rows)), len(rows[0]) if rows else 0))
+    """Rank over Q: the pivot count of the elimination loop, run without the
+    all-zero rows, which can never hold a pivot."""
+    width = len(rows[0]) if rows else 0
+    return len(_echelon(_integer_rows([r for r in _sparse(rows) if r]), width))
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
@@ -186,18 +190,29 @@ def det(rows: Sequence[Sequence]):
     R and column C; its coefficients are the product of ``charpoly`` and the
     lower-triangular Toeplitz matrix with first column 1, -a, -R C,
     -R A_k C, ..., -R A_k^(k-1) C.  The determinant is (-1)^n times the
-    constant coefficient.
+    constant coefficient.  A rational matrix is cleared to integers first:
+    det(A) = det(D A) / (d_1 ... d_n), with d_i the lcm of row i's
+    denominators and D = diag(d_i), so no Fraction is formed in the loop.
     """
+    kinds = {type(x) for row in rows for x in row}
+    if Fraction in kinds and kinds <= {int, Fraction}:
+        lcms = [math.lcm(*(x.denominator for x in row)) for row in rows]
+        return Fraction(det([[x.numerator * (d // x.denominator) for x in row]
+                             for row, d in zip(rows, lcms)]), math.prod(lcms))
     n = len(rows)
     charpoly = [1]
     for k in range(n):
         row = rows[k][:k]
         col = [rows[i][k] for i in range(k)]
         toeplitz = [1, -rows[k][k]]
-        for _ in range(k):
+        for t in range(k):
+            if t:
+                col = [sum(x * y for x, y in zip(rows[i][:k], col) if x)
+                       for i in range(k)]
             toeplitz.append(-sum(x * y for x, y in zip(row, col) if x))
-            col = [sum(x * y for x, y in zip(rows[i][:k], col) if x) for i in range(k)]
-        charpoly = [sum(toeplitz[i - j] * charpoly[j] for j in range(min(i, k) + 1))
+        # the Toeplitz matrix has 1 on its diagonal: no product needed there
+        charpoly = [sum((toeplitz[i - j] * charpoly[j] for j in range(min(i - 1, k) + 1)),
+                        charpoly[i] if i <= k else 0)
                     for i in range(k + 2)]
     return charpoly[n] if n % 2 == 0 else -charpoly[n]
 

@@ -75,6 +75,33 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
+def _times(p: dict, q: dict) -> dict:
+    """The terms of the product of the polynomials with terms p and q."""
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = _mono_mul(m1, m2)
+            if m not in out:
+                out[m] = c1 * c2
+                continue
+            s = out[m] + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return _ints(out)
+
+
+def _power(powers: dict, mapping: Mapping, f: tuple) -> dict:
+    """The terms of ``mapping[name] ** e`` for the factor f = (name, e),
+    expanded on first use and kept in ``powers``."""
+    power = powers.get(f)
+    if power is None:
+        value = Poly.coerce(mapping[f[0]])
+        power = powers[f] = (value if f[1] == 1 else value ** f[1]).terms
+    return power
+
+
 def _mono_key(m: Monomial):
     # total degree, then lexicographic; used only for canonical printing
     return (sum(e for _, e in m), m)
@@ -88,7 +115,8 @@ class Poly:
     an ``int`` when integral and a ``Fraction`` otherwise (see the module
     docstring): the solver's coefficients are almost all integers, and int
     arithmetic is several times cheaper than Fraction arithmetic.
-    ``_trusted`` callers pass terms that already follow this rule.
+    ``_trusted`` callers pass a dict of their own whose terms already follow
+    this rule; the polynomial keeps that dict instead of copying it.
     """
 
     __slots__ = ("terms", "_key")
@@ -98,7 +126,7 @@ class Poly:
         if terms is None:
             self.terms = {}
         elif _trusted:
-            self.terms = dict(terms)
+            self.terms = terms
         else:
             self.terms = {m: _num(c) for m, c in terms.items() if c != 0}
 
@@ -190,19 +218,7 @@ class Poly:
                 return Poly()
             return Poly(_ints({m: c * c0 for m, c in self.terms.items()}),
                         _trusted=True)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                if m not in out:
-                    out[m] = c1 * c2
-                    continue
-                s = out[m] + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Poly(_ints(out), _trusted=True)
+        return Poly(_times(self.terms, other.terms), _trusted=True)
 
     __rmul__ = __mul__
 
@@ -234,46 +250,58 @@ class Poly:
     # -- substitution / evaluation -------------------------------------------
 
     def subs(self, mapping: Mapping[str, Scalar]) -> "Poly":
-        """Substitute polynomials or rationals for variables.
+        """Substitute polynomials or rationals for variables, simultaneously.
 
-        Variables absent from ``mapping`` are kept.  Substitution is a ring
-        homomorphism, so it distributes over the stored terms: each term's
-        expansion is accumulated straight into one coefficient dict, and each
-        power of a substituted value is expanded once per call.
+        Variables absent from ``mapping`` are kept, and no value is itself
+        substituted into.  Substitution is a ring homomorphism, so it
+        distributes over the stored terms, and each term is read once: a
+        term with no mapped variable passes through, a term with a mapped
+        variable whose value is zero is dropped, and any other term adds its
+        remaining monomial times the power of the value (times the powers of
+        the values, when several mapped variables occur in it).  Each power
+        is expanded once per call.  Returns ``self`` itself when no term
+        holds a mapped variable.
         """
-        if not mapping:
-            return self
-        touched = {name for m in self.terms for name, _ in m if name in mapping}
-        if not touched:
-            return self
-        powers: dict = {}
         out: dict = {}
+        powers: dict = {}
+        hit = False
         for m, c in self.terms.items():
-            for name, _ in m:
-                if name in touched:
+            for f in m:
+                if f[0] in mapping:
                     break
-            else:  # no substituted variable: the term passes through as is
-                out[m] = out[m] + c if m in out else c
+            else:  # no mapped variable: the term passes through as is
+                if m in out:
+                    c += out[m]
+                    if not c:
+                        del out[m]
+                        continue
+                    if type(c) is not int and c.denominator == 1:
+                        c = c.numerator
+                out[m] = c
                 continue
-            partial = {tuple(f for f in m if f[0] not in touched): c}
-            for name, e in m:
-                if name not in touched:
-                    continue
-                power = powers.get((name, e))
-                if power is None:
-                    power = Poly.coerce(mapping[name])
-                    power = powers[(name, e)] = (power if e == 1 else power ** e).terms
-                expanded: dict = {}
-                for m1, c1 in partial.items():
-                    for m2, c2 in power.items():
-                        mono = _mono_mul(m1, m2)
-                        coeff = c1 * c2
-                        expanded[mono] = (expanded[mono] + coeff
-                                          if mono in expanded else coeff)
-                partial = expanded
-            for mono, coeff in partial.items():
-                out[mono] = out[mono] + coeff if mono in out else coeff
-        return Poly(_ints({m: c for m, c in out.items() if c}), _trusted=True)
+            hit = True
+            power = _power(powers, mapping, f)
+            if not power:  # the value is zero, and so is the term
+                continue
+            i = m.index(f)
+            rest = m[:i] + m[i + 1:]
+            if len(mapping) > 1 and any(g[0] in mapping for g in rest):
+                for g in rest:
+                    if g[0] in mapping:
+                        power = _times(power, _power(powers, mapping, g))
+                rest = tuple(g for g in rest if g[0] not in mapping)
+            for m2, c2 in power.items():
+                mono = _mono_mul(rest, m2)
+                c2 *= c
+                if mono in out:
+                    c2 += out[mono]
+                    if not c2:
+                        del out[mono]
+                        continue
+                if type(c2) is not int and c2.denominator == 1:
+                    c2 = c2.numerator
+                out[mono] = c2
+        return Poly(out, _trusted=True) if hit else self
 
     def eval(self, assign: Mapping[str, Fraction]) -> Fraction:
         """Exact evaluation; every occurring variable must be assigned."""

@@ -41,11 +41,16 @@ linear-pivot candidate, computed in one pass over the terms when the row is
 written, and their canonical key, read when the row is canonicalised; the
 key is the equation's primitive integer form, computed once and kept on its
 Poly, so the root branch reuses the keys the generator deduplicated with.
-An index maps each unknown to the rows containing it.  A substitution
-rewrites only the rows, substitutions and side conditions that contain its
-unknown, and steps 1 and 5 look only at the rows written since the last
-pass; rows keep their place in the list, so every tie-break above and the
-contradiction reported are those of a full pass over the list.
+A row names its unknowns by their integer pivot order (the position in
+``ConstraintSystem.unknowns``), so they come out of one sort of ints, and
+an index maps each pivot order to the rows containing that unknown.  A
+substitution rewrites only the rows that contain its unknown, each in one
+pass of ``Poly.subs`` over its terms and one more to re-index it; every
+substitution and side condition goes through ``Poly.subs`` too, which hands
+back its input itself when the unknown does not occur.  Steps 1 and 5 look
+only at the rows written since the last pass; rows keep their place in the
+list, so every tie-break above and the contradiction reported are those of
+a full pass over the list.
 Certificate replay keeps the substitutions in trace order and brings an
 equation up to date only when a step reads it.
 
@@ -183,7 +188,7 @@ class _Row(NamedTuple):
     ``key`` is set when the row survives canonicalisation.
     """
     eq: Equation
-    unknowns: tuple            # unknowns occurring in eq.poly, in order
+    unknowns: tuple            # pivot orders of eq.poly's unknowns, ascending
     pivot: tuple | None        # (unknown count, pivot order, var)
     key: tuple | None = None   # normalized_key, once canonicalised
 
@@ -194,15 +199,16 @@ class Branch:
 
     Residual equations are rows keyed by id.  Ids only grow and a rewrite
     keeps its row's id, so id order is list order.  ``uses`` maps each
-    unknown to the ids of the rows that contained it when written; readers
-    skip ids whose row has since been dropped or lost the unknown.  ``keys``
+    unknown's pivot order to the ids of the rows that contained it when
+    written; readers skip ids whose row has since been dropped or lost the
+    unknown.  ``keys``
     maps each canonical key to its row, and ``fresh`` holds the ids written
     since the last canonicalisation; ``side_fresh`` flags a changed side
     condition.
     """
     subs: dict = field(default_factory=dict)        # var -> Poly, fully reduced
     rows: dict = field(default_factory=dict)        # id -> _Row, in list order
-    uses: dict = field(default_factory=dict)        # unknown -> [row id]
+    uses: dict = field(default_factory=dict)        # pivot order -> [row id]
     keys: dict = field(default_factory=dict)        # normalized_key -> row id
     fresh: set = field(default_factory=set)
     side: list = field(default_factory=list)        # [(Poly, origin prov)]
@@ -243,12 +249,14 @@ class Branch:
 
 
 def _index_row(p: Poly, system: ConstraintSystem):
-    """The unknowns of p in pivot order, and its linear pivot, from one pass
-    over p's terms.
+    """The pivot orders of p's unknowns, ascending, and its linear pivot,
+    from one pass over p's terms.
 
-    The pivot is (unknown count, pivot order, var) for the lowest unknown
-    ``var`` with p = a*var + rest, ``a`` a nonzero rational and ``rest`` free
-    of ``var``; None unless p has degree one in the unknowns.
+    Occurrences are counted by each unknown's integer pivot order, so the
+    row's unknowns come out of one sort of ints.  The pivot is (unknown
+    count, pivot order, var) for the lowest unknown ``var`` with
+    p = a*var + rest, ``a`` a nonzero rational and ``rest`` free of ``var``;
+    None unless p has degree one in the unknowns.
     """
     index = system._index
     occurrences: dict = {}
@@ -258,15 +266,17 @@ def _index_row(p: Poly, system: ConstraintSystem):
         for name, e in m:
             if name in index:
                 degree += e
-                occurrences[name] = occurrences.get(name, 0) + 1
+                n = index[name]
+                occurrences[n] = occurrences.get(n, 0) + 1
         if degree > 1:
             linear = False
-    unknowns = tuple(sorted(occurrences, key=index.__getitem__))
+    order = tuple(sorted(occurrences))
     if linear:
-        for var in unknowns:
-            if occurrences[var] == 1 and ((var, 1),) in p.terms:
-                return unknowns, (len(unknowns), index[var], var)
-    return unknowns, None
+        names = system.unknowns
+        for n in order:
+            if occurrences[n] == 1 and ((names[n], 1),) in p.terms:
+                return order, (len(order), n, names[n])
+    return order, None
 
 
 def _write_row(branch: Branch, system: ConstraintSystem, rid: int | None,
@@ -281,9 +291,9 @@ def _write_row(branch: Branch, system: ConstraintSystem, rid: int | None,
     if old is not None and old.key is not None:
         del branch.keys[old.key]
     unknowns, pivot = _index_row(eq.poly, system)
-    for u in unknowns:
-        if u not in before:
-            branch.uses.setdefault(u, []).append(rid)
+    for n in unknowns:
+        if n not in before:
+            branch.uses.setdefault(n, []).append(rid)
     branch.rows[rid] = _Row(eq, unknowns, pivot)
     branch.fresh.add(rid)
 
@@ -296,23 +306,26 @@ def _drop_row(branch: Branch, rid: int):
 
 def _apply_substitution(branch: Branch, system: ConstraintSystem, var: str,
                         rhs: Poly, kind: str, prov: str):
-    """Substitute ``rhs`` for ``var`` in the rows, substitutions and side
-    conditions that contain ``var``; nothing else is rewritten."""
+    """Substitute ``rhs`` for ``var`` in the rows that contain ``var``, in
+    every substitution and in every side condition; ``Poly.subs`` returns
+    its input itself when ``var`` does not occur, so nothing else changes."""
     mapping = {var: rhs}
-    for v, p in branch.subs.items():
-        if var in p.variables():
-            branch.subs[v] = p.subs(mapping)
-    branch.subs[var] = rhs
-    for rid in sorted(set(branch.uses.pop(var, ()))):
+    subs = branch.subs
+    for v, p in subs.items():
+        subs[v] = p.subs(mapping)
+    subs[var] = rhs
+    n = system._index[var]
+    for rid in sorted(set(branch.uses.pop(n, ()))):
         row = branch.rows.get(rid)
-        if row is None or var not in row.unknowns:
+        if row is None or n not in row.unknowns:
             continue
         eq = row.eq
         _write_row(branch, system, rid,
                    Equation(eq.prov, eq.poly.subs(mapping)))
     for i, (p, origin) in enumerate(branch.side):
-        if var in p.variables():
-            branch.side[i] = (p.subs(mapping), origin)
+        q = p.subs(mapping)
+        if q is not p:
+            branch.side[i] = (q, origin)
             branch.side_fresh = True
     branch.trace.append(TraceStep(kind, var, rhs, prov))
 
@@ -449,7 +462,7 @@ def _canonicalise(branch: Branch) -> list:
         if other > rid:
             _drop_row(branch, other)
             branch.keys[key] = rid
-        branch.rows[rid] = row._replace(key=key)
+        branch.rows[rid] = _Row(row.eq, row.unknowns, row.pivot, key)
         kept.append(rid)
     branch.fresh = set()
     if branch.side_fresh:
@@ -550,8 +563,9 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
             needs_extension = False
             for rid, row in branch.rows.items():
                 eq = row.eq
-                for var, a, b, disc in _quadratic_shapes(eq.poly,
-                                                         row.unknowns):
+                unknowns = tuple(map(system.unknowns.__getitem__,
+                                     row.unknowns))
+                for var, a, b, disc in _quadratic_shapes(eq.poly, unknowns):
                     if disc.is_zero():
                         forced = (var, b * (Fraction(-1) / (2 * a)), eq.prov)
                         break
@@ -565,7 +579,7 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
                             needs_extension = True
                 if forced is not None:
                     break
-                fac = _factor_shape(eq.poly, row.unknowns)
+                fac = _factor_shape(eq.poly, unknowns)
                 if fac is not None:
                     var, quotient = fac
                     splits.append((order(var), rid,

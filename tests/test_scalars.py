@@ -113,10 +113,32 @@ def test_subs_matches_termwise_expansion(rng):
     # simultaneous substitution, expanded term by term with ring operations
     values = [Fraction(0), Fraction(-3, 2), poly_parse("b"), poly_parse("-a"),
               poly_parse("a-g"), poly_parse("2*a*b+1"), Poly.zero()]
+    cases = []
     for _ in range(300):
         p = random_poly(rng)
         mapping = {name: rng.choice(values)
                    for name in ("a", "b") if rng.random() < 0.8}
+        cases.append((p, mapping))
+    # the swap a -> b, b -> -a: applied one entry after the other, it would
+    # send a to -a
+    for _ in range(20):
+        cases.append((random_poly(rng) + poly_parse("a^2*b+a"),
+                      {"a": poly_parse("b"), "b": poly_parse("-a")}))
+    # the elimination's shape: degree <= 2 in unknowns plus a parameter, the
+    # substituted unknown squared, and one entry := 0, := a rational or
+    # := a linear polynomial in other unknowns and the parameter
+    unknowns = ("u1", "u2", "u3")
+    for _ in range(200):
+        p = (random_poly(rng, names=unknowns + ("l",), max_degree=2, terms=8)
+             + random_poly(rng, names=("u1",), max_degree=2, terms=2)
+             + Poly.var("u1") ** 2 * Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+        value = rng.choice([
+            Fraction(0),
+            Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+            sum((Poly.var(x) * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                 for x in ("u2", "u3", "l")), Poly.const(rng.randint(-2, 2)))])
+        cases.append((p, {"u1": value}))
+    for p, mapping in cases:
         expected = Poly.zero()
         for mono, coeff in p.terms.items():
             term = Poly.const(coeff)
@@ -127,7 +149,8 @@ def test_subs_matches_termwise_expansion(rng):
             expected = expected + term
         got = p.subs(mapping)
         assert got == expected
-        assert all(c != 0 for c in got.terms.values())
+        assert all(c != 0 and (type(c) is int or c.denominator > 1)
+                   for c in got.terms.values())
 
 
 def test_subs_cancels_to_zero_and_keeps_untouched():

@@ -120,11 +120,13 @@ def test_null_filiform_4_closes_infeasible_with_replayable_contradiction():
 
 def _two_pass_row_index(p: Poly, system: solver.ConstraintSystem):
     """The earlier row bookkeeping: the unknowns of p, sorted, then a second
-    pass over the terms for the lowest linear pivot."""
+    pass over the terms for the lowest linear pivot; the unknowns are
+    returned as their pivot orders."""
     order = system.unknown_order
     unknowns = tuple(sorted(p.variables() & system.unknown_set, key=order))
+    orders = tuple(map(order, unknowns))
     if not unknowns:
-        return unknowns, None
+        return orders, None
     occurrences = Counter()
     for m in p.terms:
         degree = 0
@@ -133,11 +135,11 @@ def _two_pass_row_index(p: Poly, system: solver.ConstraintSystem):
                 degree += e
                 occurrences[name] += 1
         if degree > 1:
-            return unknowns, None
+            return orders, None
     for var in unknowns:
         if occurrences[var] == 1 and ((var, 1),) in p.terms:
-            return unknowns, (len(unknowns), order(var), var)
-    return unknowns, None
+            return orders, (len(unknowns), order(var), var)
+    return orders, None
 
 
 @pytest.mark.parametrize("label", ["mu0_4", "As3_3"])
