@@ -201,10 +201,9 @@ class Branch:
     keeps its row's id, so id order is list order.  ``uses`` maps each
     unknown's pivot order to the ids of the rows that contained it when
     written; readers skip ids whose row has since been dropped or lost the
-    unknown.  ``keys``
-    maps each canonical key to its row, and ``fresh`` holds the ids written
-    since the last canonicalisation; ``side_fresh`` flags a changed side
-    condition.
+    unknown.  ``keys`` maps each canonical key to its row, and ``fresh``
+    holds the ids written since the last canonicalisation; ``side_fresh``
+    flags a changed side condition.
     """
     subs: dict = field(default_factory=dict)        # var -> Poly, fully reduced
     rows: dict = field(default_factory=dict)        # id -> _Row, in list order
@@ -314,7 +313,7 @@ def _apply_substitution(branch: Branch, system: ConstraintSystem, var: str,
     for v, p in subs.items():
         subs[v] = p.subs(mapping)
     subs[var] = rhs
-    n = system._index[var]
+    n = system.unknown_order(var)
     for rid in sorted(set(branch.uses.pop(n, ()))):
         row = branch.rows.get(rid)
         if row is None or n not in row.unknowns:
