@@ -210,10 +210,14 @@ def det(rows: Sequence[Sequence]):
                 col = [sum(x * y for x, y in zip(rows[i][:k], col) if x)
                        for i in range(k)]
             toeplitz.append(-sum(x * y for x, y in zip(row, col) if x))
-        # the Toeplitz matrix has 1 on its diagonal: no product needed there
-        charpoly = [sum((toeplitz[i - j] * charpoly[j] for j in range(min(i - 1, k) + 1)),
-                        charpoly[i] if i <= k else 0)
-                    for i in range(k + 2)]
+        # charpoly[0] and the Toeplitz diagonal are 1: no product with either
+        new = [1]
+        for i in range(1, k + 2):
+            c = toeplitz[i] + charpoly[i] if i <= k else toeplitz[i]
+            for j in range(1, min(i, k + 1)):
+                c = c + toeplitz[i - j] * charpoly[j]
+            new.append(c)
+        charpoly = new
     return charpoly[n] if n % 2 == 0 else -charpoly[n]
 
 
