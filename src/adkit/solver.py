@@ -309,10 +309,9 @@ def _apply_substitution(branch: Branch, system: ConstraintSystem, var: str,
     every substitution and in every side condition; ``Poly.subs`` returns
     its input itself when ``var`` does not occur, so nothing else changes."""
     mapping = {var: rhs}
-    subs = branch.subs
-    for v, p in subs.items():
-        subs[v] = p.subs(mapping)
-    subs[var] = rhs
+    for v, p in branch.subs.items():
+        branch.subs[v] = p.subs(mapping)
+    branch.subs[var] = rhs
     n = system.unknown_order(var)
     for rid in sorted(set(branch.uses.pop(n, ()))):
         row = branch.rows.get(rid)
