@@ -160,7 +160,7 @@ def rank(rows: Sequence[Sequence]) -> int:
     """Rank over Q: the pivot count of the elimination loop, run without the
     all-zero rows, which can never hold a pivot."""
     width = len(rows[0]) if rows else 0
-    return len(_echelon(_integer_rows([r for r in _sparse(rows) if r]), width))
+    return len(_echelon(_integer_rows(_sparse([r for r in rows if any(r)])), width))
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
