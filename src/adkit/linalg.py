@@ -211,9 +211,10 @@ def det(rows: Sequence[Sequence]):
                        for i in range(k)]
             toeplitz.append(-sum(x * y for x, y in zip(row, col) if x))
         # charpoly[0] and the Toeplitz diagonal are 1: no product with either
-        charpoly = [1] + [sum((toeplitz[i - j] * charpoly[j] for j in range(1, min(i, k + 1))),
-                              toeplitz[i] + charpoly[i] if i <= k else toeplitz[i])
-                          for i in range(1, k + 2)]
+        charpoly = [1] + [
+            sum((toeplitz[i - j] * charpoly[j] for j in range(1, min(i, k + 1))),
+                toeplitz[i] + charpoly[i] if i <= k else toeplitz[i])
+            for i in range(1, k + 2)]
     return charpoly[n] if n % 2 == 0 else -charpoly[n]
 
 
