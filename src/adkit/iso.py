@@ -43,7 +43,7 @@ from itertools import islice, permutations, product as iproduct
 from . import linalg
 from .algebra import (AdPair, _cleared, _cleared_rows, _product_rows, combine, contract,
                       is_two_nilpotent, power_series, sum_algebra)
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import BudgetExceeded, DimensionMismatch, SingularMatrix
 from .scalars import Poly, QuadExt
 
 
@@ -243,6 +243,11 @@ def fingerprint(ad: AdPair) -> Fingerprint:
 
 # -- bounded witness search -------------------------------------------------------
 
+#: The largest ``bound`` the search admits.  The grid holds fewer than
+#: 2*bound^2 + 1 rationals, and the sqrt(d) pass holds |grid|^2 scalars:
+#: 101,760 at bound 16.
+SEARCH_BOUND_BUDGET = 16
+
 
 def rational_grid(bound: int):
     """Rationals p/q with |p|, q <= bound, ordered simplest first."""
@@ -305,8 +310,14 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
 
     With a radicand, a second pass tries diagonal-times-permutation matrices
     with entries a + b*sqrt(d); this covers the diagonal rescalings that need
-    a square root.
+    a square root.  A bound above ``SEARCH_BOUND_BUDGET`` raises
+    ``BudgetExceeded`` before anything is built.
     """
+    if bound > SEARCH_BOUND_BUDGET:
+        raise BudgetExceeded(
+            "search-bound",
+            f"bound {bound} exceeds the search-bound budget "
+            f"({SEARCH_BOUND_BUDGET})")
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dims differ")
     fp_s = fingerprint(source)

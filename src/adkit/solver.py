@@ -36,11 +36,12 @@ Elimination loop, per branch:
    "split-budget", "step-budget", "needs-extension" (see below),
    "consequence-cap" (step 3 was skipped) or "nonlinear".
 
-Each branch keeps its equations as rows with their unknowns and
-linear-pivot candidate, computed in one pass over the terms when the row is
-written, and their canonical key, read when the row is canonicalised; the
-key is the equation's primitive integer form, computed once and kept on its
-Poly, so the root branch reuses the keys the generator deduplicated with.
+Each branch keeps its equations as rows, one record per equation built
+once when it is written: its provenance, its Poly, its unknowns and its
+linear pivot, the last two from one pass over the terms.  The canonical key
+is the equation's primitive integer form, computed once and kept on its
+Poly, so the root branch reuses the keys the generator deduplicated with
+and a rewrite reads the old key back from the old Poly.
 A row names its unknowns by their integer pivot order (the position in
 ``ConstraintSystem.unknowns``), so they come out of one sort of ints, and
 an index maps each pivot order to the rows containing that unknown.  A
@@ -48,9 +49,10 @@ substitution rewrites only the rows that contain its unknown, each in one
 pass of ``Poly.subs`` over its terms and one more to re-index it; every
 substitution and side condition goes through ``Poly.subs`` too, which hands
 back its input itself when the unknown does not occur.  Steps 1 and 5 look
-only at the rows written since the last pass; rows keep their place in the
-list, so every tie-break above and the contradiction reported are those of
-a full pass over the list.
+only at the rows written since the last pass, and step 5 settles the side
+conditions in one pass over them; rows keep their place in the list, so
+every tie-break above and the contradiction reported are those of a full
+pass over the list.
 Certificate replay keeps the substitutions in trace order and brings an
 equation up to date only when a step reads it.
 
@@ -182,15 +184,13 @@ class TraceStep:
 
 
 class _Row(NamedTuple):
-    """A residual equation with the data the elimination loop reads from it.
-
-    Everything but ``key`` is computed when the equation is written;
-    ``key`` is set when the row survives canonicalisation.
-    """
-    eq: Equation
-    unknowns: tuple            # pivot orders of eq.poly's unknowns, ascending
-    pivot: tuple | None        # (unknown count, pivot order, var)
-    key: tuple | None = None   # normalized_key, once canonicalised
+    """A residual equation with the data the elimination loop reads from it,
+    built once when the equation is written; its canonical key is read from
+    the Poly, which keeps it."""
+    prov: str
+    poly: Poly
+    unknowns: tuple            # pivot orders of poly's unknowns, ascending
+    pivot: int | None          # pivot order of the lowest linear pivot
 
 
 @dataclass
@@ -201,9 +201,9 @@ class Branch:
     keeps its row's id, so id order is list order.  ``uses`` maps each
     unknown's pivot order to the ids of the rows that contained it when
     written; readers skip ids whose row has since been dropped or lost the
-    unknown.  ``keys`` maps each canonical key to its row, and ``fresh``
-    holds the ids written since the last canonicalisation; ``side_fresh``
-    flags a changed side condition.
+    unknown.  ``fresh`` holds the ids written since the last
+    canonicalisation, and ``keys`` maps the canonical key of every other row
+    to its id.
     """
     subs: dict = field(default_factory=dict)        # var -> Poly, fully reduced
     rows: dict = field(default_factory=dict)        # id -> _Row, in list order
@@ -211,7 +211,6 @@ class Branch:
     keys: dict = field(default_factory=dict)        # normalized_key -> row id
     fresh: set = field(default_factory=set)
     side: list = field(default_factory=list)        # [(Poly, origin prov)]
-    side_fresh: bool = False
     trace: list = field(default_factory=list)       # [TraceStep]
     path: tuple = ()
     depth: int = 0
@@ -219,11 +218,6 @@ class Branch:
     stuck_reason: str = ""
     derived: int = 0           # counter for combination-derived equations
     next_row: int = 0
-
-    @property
-    def equations(self) -> list:
-        """The residual equations, in list order."""
-        return [row.eq for row in self.rows.values()]
 
     def clone(self) -> "Branch":
         return replace(self, subs=dict(self.subs), rows=dict(self.rows),
@@ -252,10 +246,10 @@ def _index_row(p: Poly, system: ConstraintSystem):
     from one pass over p's terms.
 
     Occurrences are counted by each unknown's integer pivot order, so the
-    row's unknowns come out of one sort of ints.  The pivot is (unknown
-    count, pivot order, var) for the lowest unknown ``var`` with
-    p = a*var + rest, ``a`` a nonzero rational and ``rest`` free of ``var``;
-    None unless p has degree one in the unknowns.
+    row's unknowns come out of one sort of ints.  The pivot is the pivot
+    order of the lowest unknown ``var`` with p = a*var + rest, ``a`` a
+    nonzero rational and ``rest`` free of ``var``; None unless p has degree
+    one in the unknowns.
     """
     index = system._index
     occurrences: dict = {}
@@ -274,33 +268,29 @@ def _index_row(p: Poly, system: ConstraintSystem):
         names = system.unknowns
         for n in order:
             if occurrences[n] == 1 and ((names[n], 1),) in p.terms:
-                return order, (len(order), n, names[n])
+                return order, n
     return order, None
 
 
 def _write_row(branch: Branch, system: ConstraintSystem, rid: int | None,
-               eq: Equation):
-    """Store ``eq`` as row ``rid`` (a new last row when None), re-index its
+               prov: str, poly: Poly):
+    """Store ``poly`` as row ``rid`` (a new last row when None), re-index its
     unknowns and queue it for canonicalisation."""
     if rid is None:
         rid = branch.next_row
         branch.next_row += 1
     old = branch.rows.get(rid)
-    before = () if old is None else old.unknowns
-    if old is not None and old.key is not None:
-        del branch.keys[old.key]
-    unknowns, pivot = _index_row(eq.poly, system)
+    before = ()
+    if old is not None:
+        before = old.unknowns
+        if rid not in branch.fresh:
+            del branch.keys[old.poly.normalized_key()]
+    unknowns, pivot = _index_row(poly, system)
     for n in unknowns:
         if n not in before:
             branch.uses.setdefault(n, []).append(rid)
-    branch.rows[rid] = _Row(eq, unknowns, pivot)
+    branch.rows[rid] = _Row(prov, poly, unknowns, pivot)
     branch.fresh.add(rid)
-
-
-def _drop_row(branch: Branch, rid: int):
-    row = branch.rows.pop(rid)
-    if row.key is not None:
-        del branch.keys[row.key]
 
 
 def _apply_substitution(branch: Branch, system: ConstraintSystem, var: str,
@@ -317,29 +307,24 @@ def _apply_substitution(branch: Branch, system: ConstraintSystem, var: str,
         row = branch.rows.get(rid)
         if row is None or n not in row.unknowns:
             continue
-        eq = row.eq
-        _write_row(branch, system, rid,
-                   Equation(eq.prov, eq.poly.subs(mapping)))
-    for i, (p, origin) in enumerate(branch.side):
-        q = p.subs(mapping)
-        if q is not p:
-            branch.side[i] = (q, origin)
-            branch.side_fresh = True
+        _write_row(branch, system, rid, row.prov, row.poly.subs(mapping))
+    branch.side = [(p.subs(mapping), origin) for p, origin in branch.side]
     branch.trace.append(TraceStep(kind, var, rhs, prov))
 
 
-def _linear_candidate(branch: Branch):
+def _linear_candidate(branch: Branch, system: ConstraintSystem):
     """(var, rhs, prov) of the best linear pivot: fewest unknowns, then the
     lowest pivot order, then the earliest equation; None if there is none."""
-    best = min(((row.pivot[0], row.pivot[1], rid)
-                for rid, row in branch.rows.items() if row.pivot),
+    best = min(((len(row.unknowns), row.pivot, rid)
+                for rid, row in branch.rows.items() if row.pivot is not None),
                default=None)
     if best is None:
         return None
-    row = branch.rows[best[2]]
-    var = row.pivot[2]
-    a, b = row.eq.poly.linear_parts(var)
-    return var, b * (Fraction(-1) / a.constant_value()), row.eq.prov
+    _, pivot, rid = best
+    row = branch.rows[rid]
+    var = system.unknowns[pivot]
+    a, b = row.poly.linear_parts(var)
+    return var, b * (Fraction(-1) / a.constant_value()), row.prov
 
 
 def _quadratic_shapes(p: Poly, unknowns: tuple):
@@ -403,7 +388,7 @@ def _linear_consequences(branch: Branch, unknown_set: frozenset) -> list:
     extracted row records its lineage (the rational combination of source
     equations) so certificates replay mechanically.
     """
-    eqs = branch.equations
+    eqs = list(branch.rows.values())
     if len(eqs) < 2:
         return []
 
@@ -446,62 +431,54 @@ def _canonicalise(branch: Branch) -> list:
     Keys were distinct before, so keeping the lowest id of each key is the
     first-occurrence rule of a full pass over the list.
     """
+    fresh, branch.fresh = branch.fresh, set()
     kept = []
-    for rid in sorted(branch.fresh):
-        row = branch.rows[rid]
-        if row.eq.poly.is_zero():
-            _drop_row(branch, rid)
+    for rid in sorted(fresh):
+        poly = branch.rows[rid].poly
+        if poly.is_zero():
+            del branch.rows[rid]
             continue
-        key = row.eq.poly.normalized_key()
+        key = poly.normalized_key()
         other = branch.keys.setdefault(key, rid)
         if other < rid:
-            _drop_row(branch, rid)
+            del branch.rows[rid]
             continue
         if other > rid:
-            _drop_row(branch, other)
+            del branch.rows[other]
             branch.keys[key] = rid
-        branch.rows[rid] = _Row(row.eq, row.unknowns, row.pivot, key)
         kept.append(rid)
-    branch.fresh = set()
-    if branch.side_fresh:
-        seen_sides = set()
-        sides = []
-        for p, origin in branch.side:
-            key = p.normalized_key()
-            if key in seen_sides:
-                continue
-            seen_sides.add(key)
-            sides.append((p, origin))
-        branch.side = sides
     return kept
 
 
 def _scan_contradiction(branch: Branch, fresh: list) -> bool:
-    """Report the first constant equation, else the first zero side condition.
+    """Report the first constant equation, else the first zero side
+    condition; otherwise drop the nonzero constant side conditions and those
+    that repeat an earlier one up to scaling.
 
     Only rewritten or new rows can have become constant: an older constant
-    row would have ended the branch already.
+    row would have ended the branch already.  Every zero side condition has
+    the key (), so the first one found is also the first occurrence.
     """
     for rid in fresh:
-        eq = branch.rows[rid].eq
-        if eq.poly.is_constant():
+        row = branch.rows[rid]
+        if row.poly.is_constant():
             branch.trace.append(TraceStep("equation-contradiction", None,
-                                          eq.poly, eq.prov))
+                                          row.poly, row.prov))
             branch.status = "infeasible"
             return True
-    if not branch.side_fresh:
-        return False
-    branch.side_fresh = False
-    kept_sides = []
+    seen = set()
+    kept = []
     for p, origin in branch.side:
         if p.is_zero():
             branch.trace.append(TraceStep("side-contradiction", None, p, origin))
             branch.status = "infeasible"
             return True
-        if p.is_constant():
-            continue  # satisfied forever
-        kept_sides.append((p, origin))
-    branch.side = kept_sides
+        key = p.normalized_key()
+        if p.is_constant() or key in seen:
+            continue  # a nonzero constant is satisfied forever
+        seen.add(key)
+        kept.append((p, origin))
+    branch.side = kept
     return False
 
 
@@ -520,7 +497,7 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
     order = system.unknown_order
     root = Branch()
     for eq in system.equations:
-        _write_row(root, system, None, eq)
+        _write_row(root, system, None, eq.prov, eq.poly)
     queue = [root]
     done = []
     while queue:
@@ -538,7 +515,7 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
             if not branch.rows:
                 branch.status = "solved"
                 break
-            cand = _linear_candidate(branch)
+            cand = _linear_candidate(branch, system)
             if cand is not None:
                 var, rhs, prov = cand
                 _apply_substitution(branch, system, var, rhs, "substitute",
@@ -551,7 +528,7 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
                 for poly, lineage in consequences:
                     branch.derived += 1
                     prov = f"lin{branch.derived}"
-                    _write_row(branch, system, None, Equation(prov, poly))
+                    _write_row(branch, system, None, prov, poly)
                     branch.trace.append(
                         TraceStep("combine", None, poly, prov, lineage))
                 continue
@@ -560,28 +537,27 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
             splits = []
             needs_extension = False
             for rid, row in branch.rows.items():
-                eq = row.eq
                 unknowns = tuple(map(system.unknowns.__getitem__,
                                      row.unknowns))
-                for var, a, b, disc in _quadratic_shapes(eq.poly, unknowns):
+                for var, a, b, disc in _quadratic_shapes(row.poly, unknowns):
                     if disc.is_zero():
-                        forced = (var, b * (Fraction(-1) / (2 * a)), eq.prov)
+                        forced = (var, b * (Fraction(-1) / (2 * a)), row.prov)
                         break
                     if disc.is_constant():
                         d = disc.constant_value()
                         if is_rational_square(d):
                             splits.append((order(var), rid,
                                            "root", var, (a, b, rational_sqrt(d)),
-                                           eq.prov))
+                                           row.prov))
                         else:
                             needs_extension = True
                 if forced is not None:
                     break
-                fac = _factor_shape(eq.poly, unknowns)
+                fac = _factor_shape(row.poly, unknowns)
                 if fac is not None:
                     var, quotient = fac
                     splits.append((order(var), rid,
-                                   "factor", var, quotient, eq.prov))
+                                   "factor", var, quotient, row.prov))
             if forced is not None:
                 var, rhs, prov = forced
                 _apply_substitution(branch, system, var, rhs, "substitute",
@@ -615,9 +591,7 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
                     nonzero.depth += 1
                     nonzero.path = branch.path + (f"{var}!=0",)
                     nonzero.side.append((Poly.var(var), prov))
-                    nonzero.side_fresh = True
-                    _write_row(nonzero, system, rid,
-                               Equation(f"{prov}/{var}", payload))
+                    _write_row(nonzero, system, rid, f"{prov}/{var}", payload)
                     nonzero.trace.append(
                         TraceStep("case-nonzero", var, payload, prov))
                     queue.append(nonzero)
@@ -813,8 +787,8 @@ def enumerate_compatible(assoc: UnaryAlgebra, max_depth: int = 32,
             params=tuple(rename[u] for u in free),
             rhd=rhd, lhd=lhd,
             side=tuple(p.subs(mapping) for p, _ in branch.side),
-            residual=tuple(Equation(e.prov, e.poly.subs(mapping))
-                           for e in branch.equations),
+            residual=tuple(Equation(row.prov, row.poly.subs(mapping))
+                           for row in branch.rows.values()),
             branch=branch)
         if branch.status == "solved":
             report = check_antidendriform(fam.pair())

@@ -302,6 +302,19 @@ def test_budget_below_its_floor_is_a_usage_error(tmp_path, entry_id, args):
     assert f"argument {options[-2]}: must be at least" in proc.stderr
 
 
+def test_search_bound_above_its_budget_builds_nothing(tmp_path, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(iso, "rational_grid", lambda bound: built.append(bound))
+    monkeypatch.setattr(iso, "fingerprint", lambda ad: built.append(ad))
+    path = str(write_entry(tmp_path, "AD3_10"))
+    assert iso.SEARCH_BOUND_BUDGET == 16
+    code = cli.main(["iso", path, path, "--search", "--bound", "17"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "search-bound" in err and "17" in err
+    assert built == []
+
+
 def test_zero_split_and_step_budgets_stay_valid():
     args = cli.build_parser().parse_args(
         ["enumerate", "f.json", "--max-splits", "0", "--depth", "0"])

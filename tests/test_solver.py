@@ -120,8 +120,8 @@ def test_null_filiform_4_closes_infeasible_with_replayable_contradiction():
 
 def _two_pass_row_index(p: Poly, system: solver.ConstraintSystem):
     """The earlier row bookkeeping: the unknowns of p, sorted, then a second
-    pass over the terms for the lowest linear pivot; the unknowns are
-    returned as their pivot orders."""
+    pass over the terms for the lowest linear pivot; the unknowns and the
+    pivot are returned as their pivot orders."""
     order = system.unknown_order
     unknowns = tuple(sorted(p.variables() & system.unknown_set, key=order))
     orders = tuple(map(order, unknowns))
@@ -138,7 +138,7 @@ def _two_pass_row_index(p: Poly, system: solver.ConstraintSystem):
             return orders, None
     for var in unknowns:
         if occurrences[var] == 1 and ((var, 1),) in p.terms:
-            return orders, (len(unknowns), order(var), var)
+            return orders, order(var)
     return orders, None
 
 
@@ -201,6 +201,23 @@ def test_replay_rejects_a_tampered_combine_lineage():
     branch.trace[at] = solver.TraceStep(step.kind, step.var, step.poly,
                                         step.prov, ((prov, coeff + 1), *rest))
     assert not solver.replay_certificate(result.system, branch)
+
+
+def test_a_side_condition_that_becomes_a_nonzero_constant_is_dropped():
+    # u*w = 0 splits on u; on u != 0, w := 0 and then u := 1 turns the side
+    # condition u into the constant 1, which holds forever
+    u, v, w = (Poly.var(x) for x in ("u", "v", "w"))
+    system = solver.ConstraintSystem(
+        ("u", "v", "w"),
+        (solver.Equation("E1", u * w), solver.Equation("E2", w * v + u - 1)))
+    nonzero, zero = solver.eliminate(system)
+    assert nonzero.path == ("u!=0",) and nonzero.status == "solved"
+    assert nonzero.side == []
+    assert [s.kind for s in nonzero.trace] == [
+        "case-nonzero", "substitute", "substitute"]
+    assert solver.replay_certificate(system, nonzero)
+    assert zero.path == ("u=0",)
+    assert (zero.status, zero.stuck_reason) == ("stuck", "nonlinear")
 
 
 def test_idempotent_two_dim_algebras_are_infeasible():
