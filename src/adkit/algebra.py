@@ -16,7 +16,10 @@ forms a linear combination of rows, skipping zero coefficients and zero
 entries, and ``contract`` (x o y = sum_{i,j} x_i y_j c[i][j]) is two
 ``combine`` calls.  They work over int, Fraction, QuadExt and Poly; the
 caller passes the ring's zero, which stays in every coordinate where no
-term lands.  The identities, sums, basis changes, power series, quotients
+term lands.  Over Poly, every product of a coefficient term and an entry
+term adds straight into one terms dict per coordinate reached, and one
+Poly is built per such coordinate, with no Poly per product or partial
+sum.  The identities, sums, basis changes, power series, quotients
 and isomorphism witnesses (``iso``) all use them.
 
 Rank-based computations (centers, annihilators, power series, quotients)
@@ -50,7 +53,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import CenterMismatch, DimensionMismatch
-from .scalars import Poly, Scalar
+from .scalars import Poly, Scalar, _ints, _mono_mul
 
 Vector = tuple  # tuple[Poly, ...] in the standard basis
 
@@ -202,15 +205,36 @@ def combine(coeffs: Sequence, rows: Sequence[Sequence], zero) -> list:
 
     Zero coefficients and zero entries are skipped, and an entry where no
     term lands is the caller's ``zero``, so the ring (int, Fraction, QuadExt
-    or Poly) is whatever the operands and ``zero`` are.
+    or Poly) is whatever the operands and ``zero`` are.  Over Poly the
+    terms of each entry reached accumulate in one dict.
     """
     out = [zero] * len(rows[0])
+    if type(zero) is not Poly:
+        for c, row in zip(coeffs, rows):
+            if not c:
+                continue
+            for m, entry in enumerate(row):
+                if entry:
+                    out[m] = out[m] + c * entry
+        return out
+    acc: dict = {}             # entry index -> terms dict
     for c, row in zip(coeffs, rows):
         if not c:
             continue
+        cterms = c.terms.items() if type(c) is Poly else (((), c),)
         for m, entry in enumerate(row):
-            if entry:
-                out[m] = out[m] + c * entry
+            if not entry:
+                continue
+            terms = acc.get(m)
+            if terms is None:
+                terms = acc[m] = {}
+            for m2, c2 in (entry.terms.items() if type(entry) is Poly
+                           else (((), entry),)):
+                for m1, c1 in cterms:
+                    mono = _mono_mul(m1, m2)
+                    terms[mono] = terms.get(mono, 0) + c1 * c2
+    for m, terms in acc.items():
+        out[m] = Poly(_ints({mono: c for mono, c in terms.items() if c}), _trusted=True)
     return out
 
 

@@ -69,6 +69,12 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
         return m2
     if not m2:
         return m1
+    if len(m1) == 1 == len(m2):  # u*v, the solver's most common product
+        (n1, e1), = m1
+        (n2, e2), = m2
+        if n1 == n2:
+            return ((n1, e1 + e2),)
+        return m1 + m2 if n1 < n2 else m2 + m1
     exps: dict = dict(m1)
     for name, e in m2:
         exps[name] = exps.get(name, 0) + e
@@ -90,6 +96,25 @@ def _times(p: dict, q: dict) -> dict:
             else:
                 del out[m]
     return _ints(out)
+
+
+def _plus(p: dict, q: dict, sign: int) -> dict:
+    """The terms of p + sign*q, sign being 1 or -1, in one pass over q."""
+    out = dict(p)
+    for m, c in q.items():
+        if sign < 0:
+            c = -c
+        if m not in out:
+            out[m] = c
+            continue
+        s = out[m] + c
+        if not s:
+            del out[m]
+        elif type(s) is int or s.denominator != 1:
+            out[m] = s
+        else:
+            out[m] = s.numerator
+    return out
 
 
 def _power(powers: dict, mapping: Mapping, f: tuple) -> dict:
@@ -173,8 +198,9 @@ class Poly:
         return frozenset(name for m in self.terms for name, _ in m)
 
     def degree_in(self, names) -> int:
-        """Total degree counting only the listed variable names."""
-        names = set(names)
+        """Total degree counting only the listed names (a set is read as is)."""
+        if not isinstance(names, (set, frozenset)):
+            names = set(names)
         best = 0
         for m in self.terms:
             d = sum(e for n, e in m if n in names)
@@ -185,20 +211,7 @@ class Poly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: Scalar) -> "Poly":
-        other = Poly.coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            if m not in out:
-                out[m] = c
-                continue
-            s = out[m] + c
-            if not s:
-                del out[m]
-            elif type(s) is int or s.denominator != 1:
-                out[m] = s
-            else:
-                out[m] = s.numerator
-        return Poly(out, _trusted=True)
+        return Poly(_plus(self.terms, Poly.coerce(other).terms, 1), _trusted=True)
 
     __radd__ = __add__
 
@@ -206,10 +219,10 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()}, _trusted=True)
 
     def __sub__(self, other: Scalar) -> "Poly":
-        return self + (-Poly.coerce(other))
+        return Poly(_plus(self.terms, Poly.coerce(other).terms, -1), _trusted=True)
 
     def __rsub__(self, other: Scalar) -> "Poly":
-        return Poly.coerce(other) + (-self)
+        return Poly.coerce(other) - self
 
     def __mul__(self, other: Scalar) -> "Poly":
         if isinstance(other, (int, Fraction)):

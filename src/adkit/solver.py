@@ -41,7 +41,9 @@ once when it is written: its provenance, its Poly, its unknowns and its
 linear pivot, the last two from one pass over the terms.  The canonical key
 is the equation's primitive integer form, computed once and kept on its
 Poly, so the root branch reuses the keys the generator deduplicated with
-and a rewrite reads the old key back from the old Poly.
+and a rewrite reads the old key back from the old Poly.  The map of linear
+rows (id -> unknown count and pivot) changes with every row written or
+dropped, so step 2 never scans the rows without a pivot.
 A row names its unknowns by their integer pivot order (the position in
 ``ConstraintSystem.unknowns``), so they come out of one sort of ints, and
 an index maps each pivot order to the rows containing that unknown.  A
@@ -201,14 +203,16 @@ class Branch:
     keeps its row's id, so id order is list order.  ``uses`` maps each
     unknown's pivot order to the ids of the rows that contained it when
     written; readers skip ids whose row has since been dropped or lost the
-    unknown.  ``fresh`` holds the ids written since the last
-    canonicalisation, and ``keys`` maps the canonical key of every other row
-    to its id.
+    unknown.  ``linear`` maps the id of each row with a pivot to
+    ``(len(unknowns), pivot)``, the key of the linear choice.  ``fresh``
+    holds the ids written since the last canonicalisation, and ``keys`` maps
+    the canonical key of every other row to its id.
     """
     subs: dict = field(default_factory=dict)        # var -> Poly, fully reduced
     rows: dict = field(default_factory=dict)        # id -> _Row, in list order
     uses: dict = field(default_factory=dict)        # pivot order -> [row id]
     keys: dict = field(default_factory=dict)        # normalized_key -> row id
+    linear: dict = field(default_factory=dict)      # id -> (#unknowns, pivot)
     fresh: set = field(default_factory=set)
     side: list = field(default_factory=list)        # [(Poly, origin prov)]
     trace: list = field(default_factory=list)       # [TraceStep]
@@ -222,7 +226,8 @@ class Branch:
     def clone(self) -> "Branch":
         return replace(self, subs=dict(self.subs), rows=dict(self.rows),
                        uses={u: list(ids) for u, ids in self.uses.items()},
-                       keys=dict(self.keys), fresh=set(self.fresh),
+                       keys=dict(self.keys), linear=dict(self.linear),
+                       fresh=set(self.fresh),
                        side=list(self.side), trace=list(self.trace))
 
     def free_unknowns(self, system: ConstraintSystem) -> tuple:
@@ -290,6 +295,10 @@ def _write_row(branch: Branch, system: ConstraintSystem, rid: int | None,
         if n not in before:
             branch.uses.setdefault(n, []).append(rid)
     branch.rows[rid] = _Row(prov, poly, unknowns, pivot)
+    if pivot is None:
+        branch.linear.pop(rid, None)
+    else:
+        branch.linear[rid] = (len(unknowns), pivot)
     branch.fresh.add(rid)
 
 
@@ -313,10 +322,10 @@ def _apply_substitution(branch: Branch, system: ConstraintSystem, var: str,
 
 
 def _linear_candidate(branch: Branch, system: ConstraintSystem):
-    """(var, rhs, prov) of the best linear pivot: fewest unknowns, then the
-    lowest pivot order, then the earliest equation; None if there is none."""
-    best = min(((len(row.unknowns), row.pivot, rid)
-                for rid, row in branch.rows.items() if row.pivot is not None),
+    """(var, rhs, prov) of the best linear pivot in ``branch.linear``: fewest
+    unknowns, then the lowest pivot order, then the earliest equation; None
+    if there is none."""
+    best = min(((n, pivot, rid) for rid, (n, pivot) in branch.linear.items()),
                default=None)
     if best is None:
         return None
@@ -437,14 +446,17 @@ def _canonicalise(branch: Branch) -> list:
         poly = branch.rows[rid].poly
         if poly.is_zero():
             del branch.rows[rid]
+            branch.linear.pop(rid, None)
             continue
         key = poly.normalized_key()
         other = branch.keys.setdefault(key, rid)
         if other < rid:
             del branch.rows[rid]
+            branch.linear.pop(rid, None)
             continue
         if other > rid:
             del branch.rows[other]
+            branch.linear.pop(other, None)
             branch.keys[key] = rid
         kept.append(rid)
     return kept

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adkit import linalg
 from adkit.algebra import combine, contract
@@ -179,6 +180,100 @@ def test_contract_matches_hand_expansion_in_every_ring(rng):
             for j in range(n):
                 hand = [h + x[i] * y[j] * e for h, e in zip(hand, t[i][j])]
         assert contract(t, x, y, zero) == hand
+
+
+# Monomials in parameter names (a, b, l) and unknown names (u...), few
+# enough that products of drawn terms often meet and cancel.
+_MONOS = [(), (("a", 1),), (("b", 1),), (("l", 1),), (("u1_1_1", 1),),
+          (("u1_2_1", 1),), (("u1_1_1", 2),), (("a", 1), ("u1_2_1", 1)),
+          (("l", 1), ("u1_1_1", 1))]
+_COEFFS = [1, -1, 2, -2, F(1, 2), F(-1, 3)]
+_SCALARS = [0, 1, -1, 3, F(1, 2), F(-2, 3)]
+
+#: A sparse Poly: zero half the time, else up to three drawn terms.
+_polys = st.one_of(
+    st.just(Poly.zero()),
+    st.dictionaries(st.sampled_from(_MONOS), st.sampled_from(_COEFFS),
+                    min_size=1, max_size=3).map(Poly))
+
+
+def _fold(coeffs, rows, zero):
+    """The contraction as it was written before the Poly kernel: one
+    ``h + c * x`` per nonzero coefficient and entry."""
+    out = [zero] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [h + c * x if x else h for h, x in zip(out, row)]
+    return out
+
+
+def _exact(vec) -> list:
+    """Each entry's terms with the type of every coefficient, so that an
+    int and an equal Fraction tell apart."""
+    return [sorted((m, type(c).__name__, c) for m, c in Poly.coerce(p).terms.items())
+            for p in vec]
+
+
+@st.composite
+def _combinations(draw, coeff, entry):
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coeffs = draw(st.lists(coeff, min_size=k, max_size=k))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    return coeffs, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_combinations(_polys, _polys))
+def test_poly_combine_equals_the_fold(case):
+    coeffs, rows = case
+    zero = Poly.zero()
+    assert _exact(combine(coeffs, rows, zero)) == _exact(_fold(coeffs, rows, zero))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.lists(_polys, min_size=n, max_size=n), min_size=n,
+                      max_size=n), min_size=n, max_size=n),
+    st.lists(_polys, min_size=n, max_size=n),
+    st.lists(_polys, min_size=n, max_size=n))))
+def test_poly_contract_equals_the_fold(case):
+    t, x, y = case
+    zero = Poly.zero()
+    fold = _fold(x, [_fold(y, plane, zero) for plane in t], zero)
+    assert _exact(contract(t, x, y, zero)) == _exact(fold)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_combinations(st.sampled_from(_SCALARS), _polys))
+def test_rational_coefficients_with_poly_entries(case):
+    # transport_tensor's parametric path: rational T rows, Poly tensor rows
+    coeffs, rows = case
+    coeffs = [F(c) for c in coeffs]
+    zero = Poly.zero()
+    assert _exact(combine(coeffs, rows, zero)) == _exact(_fold(coeffs, rows, zero))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_combinations(_polys, st.sampled_from(_SCALARS)))
+def test_poly_coefficients_with_rational_entries(case):
+    # the transport identity's right side on a parametric target
+    coeffs, rows = case
+    zero = Poly.zero()
+    assert _exact(combine(coeffs, rows, zero)) == _exact(_fold(coeffs, rows, zero))
+
+
+def test_int_coefficients_keep_the_zero_where_no_term_lands():
+    zero = Poly.zero()
+    a, u = poly_parse("a"), Poly.var("u1_1_1")
+    rows = [[a, zero, u, zero], [u, zero, -u, zero], [zero, u, zero, a]]
+    out = combine([2, 1, 0], rows, zero)
+    assert out == [a * 2 + u, zero, u, zero]
+    assert out[1] is zero and out[3] is zero
+    # the u terms of coordinate 2 cancel: reached, so a new zero Poly
+    assert out[2] == u and combine([1, 1], rows[:2], zero)[2] == zero
+    assert combine([1, 1], rows[:2], zero)[2] is not zero
+    assert _exact(out) == _exact(_fold([2, 1, 0], rows, zero))
 
 
 def test_det_poly_cofactor():

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from adkit.errors import CoefficientSyntaxError, MissingAssignment
-from adkit.scalars import (Poly, QuadExt, format_poly, is_rational_square,
-                           parse_rational, poly_parse,
+from adkit.scalars import (Poly, QuadExt, _mono_mul, format_poly,
+                           is_rational_square, parse_rational, poly_parse,
                            rational_sqrt)
 
 from conftest import random_poly
@@ -228,6 +228,50 @@ def test_distinct_polys_differ_somewhere(rng):
     assert any(p.eval({"a": Fraction(i), "b": Fraction(j)})
                != q.eval({"a": Fraction(i), "b": Fraction(j)})
                for i in range(5) for j in range(5))
+
+
+def _merged_monomial(m1, m2):
+    """The product of two monomials by merging their exponents and sorting
+    by name, as ``_mono_mul`` forms every product of several factors."""
+    exps = dict(m1)
+    for name, e in m2:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def test_single_factor_monomial_product_matches_the_general_path():
+    u, v, l = ("u1_1_2", 1), ("u2_1_1", 1), ("l", 1)
+    pairs = [((u,), (u,)), ((u,), (v,)), ((v,), (u,)), ((l,), (u,)),
+             ((u,), (l,)), ((("a", 2),), (("a", 3),)), ((("b", 2),), (u,)),
+             # several factors take the general path; the empty one is unit
+             ((l, u), (v,)), ((u,), (l, v)), ((), (u,)), ((u,), ())]
+    for m1, m2 in pairs:
+        assert _mono_mul(m1, m2) == _merged_monomial(m1, m2)
+    assert _mono_mul((u,), (u,)) == (("u1_1_2", 2),)
+    assert _mono_mul((u,), (l,)) == (l, u)
+    assert Poly.var("u1_1_2") * Poly.var("l") == Poly({(l, u): 1})
+
+
+def test_difference_in_one_pass_matches_negate_then_add(rng):
+    for _ in range(100):
+        p, q = random_poly(rng), random_poly(rng)
+        diff = p - q
+        assert diff.terms == (p + (-q)).terms
+        assert all(type(c) is int or c.denominator != 1
+                   for c in diff.terms.values())
+    a = poly_parse("a")
+    assert (a - 1).terms == {(("a", 1),): 1, (): -1}
+    assert (1 - a).terms == {(("a", 1),): -1, (): 1}
+    assert (a - Fraction(1, 2) * 2).terms == (a - 1).terms
+
+
+def test_degree_in_reads_a_set_or_any_iterable_of_names():
+    p = poly_parse("a^2*b+b^3+g")
+    for names in ({"a", "b"}, frozenset(("a", "b")), ["a", "b"], ("a", "b"),
+                  iter(["a", "b"]), {"a": 0, "b": 0}):
+        assert p.degree_in(names) == 3
+    assert p.degree_in(frozenset("a")) == 2
+    assert p.degree_in(()) == 0
 
 
 def test_parse_rational_literals():

@@ -168,6 +168,77 @@ def test_index_row_matches_the_two_pass_oracle(label):
         assert solver._index_row(p, system) == _two_pass_row_index(p, system)
 
 
+#: The benchmark's inputs: mu0(3..5), and the 14 dimension-2 and -3 bases.
+_SOLVER_INPUTS = (
+    [(f"mu0_{n}", lambda n=n: catalog.null_filiform(n)) for n in (3, 4, 5)]
+    + [(eid, lambda eid=eid: catalog.get(eid))
+       for eid in [f"As2_{i}" for i in range(1, 8)]
+       + [f"As3_{i}" for i in range(1, 7)]]
+    + [("As3_5_l2", lambda: catalog.get("As3_5", {"l": F(2)}))])
+
+
+def _linear_rows(branch: solver.Branch) -> dict:
+    """The linear map recomputed from the rows: id -> (#unknowns, pivot)."""
+    return {rid: (len(row.unknowns), row.pivot)
+            for rid, row in branch.rows.items() if row.pivot is not None}
+
+
+@pytest.mark.parametrize("label", [label for label, _ in _SOLVER_INPUTS])
+def test_every_terminal_branch_keeps_its_linear_rows(label):
+    build = dict(_SOLVER_INPUTS)[label]
+    branches = solver.eliminate(solver.generate_constraints(build()))
+    assert branches
+    for branch in branches:
+        assert branch.linear == _linear_rows(branch)
+
+
+def test_a_clone_keeps_its_own_linear_map():
+    system = solver.generate_constraints(catalog.null_filiform(4))
+    root = solver.Branch()
+    for eq in system.equations:
+        solver._write_row(root, system, None, eq.prov, eq.poly)
+    solver._canonicalise(root)
+    before = dict(root.linear)
+    child = root.clone()
+    assert child.linear == before and child.linear is not root.linear
+    var, rhs, prov = solver._linear_candidate(child, system)
+    solver._apply_substitution(child, system, var, rhs, "substitute", prov)
+    solver._canonicalise(child)
+    assert child.linear == _linear_rows(child) != before
+    assert root.linear == before == _linear_rows(root)
+
+
+def _full_row_candidate(branch: solver.Branch, system: solver.ConstraintSystem):
+    """The earlier linear scan: the min over every row, after every step."""
+    best = min(((len(row.unknowns), row.pivot, rid)
+                for rid, row in branch.rows.items() if row.pivot is not None),
+               default=None)
+    if best is None:
+        return None
+    _, pivot, rid = best
+    row = branch.rows[rid]
+    var = system.unknowns[pivot]
+    a, b = row.poly.linear_parts(var)
+    return var, b * (Fraction(-1) / a.constant_value()), row.prov
+
+
+def test_linear_candidate_matches_the_full_row_scan(monkeypatch):
+    picks = []
+    candidate = solver._linear_candidate
+
+    def checked(branch, system):
+        got = candidate(branch, system)
+        picks.append((got, _full_row_candidate(branch, system)))
+        return got
+
+    monkeypatch.setattr(solver, "_linear_candidate", checked)
+    result = solver.enumerate_compatible(catalog.null_filiform(4))
+    assert result.status == "no-structure"
+    assert sum(got is not None for got, _ in picks) > 40
+    for got, old in picks:
+        assert got == old
+
+
 def test_replay_rejects_tampered_certificates():
     result = solver.enumerate_compatible(catalog.null_filiform(4))
     branch = result.infeasible[0].clone()
