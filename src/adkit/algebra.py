@@ -24,17 +24,26 @@ and isomorphism witnesses (``iso``) all use them.
 
 Rank-based computations (centers, annihilators, power series, quotients)
 require parameters to be instantiated first, because ranks can jump on
-parameter subvarieties.  A caller substitutes a point once (``subs``) and
-hands the instantiated tensors to every rank computation; none of them, nor
-``constant_tensor`` itself, takes an assignment.  A tensor without
+parameter subvarieties.  A caller evaluates a rational point once (``at``)
+and hands the instantiated tensors to every rank computation; none of them,
+nor ``constant_tensor`` itself, takes an assignment.  A tensor without
 parameters is evaluated to Fractions once and kept (``constant_tensor``),
 and the rank computations, basis changes and 2-nilpotency all read that
-value.  Basis changes, 2-nilpotency and the power series run on integers:
-each rational operand is cleared once by the lcm of its denominators
-(``_cleared`` for tensors, ``_cleared_rows`` for matrices) and contracted
-over int.  A basis change then forms one Fraction per nonzero entry and
-hands the result those Fractions as its kept value, so a moved copy is
-never evaluated back; the power series keeps each power as the integer
+value.
+
+A tensor can also be made from its Fractions alone
+(``StructureConstants.from_constant``): a point evaluation, a basis change
+of a constant tensor and the projection onto a quotient all make theirs
+this way.  Such a tensor keeps the Fractions as its constant value, has no
+variables, and lists its nonzero entries from them; its Poly view ``c`` is
+built only when something reads it (a sum, an identity check, a
+parametric contraction), and that first read fills the slot, so every
+later read is a plain slot read.  Basis changes, 2-nilpotency and the power
+series run on integers: each rational operand is cleared once by the lcm
+of its denominators (``_cleared`` for tensors, ``_cleared_rows`` for
+matrices) and contracted over int.  A basis change then forms one Fraction
+per nonzero entry and keeps those, so a moved copy is never evaluated
+back; the power series keeps each power as the integer
 echelon rows of ``linalg.echelon_int``, the pivot rows of the one
 fraction-free elimination loop.  Parametric tensors run the same loops
 over Poly, uncleared.
@@ -52,7 +61,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .errors import CenterMismatch, DimensionMismatch
+from .errors import CenterMismatch, DimensionMismatch, MissingAssignment
 from .scalars import Poly, Scalar, _ints, _mono_mul
 
 Vector = tuple  # tuple[Poly, ...] in the standard basis
@@ -69,7 +78,11 @@ def unit_vector(dim: int, i: int) -> Vector:
 
 
 class StructureConstants:
-    """Tensor of structure constants for one bilinear operation."""
+    """Tensor of structure constants for one bilinear operation.
+
+    ``c`` holds the entries as Polys; a tensor made by ``from_constant``
+    builds it on first read (see the module docstring).
+    """
 
     __slots__ = ("dim", "c", "_constant")
 
@@ -78,6 +91,22 @@ class StructureConstants:
         self.c = tuple(tuple(tuple(Poly.coerce(x) for x in row) for row in plane)
                        for plane in c)
         self._constant = None  # constant_tensor() once evaluated
+
+    @classmethod
+    def from_constant(cls, dim: int, t: tuple) -> "StructureConstants":
+        """A tensor without parameters, kept as its nested tuples t of Fractions."""
+        sc = cls.__new__(cls)
+        sc.dim = dim
+        sc._constant = t
+        return sc
+
+    def __getattr__(self, name):
+        # Reached only for a slot never set: the Poly view of a kept constant.
+        if name != "c":
+            raise AttributeError(name)
+        self.c = tuple(tuple(tuple(Poly.const(x) for x in row) for row in plane)
+                       for plane in self._constant)
+        return self.c
 
     @classmethod
     def zero(cls, dim: int) -> "StructureConstants":
@@ -104,13 +133,21 @@ class StructureConstants:
         return cls(dim, tensor)
 
     def entries(self):
-        """Iterate nonzero entries as ((i, j, k), poly) with 0-based indices."""
+        """Iterate nonzero entries as ((i, j, k), poly) with 0-based indices.
+
+        A tensor with a kept constant reads it and builds a Poly only for
+        each nonzero entry.
+        """
+        t = self._constant
         for i in range(self.dim):
             for j in range(self.dim):
                 for k in range(self.dim):
-                    p = self.c[i][j][k]
-                    if not p.is_zero():
-                        yield (i, j, k), p
+                    if t is None:
+                        p = self.c[i][j][k]
+                        if p:
+                            yield (i, j, k), p
+                    elif t[i][j][k]:
+                        yield (i, j, k), Poly.const(t[i][j][k])
 
     def row(self, i: int, j: int) -> Vector:
         """The product e_i o e_j as a coordinate vector."""
@@ -123,7 +160,13 @@ class StructureConstants:
     def subs(self, mapping) -> "StructureConstants":
         return self.map_entries(lambda p: p.subs(mapping))
 
+    def at(self, point) -> "StructureConstants":
+        """The tensor at a rational point, kept as its Fractions (``_at``)."""
+        return _at((self,), point)[0]
+
     def variables(self) -> frozenset:
+        if self._constant is not None:
+            return frozenset()
         out = frozenset()
         for _, p in self.entries():
             out |= p.variables()
@@ -145,14 +188,14 @@ class StructureConstants:
 
         The value is computed on the first call and kept; a tensor with
         parameters raises ``MissingAssignment`` on every call and caches
-        nothing.  A point is evaluated as ``sc.subs(point).constant_tensor()``.
+        nothing.  A point is evaluated as ``sc.at(point)``.
         """
         if self._constant is None:
-            self._constant = self._evaluate()
+            self._constant = self._evaluate({})
         return self._constant
 
-    def _evaluate(self) -> tuple:
-        return tuple(tuple(tuple(p.eval({}) for p in row) for row in plane)
+    def _evaluate(self, point) -> tuple:
+        return tuple(tuple(tuple(p.eval(point) for p in row) for row in plane)
                      for plane in self.c)
 
     def __eq__(self, other):
@@ -177,6 +220,9 @@ class UnaryAlgebra:
     def subs(self, mapping) -> "UnaryAlgebra":
         return UnaryAlgebra(self.sc.subs(mapping), self.label)
 
+    def at(self, point) -> "UnaryAlgebra":
+        return UnaryAlgebra(self.sc.at(point), self.label)
+
 
 @dataclass(frozen=True)
 class AdPair:
@@ -196,8 +242,29 @@ class AdPair:
     def subs(self, mapping) -> "AdPair":
         return AdPair(self.rhd.subs(mapping), self.lhd.subs(mapping), self.label)
 
+    def at(self, point) -> "AdPair":
+        return AdPair(*_at((self.rhd, self.lhd), point), self.label)
+
     def variables(self) -> frozenset:
         return self.rhd.variables() | self.lhd.variables()
+
+
+def _at(tensors, point) -> list:
+    """The tensors at a rational point that assigns each of their parameters.
+
+    Each tensor is evaluated once, entry by entry, and kept as its Fractions
+    (``from_constant``); one whose constant is already kept is returned as
+    is.  A parameter without a value raises ``MissingAssignment`` naming
+    every such parameter of the tensors, sorted.
+    """
+    try:
+        return [sc if sc._constant is not None
+                else StructureConstants.from_constant(sc.dim, sc._evaluate(point))
+                for sc in tensors]
+    except MissingAssignment:
+        names = frozenset().union(*(sc.variables() for sc in tensors))
+        raise MissingAssignment(
+            "no value for " + ", ".join(sorted(names - set(point)))) from None
 
 
 def combine(coeffs: Sequence, rows: Sequence[Sequence], zero) -> list:
@@ -545,9 +612,9 @@ def quotient_by_centers(ad: AdPair, z_sum, z_ad) -> QuotientResult:
 
     def project(sc: StructureConstants) -> StructureConstants:
         t = sc.constant_tensor()
-        return StructureConstants(len(kept), [
-            [combine(t[a][b], inv, Fraction(0))[len(center_rows):] for b in kept]
-            for a in kept])
+        return StructureConstants.from_constant(len(kept), tuple(
+            tuple(tuple(combine(t[a][b], inv, Fraction(0))[len(center_rows):])
+                  for b in kept) for a in kept))
 
     pair = AdPair(project(ad.rhd), project(ad.lhd),
                   label=None if ad.label is None else f"{ad.label}/Z")
@@ -587,11 +654,9 @@ def transport_tensor(sc: StructureConstants, t_rows) -> StructureConstants:
     if scale is None:
         return StructureConstants(n, moved)
     frac0 = Fraction(0)
-    moved = tuple(tuple(tuple(Fraction(x, scale) if x else frac0 for x in row)
-                        for row in plane) for plane in moved)
-    out = StructureConstants(n, moved)
-    out._constant = moved
-    return out
+    return StructureConstants.from_constant(n, tuple(
+        tuple(tuple(Fraction(x, scale) if x else frac0 for x in row) for row in plane)
+        for plane in moved))
 
 
 def apply_basis_change(obj, t_rows):

@@ -4,6 +4,8 @@ Commands: ``verify``, ``catalog {list,verify,export}``, ``enumerate``,
 ``iso``, ``analyze``.  Reports are JSON with sorted keys and canonical
 coefficient strings, so two runs on the same input are byte-identical and
 golden-file diffable; ``--plain`` renders the same data for humans.
+The argparse parser is built once per process, on the first ``main`` call,
+and reused by every later call.
 
 Exit codes: 0 all checks passed; 1 a mathematical failure (an identity
 violation, an unexpected infeasibility, a failed witness); 2 usage or parse
@@ -13,6 +15,7 @@ error; 3 inconclusive (stuck branches, search exhausted its bound).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -20,9 +23,10 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import catalog, fileio, iso, solver
-from .algebra import (AdPair, UnaryAlgebra, center_ad, center_associative,
-                      check_antidendriform, is_associative, is_two_nilpotent,
-                      power_series, quotient_by_centers, sum_algebra)
+from .algebra import (AdPair, StructureConstants, UnaryAlgebra, center_ad,
+                      center_associative, check_antidendriform, is_associative,
+                      is_two_nilpotent, power_series, quotient_by_centers,
+                      sum_algebra)
 from .errors import AdkitError, BudgetExceeded, CenterMismatch
 from .scalars import format_poly, is_rational_square
 
@@ -292,10 +296,11 @@ def _fingerprint_dict(fp: iso.Fingerprint) -> dict:
 
 def _analyze_at(obj, assign) -> dict:
     out = {"assignment": _assign_str(assign)}
-    if assign:
-        obj = obj.subs(assign)  # every helper reads the kept constants
+    obj = obj.at(assign)  # every helper reads the kept constants
     if isinstance(obj, AdPair):
-        total = sum_algebra(obj)
+        total = UnaryAlgebra(StructureConstants.from_constant(obj.dim, tuple(
+            tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(p, q))
+            for p, q in zip(obj.rhd.constant_tensor(), obj.lhd.constant_tensor()))))
         z_sum = center_associative(total)
         z_ad = center_ad(obj)
         series = power_series(total)
@@ -456,9 +461,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and reused by every
+    later one: ``parse_args`` returns a fresh namespace and leaves the
+    parser as it is."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, code = args.fn(args)
     except AdkitError as exc:

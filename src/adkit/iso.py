@@ -17,7 +17,7 @@ a single assignment rule out any witness there.  A failed bounded search
 proves nothing and is reported as such.
 
 Fingerprints and the search need pairs without parameters.  The caller
-substitutes a point once (``ad.subs(point)``) and passes the instantiated
+evaluates a point once (``ad.at(point)``) and passes the instantiated
 pairs; both read the pairs' kept constants (``constant_tensor``), so a pair's
 two tensors are evaluated once however many fingerprints and searches read
 them.
@@ -206,7 +206,7 @@ def _image_dim(tensor, n: int) -> int:
 def fingerprint(ad: AdPair) -> Fingerprint:
     """Compute the invariant profile from the pair's kept constants.
 
-    Parameters must be instantiated (``ad.subs(point)``) first; a parametric
+    Parameters must be instantiated (``ad.at(point)``) first; a parametric
     pair raises ``MissingAssignment``.  The ranks and flags are read on the
     pair cleared to integers by one common denominator, so r + l is a
     nonzero multiple of the sum's tensor, with its ranks and its symmetry.

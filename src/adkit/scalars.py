@@ -317,18 +317,25 @@ class Poly:
         return Poly(out, _trusted=True) if hit else self
 
     def eval(self, assign: Mapping[str, Fraction]) -> Fraction:
-        """Exact evaluation; every occurring variable must be assigned."""
-        missing = self.variables() - set(assign)
-        if missing:
-            raise MissingAssignment(
-                "no value for " + ", ".join(sorted(missing)))
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
-            for name, e in m:
-                v *= Fraction(assign[name]) ** e
-            total += v
-        return total
+        """Exact evaluation; every occurring variable must be assigned.
+
+        Each term is read once.  A value that is neither an int nor a
+        Fraction goes through ``Fraction``; the variable set is built only
+        to name the missing ones in ``MissingAssignment``.
+        """
+        total = 0
+        try:
+            for m, c in self.terms.items():
+                for name, e in m:
+                    x = assign[name]
+                    if type(x) is not int and type(x) is not Fraction:
+                        x = Fraction(x)
+                    c *= x if e == 1 else x ** e
+                total += c
+        except KeyError:
+            raise MissingAssignment("no value for " + ", ".join(
+                sorted(self.variables() - set(assign)))) from None
+        return total if type(total) is Fraction else Fraction(total)
 
     # -- solver helpers --------------------------------------------------------
 

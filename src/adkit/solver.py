@@ -834,6 +834,4 @@ def sample_branch(family: Family, assign: Mapping[str, Fraction]) -> AdPair:
         if eq.poly.eval(assign) != 0:
             raise ConstraintViolation(
                 f"residual equation {eq.prov} is violated at the sample")
-    rhd = family.rhd.map_entries(lambda p: Poly.const(p.eval(assign)))
-    lhd = family.lhd.map_entries(lambda p: Poly.const(p.eval(assign)))
-    return AdPair(rhd, lhd, label=f"{family.label}@sample")
+    return AdPair(family.rhd, family.lhd, label=f"{family.label}@sample").at(assign)

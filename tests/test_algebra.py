@@ -401,6 +401,35 @@ def test_constant_tensor_of_parametric_tensor_is_never_cached():
         sc.constant_tensor()
 
 
+def test_point_evaluation_keeps_only_fractions():
+    ad = catalog.get("AD3_15")
+    point = {"a": F(1, 2), "b": -2, "g": "3/4", "l": 5}
+    at = ad.at(point)
+    expected = ad.subs({k: F(v) for k, v in point.items()})
+    for sc, poly in ((at.rhd, expected.rhd), (at.lhd, expected.lhd)):
+        assert sc.variables() == frozenset()
+        assert sc.constant_tensor() == poly.constant_tensor()
+        assert all(type(x) is F for plane in sc.constant_tensor()
+                   for row in plane for x in row)
+        assert list(sc.entries()) == list(poly.entries())
+        with pytest.raises(AttributeError):  # no Poly view built yet
+            StructureConstants.c.__get__(sc)
+        assert sc.c == poly.c  # built on first read, then kept in its slot
+        assert StructureConstants.c.__get__(sc) is sc.c
+    assert at.at(point) == at and at.at(point).rhd is at.rhd
+
+
+def test_point_evaluation_names_every_missing_parameter():
+    ad = catalog.get("AD3_15")
+    # rhd alone lacks only b; the message covers both tensors
+    with pytest.raises(MissingAssignment, match=r"^no value for b, l$"):
+        ad.at({"a": F(1, 2), "g": 3})
+    with pytest.raises(MissingAssignment, match=r"^no value for b$"):
+        ad.rhd.at({"a": F(1, 2), "g": 3})
+    with pytest.raises(MissingAssignment, match=r"^no value for a, b, g, l$"):
+        ad.at({})
+
+
 # -- quotient -----------------------------------------------------------------------------
 
 
@@ -549,7 +578,7 @@ def test_constant_transport_equals_the_fraction_contraction(rng):
                     seen["tensor"] += _denominators(
                         [row for plane in c for row in plane]) > 1
                     assert new.constant_tensor() == _moved_by_fractions(c, t)
-                    assert new._constant == new._evaluate()
+                    assert new._constant == new._evaluate({})
                     assert all(type(x) is Fraction for plane in new._constant
                                for row in plane for x in row)
     assert points == 57

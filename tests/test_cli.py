@@ -355,23 +355,25 @@ def test_analyze_two_operation_file(tmp_path):
 
 
 @pytest.mark.parametrize("entry_id, points, per_point",
-                         [("AD3_15", 625, 3), ("As3_5", 5, 1)])
+                         [("AD3_15", 625, 2), ("As3_5", 5, 1)])
 def test_analyze_evaluates_each_tensor_once_per_point(
         tmp_path, monkeypatch, capsys, entry_id, points, per_point):
-    # a pair point evaluates rhd, lhd and their sum once each; a unary
-    # point its one tensor; every rank helper then reads the kept constant
+    # a pair point evaluates rhd and lhd once each, and its sum is read from
+    # their constants; a unary point evaluates its one tensor; every rank
+    # helper then reads the kept constant
     path = write_entry(tmp_path, entry_id)
     evaluate = StructureConstants._evaluate
     calls = []
 
-    def counted(self):
-        calls.append(self)
-        return evaluate(self)
+    def counted(self, point):
+        calls.append(point)
+        return evaluate(self, point)
 
     monkeypatch.setattr(StructureConstants, "_evaluate", counted)
     assert cli.main(["analyze", str(path)]) == 0
     assert len(json.loads(capsys.readouterr().out)["results"]["at"]) == points
     assert len(calls) == per_point * points
+    assert len({tuple(sorted(point.items())) for point in calls}) == points
 
 
 @pytest.mark.parametrize("entry_id, assign, points", [
@@ -393,6 +395,36 @@ def test_analyze_assign_matches_instantiated_export(tmp_path, capsys, entry_id,
         (expected,) = json.loads(capsys.readouterr().out)["results"]["at"]
         assert expected.pop("assignment") == {}
         assert point == expected
+
+
+def test_one_parser_serves_successive_calls(tmp_path, capsys):
+    # main builds its parser once per process; no option of one call may
+    # carry over to the next, and each report equals a fresh process's
+    path = str(write_entry(tmp_path, "AD3_15"))
+    calls = [["analyze", path, "--assign", "a=1/2,l=-3"],
+             ["--plain", "analyze", path],
+             ["analyze", path, "--assign"],  # usage error: no value
+             ["analyze", path]]
+    codes, outputs = [], []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, out.out, out.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+        outputs.append(out.out)
+    assert codes == [0, 0, 2, 0]
+    first, plain, usage, last = outputs
+    assert len(json.loads(first)["results"]["at"]) == 25
+    assert plain.startswith("command: analyze")
+    assert usage == ""
+    report = json.loads(last)
+    assert report["options"]["assign"] == {}
+    assert len(report["results"]["at"]) == 625
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path):

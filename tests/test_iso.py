@@ -157,15 +157,15 @@ def test_moved_copy_keeps_the_constants_of_its_basis_change(monkeypatch, rng):
     evaluate = StructureConstants._evaluate
     calls = []
 
-    def counted(self):
+    def counted(self, point):
         calls.append(self)
-        return evaluate(self)
+        return evaluate(self, point)
 
     monkeypatch.setattr(StructureConstants, "_evaluate", counted)
     iso.fingerprint(moved)
     assert len(calls) == 1
-    assert moved.rhd.constant_tensor() == evaluate(moved.rhd)
-    assert moved.lhd.constant_tensor() == evaluate(moved.lhd)
+    assert moved.rhd.constant_tensor() == evaluate(moved.rhd, {})
+    assert moved.lhd.constant_tensor() == evaluate(moved.lhd, {})
     parametric = apply_basis_change(catalog.get("AD3_22"), random_invertible(rng, 3))
     with pytest.raises(MissingAssignment):
         parametric.rhd.constant_tensor()

@@ -82,6 +82,17 @@ def test_eval_missing_assignment():
         poly_parse("a+b").eval({"a": Fraction(1)})
 
 
+def test_eval_names_every_missing_parameter_sorted():
+    p = poly_parse("l*b+a*g+1/2")
+    with pytest.raises(MissingAssignment, match=r"^no value for b, l$"):
+        p.eval({"g": Fraction(2), "a": 1})
+    # int and string values convert as Fractions do
+    value = p.eval({"a": 2, "b": "1/2", "g": "3", "l": -4})
+    assert value == Fraction(-4) * Fraction(1, 2) + 2 * 3 + Fraction(1, 2)
+    assert type(value) is Fraction
+    assert type(poly_parse("2*a").eval({"a": 3})) is Fraction
+
+
 def test_additive_inverse_cancels():
     assert (poly_parse("a+b") + poly_parse("-a-b")).is_zero()
 
