@@ -2,9 +2,10 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adkit import catalog, solver
 from adkit.algebra import (StructureConstants, UnaryAlgebra,
@@ -12,7 +13,7 @@ from adkit.algebra import (StructureConstants, UnaryAlgebra,
 from adkit.errors import (BudgetExceeded, ConstraintViolation,
                           MissingAssignment, NotAssociative,
                           SideConditionViolation)
-from adkit.scalars import Poly, format_poly
+from adkit.scalars import Poly, format_poly, poly_parse
 
 F = Fraction
 
@@ -289,6 +290,131 @@ def test_a_side_condition_that_becomes_a_nonzero_constant_is_dropped():
     assert solver.replay_certificate(system, nonzero)
     assert zero.path == ("u=0",)
     assert (zero.status, zero.stuck_reason) == ("stuck", "nonlinear")
+
+
+# -- moves that no registry input reaches ------------------------------------
+
+
+def _system(*equations, unknowns=("u",)):
+    """A hand-built system whose equations E0, E1, ... are parsed from text."""
+    names = unknowns + ("a",)
+    return solver.ConstraintSystem(unknowns, tuple(
+        solver.Equation(f"E{i}", poly_parse(text, names))
+        for i, text in enumerate(equations)))
+
+
+def _steps(branch) -> list:
+    return [(s.kind, s.var, None if s.poly is None else format_poly(s.poly),
+             s.prov) for s in branch.trace]
+
+
+def test_a_zero_discriminant_forces_the_double_root():
+    system = _system("u^2-2*u+1")
+    (branch,) = solver.eliminate(system)
+    assert (branch.path, branch.status) == ((), "solved")
+    assert _steps(branch) == [("substitute", "u", "1", "E0")]
+    assert solver.replay_certificate(system, branch)
+
+
+def test_a_square_discriminant_splits_on_the_two_roots():
+    system = _system("u^2-1")
+    plus, minus = sorted(solver.eliminate(system), key=lambda b: b.path)
+    assert (plus.path, minus.path) == (("u:root+",), ("u:root-",))
+    assert _steps(plus) == [("root-case", "u", "1", "E0")]
+    assert _steps(minus) == [("root-case", "u", "-1", "E0")]
+    for branch in (plus, minus):
+        assert branch.status == "solved"
+        assert solver.replay_certificate(system, branch)
+
+
+def test_replay_rejects_a_tampered_root_case():
+    system = _system("u^2-1")
+    branch = solver.eliminate(system)[0].clone()
+    step = branch.trace[0]
+    assert step.kind == "root-case"
+    branch.trace[0] = solver.TraceStep(step.kind, step.var, Poly.const(2),
+                                       step.prov)
+    assert not solver.replay_certificate(system, branch)
+
+
+def test_a_non_square_discriminant_needs_an_extension():
+    (branch,) = solver.eliminate(_system("u^2-2"))
+    assert (branch.status, branch.stuck_reason) == ("stuck", "needs-extension")
+    assert branch.trace == []
+
+
+def test_the_root_split_comes_before_the_factor_split_of_one_row():
+    # u^2-u = u*(u-1) fits both shapes; the quadratic test comes first
+    system = _system("u^2-u")
+    branches = solver.eliminate(system)
+    assert [b.path for b in branches] == [("u:root+",), ("u:root-",)]
+    assert [_steps(b) for b in branches] == [[("root-case", "u", "1", "E0")],
+                                             [("root-case", "u", "0", "E0")]]
+
+
+def test_splits_sort_by_pivot_order_then_row():
+    # both rows offer a split on v; the earlier row's factor split wins
+    system = _system("u*v-v", "v^2-v", unknowns=("u", "v"))
+    branches = solver.eliminate(system)
+    assert [(b.path, b.status) for b in branches] == [
+        (("v!=0", "v:root+"), "solved"), (("v!=0", "v:root-"), "infeasible"),
+        (("v=0",), "solved")]
+    nonzero = ("case-nonzero", "v", "-1+u", "E0")
+    assert _steps(branches[1]) == [
+        nonzero, ("substitute", "u", "1", "E0/v"), ("root-case", "v", "0", "E1"),
+        ("side-contradiction", None, "0", "E0")]
+    assert _steps(branches[2]) == [("case-zero", "v", "0", "E0")]
+    for branch in branches:
+        assert solver.replay_certificate(system, branch)
+
+
+def test_a_parametric_discriminant_falls_through_to_the_factor_split():
+    system = _system("u^2+a*u")
+    nonzero, zero = solver.eliminate(system)
+    assert (nonzero.path, zero.path) == (("u!=0",), ("u=0",))
+    assert _steps(nonzero)[0] == ("case-nonzero", "u", "a+u", "E0")
+    assert _steps(zero) == [("case-zero", "u", "0", "E0")]
+    for branch in (nonzero, zero):
+        assert branch.status == "solved"
+        assert solver.replay_certificate(system, branch)
+
+
+# every monomial of degree at most two in u, v, w, alone and times a
+_MONOMIALS = [unknowns + param
+              for degree in range(3)
+              for unknowns in combinations_with_replacement("uvw", degree)
+              for param in ((), ("a",))]
+
+
+@st.composite
+def _random_systems(draw):
+    """1-3 equations in u, v, w over the parameter a, with small integer
+    coefficients."""
+    equations = []
+    for i in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(st.sampled_from(_MONOMIALS),
+                                     st.integers(-2, 2), min_size=1, max_size=4))
+        poly = Poly.zero()
+        for mono, c in terms.items():
+            term = Poly.const(c)
+            for name in mono:
+                term = term * Poly.var(name)
+            poly = poly + term
+        if not poly.is_zero():
+            equations.append(solver.Equation(f"E{i}", poly))
+    return solver.ConstraintSystem(("u", "v", "w"), tuple(equations))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_systems())
+def test_random_systems_are_solved_soundly(system):
+    for branch in solver.eliminate(system, max_depth=6, step_limit=200):
+        if branch.status == "infeasible":
+            assert solver.replay_certificate(system, branch)
+        elif branch.status == "solved":
+            par = solver._branch_parametrisation(branch, system)
+            for eq in system.equations:
+                assert eq.poly.subs(par).is_zero(), eq.prov
 
 
 def test_idempotent_two_dim_algebras_are_infeasible():
