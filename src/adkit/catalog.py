@@ -73,9 +73,7 @@ class CatalogEntry:
     lhd: Mapping = field(default_factory=dict)
     associated_sum: str | None = None
     sum_witness: tuple = ()      # rescaling onto associated_sum, if not literal
-    sum_witness_nonzero: tuple = ()
     iso_notes: tuple = ()
-    degenerate_sums: tuple = ()  # ((param, value-string, sum-entry-id), ...)
     auxiliary: bool = False      # listed, but not counted among the families
 
     def tensors(self) -> UnaryAlgebra | AdPair:
@@ -148,9 +146,7 @@ def _ad2():
         "AD2_3", 2, "antidendriform", params=("l",),
         rhd={(1, 1, 2): "1"}, lhd={(1, 1, 2): "l"},
         associated_sum="As2_3",
-        sum_witness=(("1", "0"), ("0", "1+l")),
-        sum_witness_nonzero=("1+l",),
-        degenerate_sums=(("l", "-1", "As2_1"),)))
+        sum_witness=(("1", "0"), ("0", "1+l"))))
 
 
 def _ad3():
@@ -314,11 +310,6 @@ def null_filiform(n: int) -> UnaryAlgebra:
     table = {(i, j, i + j): "1"
              for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n}
     return UnaryAlgebra(StructureConstants.from_table(n, table), label=f"mu0[{n}]")
-
-
-def ids() -> tuple:
-    """Entry ids in lexicographic order, plus the generator id ``mu0``."""
-    return tuple(sorted(_REGISTRY)) + ("mu0",)
 
 
 def entry(entry_id: str) -> CatalogEntry:

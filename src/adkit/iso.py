@@ -120,11 +120,6 @@ def _transport_residuals(src, tgt, t, zero, e=1):
                             yield (name, i, j, m), res
 
 
-def _lifted(tensor, zero) -> list:
-    """A rational tensor over the ring of ``zero`` (QuadExt)."""
-    return [[[zero + x for x in row] for row in plane] for plane in tensor]
-
-
 def verify_witness_tensors(src_tensors, tgt_tensors, witness: Witness) -> WitnessReport:
     """Transport identity for a list of paired tensors (shared witness)."""
     n = witness.dim
@@ -137,9 +132,10 @@ def verify_witness_tensors(src_tensors, tgt_tensors, witness: Witness) -> Witnes
     if d == 0:
         raise SingularMatrix("witness matrix has (identically) zero determinant")
     if witness.is_quadratic:
+        # QuadExt arithmetic coerces the rational entries as it meets them
         zero = QuadExt(0, 0, witness.radicand)
-        src = [_lifted(sc.constant_tensor(), zero) for sc in src_tensors]
-        tgt = [_lifted(sc.constant_tensor(), zero) for sc in tgt_tensors]
+        src = [sc.constant_tensor() for sc in src_tensors]
+        tgt = [sc.constant_tensor() for sc in tgt_tensors]
     else:
         zero = Poly.zero()
         src, tgt = [sc.c for sc in src_tensors], [sc.c for sc in tgt_tensors]
@@ -406,13 +402,12 @@ def _search_quadratic(src, tgt, n, bound, d, budget=500_000):
 
     Only diagonal-times-permutation shapes are tried, e'_i = d_i e_{s(i)};
     these cover the square-root rescalings that arise in normalisation
-    arguments.  Each candidate is tested on the tensors lifted to Q(sqrt d).
+    arguments.  Each candidate is tested on the rational tensors, which
+    QuadExt arithmetic coerces into Q(sqrt d).
     """
     grid = rational_grid(bound)
     zero = QuadExt(0, 0, d)
     scalars = [QuadExt(a, b, d) for a in grid for b in grid if a or b]
-    src_q = [_lifted(s, zero) for s in src]
-    tgt_q = [_lifted(g, zero) for g in tgt]
     idx = range(n)
     examined = 0
     for perm in permutations(idx):
@@ -421,6 +416,6 @@ def _search_quadratic(src, tgt, n, bound, d, budget=500_000):
             if examined > budget:
                 return None
             rows = [[diag[i] if perm[i] == k else zero for k in idx] for i in idx]
-            if next(_transport_residuals(src_q, tgt_q, rows, zero), None) is None:
+            if next(_transport_residuals(src, tgt, rows, zero), None) is None:
                 return Witness(tuple(tuple(r) for r in rows), Fraction(d))
     return None

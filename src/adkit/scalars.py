@@ -339,36 +339,27 @@ class Poly:
 
     # -- solver helpers --------------------------------------------------------
 
-    def linear_parts(self, name: str) -> tuple["Poly", "Poly"]:
-        """Write ``self = A*name + B`` with neither part containing ``name``.
+    def coefficients(self, name: str) -> dict:
+        """Write ``self = sum of c_e * name^e``; returns ``{e: c_e}``.
 
-        Requires the degree in ``name`` to be at most one.
+        No c_e holds ``name`` and none is zero, so the keys are exactly the
+        powers of ``name`` that occur (0 included when a term lacks it).
+        Each term is read once; a monomial stays sorted when its ``name``
+        factor is cut out.  The solver reads every move from this view: a
+        linear pivot has the keys {0, 1} and a rational c_1, a solvable
+        quadratic the keys {0, 1, 2} or fewer with a rational c_2, and
+        ``name`` divides the polynomial exactly when 0 is not a key.
         """
-        a: dict = {}
-        b: dict = {}
+        parts: dict = {}
         for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.pop(name, 0)
-            if e == 0:
-                b[m] = c
-            elif e == 1:
-                a[tuple(sorted(exps.items()))] = c
-            else:
-                raise ValueError(f"degree in {name} exceeds 1")
-        return Poly(a, _trusted=True), Poly(b, _trusted=True)
-
-    def divide_by_var(self, name: str) -> "Poly | None":
-        """Quotient by ``name`` if it divides every term, else None."""
-        out: dict = {}
-        for m, c in self.terms.items():
-            exps = dict(m)
-            if exps.get(name, 0) < 1:
-                return None
-            exps[name] -= 1
-            if exps[name] == 0:
-                del exps[name]
-            out[tuple(sorted(exps.items()))] = c
-        return Poly(out, _trusted=True)
+            e = 0
+            for i, (n, k) in enumerate(m):
+                if n == name:
+                    e = k
+                    m = m[:i] + m[i + 1:]
+                    break
+            parts.setdefault(e, {})[m] = c
+        return {e: Poly(part, _trusted=True) for e, part in parts.items()}
 
     def normalized_key(self) -> tuple:
         """Canonical key identifying the equation ``self = 0`` up to scaling.

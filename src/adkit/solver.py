@@ -24,10 +24,12 @@ Elimination loop, per branch:
    rows are sparse, one dict per equation, and go straight to the linalg
    elimination loop; above ``CONSEQUENCE_CAP`` equations this step is
    skipped;
-4. split on a quadratic: a factor shape (unknown)*(linear) = 0, or a
-   single-unknown quadratic a*u^2 + b*u + c resolved through its
-   discriminant (zero forces the double root, a constant square splits on
-   the two polynomial roots);
+4. read each row, once per unknown u in pivot order, as p = sum of
+   c_e * u^e (``Poly.coefficients``): a*u^2 + b*u + c with a rational a
+   is resolved through its discriminant (zero forces the double root, a
+   constant square splits on the two polynomial roots), and the first u
+   dividing p with a linear quotient splits u*(linear) = 0; splits are
+   taken by (pivot order, row), a root split before a factor split;
 5. a branch dies when an equation reduces to a nonzero rational constant,
    or a recorded side condition reduces to zero -- either way the branch
    carries a replayable trace ending in the contradiction;
@@ -332,58 +334,51 @@ def _linear_candidate(branch: Branch, system: ConstraintSystem):
     _, pivot, rid = best
     row = branch.rows[rid]
     var = system.unknowns[pivot]
-    a, b = row.poly.linear_parts(var)
-    return var, b * (Fraction(-1) / a.constant_value()), row.prov
+    # the pivot occurs only in the term a*var, a rational (see _index_row)
+    a = row.poly.terms[((var, 1),)]
+    return var, (row.poly - Poly.var(var) * a) * (Fraction(-1) / a), row.prov
 
 
-def _quadratic_shapes(p: Poly, unknowns: tuple):
-    """Views of p as a*u^2 + b*u + c with a a nonzero rational constant.
+def _moves(row: _Row, names: tuple):
+    """The moves a row offers, read from p = sum of c_e * u^e once per
+    unknown u, in pivot order, as (kind, pivot order, u, payload).
 
-    Yields (u, a, b, disc) in the order of ``unknowns``, the unknowns of p
-    in pivot order; the discriminant decides the move: disc = 0 forces
-    u := -b/2a exactly (p = a*(u + b/2a)^2), a nonzero constant square
-    disc = r^2 factors p = a*(u - r1)*(u - r2) with polynomial roots, and a
-    constant non-square disc has no root in the rationals even though one
-    exists over the complex field.
+    With p = a*u^2 + b*u + c and a a nonzero rational, the discriminant
+    decides: zero is "forced" u := -b/2a (p = a*(u + b/2a)^2) and ends the
+    row, a constant square is "root" with the two roots of
+    p = a*(u - r1)*(u - r2), and a constant non-square is "extension" (the
+    roots lie outside the rationals).  The first u dividing p with a
+    quotient of degree at most one is "factor", with that quotient.
     """
-    for u in unknowns:
-        a_terms: dict = {}
-        b_terms: dict = {}
-        c_terms: dict = {}
-        ok = True
-        for mono, coeff in p.terms.items():
-            exps = dict(mono)
-            e = exps.pop(u, 0)
-            stripped = tuple(sorted(exps.items()))
-            if e == 0:
-                c_terms[stripped] = coeff
-            elif e == 1:
-                b_terms[stripped] = coeff
-            elif e == 2:
-                a_terms[stripped] = coeff
-            else:
-                ok = False
-                break
-        if not ok or not a_terms:
-            continue
-        a = Poly(a_terms, _trusted=True)
-        if not a.is_constant():
-            continue
-        b = Poly(b_terms, _trusted=True)
-        c = Poly(c_terms, _trusted=True)
-        disc = b * b - a * c * 4
-        yield u, a.constant_value(), b, disc
-
-
-def _factor_shape(p: Poly, unknowns: tuple):
-    """Match u * (linear) = 0; returns (u, quotient) with the first such u
-    in ``unknowns``, the unknowns of p in pivot order."""
-    for var in unknowns:
-        q = p.divide_by_var(var)
-        if q is not None and not q.is_zero():
+    p = row.poly
+    unknowns = {names[n] for n in row.unknowns}
+    factored = False
+    for n in row.unknowns:
+        u = names[n]
+        coeffs = p.coefficients(u)
+        a = coeffs.get(2)
+        if a is not None and max(coeffs) == 2 and a.is_constant():
+            a = a.constant_value()
+            b = coeffs.get(1, Poly.zero())
+            disc = b * b - coeffs.get(0, Poly.zero()) * a * 4
+            if disc.is_zero():
+                yield "forced", n, u, b * (Fraction(-1) / (2 * a))
+                return
+            if disc.is_constant():
+                d = disc.constant_value()
+                if is_rational_square(d):
+                    r = rational_sqrt(d)
+                    yield "root", n, u, tuple(
+                        (b + Poly.const(-sign * r)) * (Fraction(-1) / (2 * a))
+                        for sign in (1, -1))
+                else:
+                    yield "extension", n, u, None
+        if not factored and 0 not in coeffs:
+            q = sum((c * Poly.var(u) ** (e - 1) for e, c in coeffs.items()),
+                    Poly.zero())
             if q.degree_in(unknowns) <= 1:
-                return var, q
-    return None
+                factored = True
+                yield "factor", n, u, q
 
 
 def _linear_consequences(branch: Branch, unknown_set: frozenset) -> list:
@@ -506,7 +501,6 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
     ``max_depth`` bounds the number of splits along any root-to-leaf path;
     branches that would exceed it are marked stuck instead of split.
     """
-    order = system.unknown_order
     root = Branch()
     for eq in system.equations:
         _write_row(root, system, None, eq.prov, eq.poly)
@@ -544,32 +538,20 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
                     branch.trace.append(
                         TraceStep("combine", None, poly, prov, lineage))
                 continue
-            # quadratics in one unknown: a forced root needs no split
+            # a forced root needs no split; else the lowest (pivot, row) split
             forced = None
             splits = []
             needs_extension = False
             for rid, row in branch.rows.items():
-                unknowns = tuple(map(system.unknowns.__getitem__,
-                                     row.unknowns))
-                for var, a, b, disc in _quadratic_shapes(row.poly, unknowns):
-                    if disc.is_zero():
-                        forced = (var, b * (Fraction(-1) / (2 * a)), row.prov)
-                        break
-                    if disc.is_constant():
-                        d = disc.constant_value()
-                        if is_rational_square(d):
-                            splits.append((order(var), rid,
-                                           "root", var, (a, b, rational_sqrt(d)),
-                                           row.prov))
-                        else:
-                            needs_extension = True
+                for kind, n, var, payload in _moves(row, system.unknowns):
+                    if kind == "forced":
+                        forced = (var, payload, row.prov)
+                    elif kind == "extension":
+                        needs_extension = True
+                    else:
+                        splits.append((n, rid, kind, var, payload, row.prov))
                 if forced is not None:
                     break
-                fac = _factor_shape(row.poly, unknowns)
-                if fac is not None:
-                    var, quotient = fac
-                    splits.append((order(var), rid,
-                                   "factor", var, quotient, row.prov))
             if forced is not None:
                 var, rhs, prov = forced
                 _apply_substitution(branch, system, var, rhs, "substitute",
@@ -583,13 +565,10 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
                 splits.sort(key=lambda s: (s[0], s[1]))
                 _, rid, kind, var, payload, prov = splits[0]
                 if kind == "root":
-                    a, b, root = payload
-                    for sign in (1, -1):
-                        rhs = (b + Poly.const(-sign * root)) * \
-                            (Fraction(-1) / (2 * a))
+                    for sign, rhs in zip("+-", payload):
                         child = branch.clone()
                         child.depth += 1
-                        child.path = branch.path + (f"{var}:root{'+' if sign > 0 else '-'}",)
+                        child.path = branch.path + (f"{var}:root{sign}",)
                         _apply_substitution(child, system, var, rhs,
                                             "root-case", prov)
                         queue.append(child)

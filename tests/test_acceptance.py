@@ -101,8 +101,10 @@ def _family_point_for_coefficient(fam, target):
     """Parameter value making the e3 coefficient of e1>e1 equal target."""
     poly = fam.rhd.c[0][0][2]
     (param,) = fam.params
-    a, b = poly.linear_parts(param)
-    return (F(target) - b.constant_value()) / a.constant_value()
+    parts = poly.coefficients(param)
+    assert set(parts) <= {0, 1}
+    b = parts.get(0, Poly.zero())
+    return (F(target) - b.constant_value()) / parts[1].constant_value()
 
 
 def test_criterion_4_null_filiform_3_enumeration():

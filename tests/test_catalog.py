@@ -6,7 +6,7 @@ from adkit import catalog, fileio
 from adkit.algebra import StructureConstants, sum_algebra
 from adkit.errors import (ConstraintViolation, MissingAssignment,
                           UnknownEntry)
-from adkit.scalars import Poly
+from adkit.scalars import Poly, poly_parse
 
 F = Fraction
 
@@ -108,9 +108,13 @@ def test_stated_sums():
 def test_two_dim_family_sum_matches_up_to_rescaling():
     rep = catalog.verify_entry(catalog.entry("AD2_3"))
     assert rep.ok and rep.sum_ok
-    # and the recorded degenerate collapse: at l = -1 the sum is abelian
+    # the rescaling onto As2_3 is invertible exactly when 1+l != 0, and at
+    # l = -1 the sum collapses onto the abelian As2_1
+    (w1, w2), (w3, w4) = catalog.entry("AD2_3").sum_witness
+    det = poly_parse(w1) * poly_parse(w4) - poly_parse(w2) * poly_parse(w3)
+    assert det == poly_parse("1+l")
     ad = catalog.get("AD2_3", {"l": F(-1)})
-    assert sum_algebra(ad).sc == StructureConstants.zero(2)
+    assert sum_algebra(ad).sc == catalog.get("As2_1").sc == StructureConstants.zero(2)
 
 
 def test_iso_notes_verify_symbolically():

@@ -104,11 +104,17 @@ def test_random_arithmetic_matches_the_fraction_oracle(rng, built):
         fmap = {"a": _f(mapping["a"]),
                 "b": {(): Fraction(mapping["b"])}}
         _check(p.subs(mapping), _f_subs(fp, fmap))
-        r = p.subs({"a": Poly.var("g")}) * Poly.var("a") + q.subs({"a": 0})
-        a_part, b_part = r.linear_parts("a")
-        _check(a_part * Poly.var("a") + b_part, _f(r))
-        quotient = (q * Poly.var("g")).divide_by_var("g")
-        _check(quotient, fq)
+        for r, name in ((p, "a"), (q * Poly.var("g"), "g")):
+            parts = r.coefficients(name)
+            g = Poly.var(name)
+            rebuilt = Poly.zero()
+            for e, c in parts.items():
+                assert not c.is_zero() and name not in c.variables()
+                assert not _bad_coefficients(c)
+                rebuilt = rebuilt + c * g ** e
+            _check(rebuilt, _f(r))
+        if not q.is_zero():
+            assert 0 not in (q * Poly.var("g")).coefficients("g")
     for p in built:
         assert not _bad_coefficients(p), p.terms
 

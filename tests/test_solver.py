@@ -219,8 +219,10 @@ def _full_row_candidate(branch: solver.Branch, system: solver.ConstraintSystem):
     _, pivot, rid = best
     row = branch.rows[rid]
     var = system.unknowns[pivot]
-    a, b = row.poly.linear_parts(var)
-    return var, b * (Fraction(-1) / a.constant_value()), row.prov
+    parts = row.poly.coefficients(var)
+    assert set(parts) <= {0, 1} and parts[1].is_constant()
+    rest = parts.get(0, Poly.zero())
+    return var, rest * (Fraction(-1) / parts[1].constant_value()), row.prov
 
 
 def test_linear_candidate_matches_the_full_row_scan(monkeypatch):
