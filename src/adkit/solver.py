@@ -351,7 +351,6 @@ def _moves(row: _Row, names: tuple):
     quotient of degree at most one is "factor", with that quotient.
     """
     p = row.poly
-    unknowns = {names[n] for n in row.unknowns}
     factored = False
     for n in row.unknowns:
         u = names[n]
@@ -376,7 +375,7 @@ def _moves(row: _Row, names: tuple):
         if not factored and 0 not in coeffs:
             q = sum((c * Poly.var(u) ** (e - 1) for e, c in coeffs.items()),
                     Poly.zero())
-            if q.degree_in(unknowns) <= 1:
+            if q.degree_in(names[m] for m in row.unknowns) <= 1:
                 factored = True
                 yield "factor", n, u, q
 

@@ -111,6 +111,7 @@ def test_random_arithmetic_matches_the_fraction_oracle(rng, built):
             for e, c in parts.items():
                 assert not c.is_zero() and name not in c.variables()
                 assert not _bad_coefficients(c)
+                assert all(list(m) == sorted(m) for m in c.terms)
                 rebuilt = rebuilt + c * g ** e
             _check(rebuilt, _f(r))
         if not q.is_zero():
