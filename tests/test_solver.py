@@ -407,16 +407,50 @@ def _random_systems(draw):
     return solver.ConstraintSystem(("u", "v", "w"), tuple(equations))
 
 
+# small rationals for the free unknowns and a; coordinate i starts its scan
+# i places along, so the first point tried has distinct coordinates
+_POINT_VALUES = (F(2), F(-1), F(1, 2), F(3), F(0), F(1), F(-2))
+
+
+def _leaf_point(branch: solver.Branch, system: solver.ConstraintSystem):
+    """Every unknown and a at a point of a solved leaf: the free unknowns
+    and a scan small rationals until every side condition is nonzero."""
+    names = branch.free_unknowns(system) + ("a",)
+    size = len(_POINT_VALUES)
+    for idx in iproduct(range(size), repeat=len(names)):
+        point = {name: _POINT_VALUES[(k + i) % size]
+                 for i, (name, k) in enumerate(zip(names, idx))}
+        if all(p.eval(point) != 0 for p, _ in branch.side):
+            point.update((u, rhs.eval(point)) for u, rhs in branch.subs.items())
+            return point
+    return None
+
+
+def _leaf_contains(branch: solver.Branch, point: dict) -> bool:
+    return (all(rhs.eval(point) == point[u] for u, rhs in branch.subs.items())
+            and all(p.eval(point) != 0 for p, _ in branch.side)
+            and all(row.poly.eval(point) == 0 for row in branch.rows.values()))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_random_systems())
 def test_random_systems_are_solved_soundly(system):
-    for branch in solver.eliminate(system, max_depth=6, step_limit=200):
+    branches = solver.eliminate(system, max_depth=6, step_limit=200)
+    leaves = [b for b in branches if b.status in ("solved", "stuck")]
+    for branch in branches:
         if branch.status == "infeasible":
             assert solver.replay_certificate(system, branch)
         elif branch.status == "solved":
-            par = solver._branch_parametrisation(branch, system)
+            par = {u: branch.subs.get(u, Poly.var(u)) for u in system.unknowns}
             for eq in system.equations:
                 assert eq.poly.subs(par).is_zero(), eq.prov
+            # the leaves are pairwise disjoint: a point of this one lies in
+            # no other solved or stuck leaf
+            point = _leaf_point(branch, system)
+            assert point is not None and _leaf_contains(branch, point)
+            for other in leaves:
+                if other is not branch:
+                    assert not _leaf_contains(other, point), other.path
 
 
 def test_idempotent_two_dim_algebras_are_infeasible():
@@ -747,10 +781,12 @@ def _check_grid_conservation(alg: UnaryAlgebra):
     cells, solutions = _brute_force_solutions(alg)
     result = solver.enumerate_compatible(alg)
     fams = list(result.families) + list(result.constrained)
-    claimed = set()
-    for fam in fams:
-        claimed |= _claimed_grid_points(fam, cells)
-    assert claimed == set(solutions)
+    # the families partition the solution set, so no grid point is claimed
+    # twice and together they claim every solution
+    claimed = [_claimed_grid_points(fam, cells) for fam in fams]
+    union = set().union(*claimed)
+    assert sum(map(len, claimed)) == len(union)
+    assert union == set(solutions)
 
 
 @pytest.mark.parametrize("eid", ["As2_1", "As2_2", "As2_3"])
