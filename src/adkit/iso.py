@@ -225,7 +225,7 @@ def fingerprint(ad: AdPair) -> Fingerprint:
         dim=n,
         rhd_image_dim=_image_dim(r, n),
         lhd_image_dim=_image_dim(l, n),
-        sum_image_dim=_image_dim(s, n),
+        sum_image_dim=series.dims[1],  # dim A^2, spanned by the e_i.e_j
         sum_power_dims=series.dims,
         center_ad_dim=n - linalg.span_dim(left + right),
         center_sum_dim=n - linalg.span_dim(sum_rows),

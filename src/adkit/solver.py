@@ -63,7 +63,10 @@ equation up to date only when a step reads it.
 The union of the surviving branches' solution sets (side conditions
 included), together with the stuck branches, equals the original solution
 set: substitutions and row combinations are invertible rewrites, and both
-split shapes partition the solution set exactly.  A quadratic whose
+split shapes partition the solution set exactly (u = 0 | u != 0, and
+u = r1 | u = r2 with r1 - r2 a nonzero constant).  So the leaves are
+pairwise disjoint, and ``enumerate_compatible`` reports them as they are,
+one family each.  A quadratic whose
 discriminant is a nonzero non-square rational leaves the branch
 "stuck: needs-extension" rather than infeasible, because the root exists
 over the complex field even though no rational represents it.
@@ -219,7 +222,6 @@ class Branch:
     side: list = field(default_factory=list)        # [(Poly, origin prov)]
     trace: list = field(default_factory=list)       # [TraceStep]
     path: tuple = ()
-    depth: int = 0
     status: str = "open"       # open | solved | infeasible | stuck
     stuck_reason: str = ""
     derived: int = 0           # counter for combination-derived equations
@@ -231,6 +233,11 @@ class Branch:
                        keys=dict(self.keys), linear=dict(self.linear),
                        fresh=set(self.fresh),
                        side=list(self.side), trace=list(self.trace))
+
+    @property
+    def depth(self) -> int:
+        """The number of splits above this branch: one path label each."""
+        return len(self.path)
 
     def free_unknowns(self, system: ConstraintSystem) -> tuple:
         return tuple(u for u in system.unknowns if u not in self.subs)
@@ -566,19 +573,16 @@ def eliminate(system: ConstraintSystem, max_depth: int = 32,
                 if kind == "root":
                     for sign, rhs in zip("+-", payload):
                         child = branch.clone()
-                        child.depth += 1
                         child.path = branch.path + (f"{var}:root{sign}",)
                         _apply_substitution(child, system, var, rhs,
                                             "root-case", prov)
                         queue.append(child)
                 else:
                     zero = branch.clone()
-                    zero.depth += 1
                     zero.path = branch.path + (f"{var}=0",)
                     _apply_substitution(zero, system, var, Poly.zero(),
                                         "case-zero", prov)
                     nonzero = branch.clone()
-                    nonzero.depth += 1
                     nonzero.path = branch.path + (f"{var}!=0",)
                     nonzero.side.append((Poly.var(var), prov))
                     _write_row(nonzero, system, rid, f"{prov}/{var}", payload)
@@ -677,10 +681,6 @@ class Family:
     residual: tuple            # Equations that must vanish at samples
     branch: Branch
 
-    @property
-    def solved(self) -> bool:
-        return not self.residual
-
     def pair(self) -> AdPair:
         return AdPair(self.rhd, self.lhd, label=self.label)
 
@@ -699,48 +699,6 @@ class EnumerationResult:
         return "no-structure"
 
 
-def _branch_parametrisation(branch: Branch, system: ConstraintSystem) -> dict:
-    """Every unknown as a polynomial in the branch's free unknowns."""
-    return {u: branch.subs.get(u, Poly.var(u)) for u in system.unknowns}
-
-
-def _contained_in(b: Branch, a: Branch, system: ConstraintSystem) -> bool:
-    """Exact containment of solution sets for solved branches.
-
-    B lies inside A when A has no side conditions and every substitution
-    relation of A becomes an identity under B's parametrisation.
-    """
-    if a.side:
-        return False
-    par_b = _branch_parametrisation(b, system)
-    return all((par_b[v] - rhs.subs(par_b)).is_zero() for v, rhs in a.subs.items())
-
-
-def _absorb_redundant_solved(solved: list, system: ConstraintSystem) -> list:
-    """Drop solved branches contained in another solved branch.
-
-    Dropping a contained branch leaves the union of solution sets unchanged;
-    when two branches describe the same set, the lexicographically earlier
-    case path survives.
-    """
-    kept = []
-    for b in solved:
-        drop = False
-        for a in solved:
-            if a is b or not _contained_in(b, a, system):
-                continue
-            if _contained_in(a, b, system):
-                if a.path < b.path:
-                    drop = True
-                    break
-            else:
-                drop = True
-                break
-        if not drop:
-            kept.append(b)
-    return kept
-
-
 def enumerate_compatible(assoc: UnaryAlgebra, max_depth: int = 32,
                          step_limit: int = 100_000) -> EnumerationResult:
     """Solve the compatibility system and package the outcome.
@@ -754,7 +712,6 @@ def enumerate_compatible(assoc: UnaryAlgebra, max_depth: int = 32,
     solved = [b for b in branches if b.status == "solved"]
     stuck = [b for b in branches if b.status == "stuck"]
     dead = [b for b in branches if b.status == "infeasible"]
-    solved = _absorb_redundant_solved(solved, system)
 
     families = []
     constrained = []

@@ -217,6 +217,17 @@ def test_split_budget_option(tmp_path):
                for f in report["results"]["constrained_families"])
 
 
+@pytest.mark.parametrize("entry_id", ["As2_1", "As2_3"])
+def test_zero_step_budget_exits_3(tmp_path, capsys, entry_id):
+    path = str(write_entry(tmp_path, entry_id))
+    assert cli.main(["enumerate", path, "--depth", "0"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "inconclusive"
+    constrained = report["results"]["constrained_families"]
+    assert constrained
+    assert all(f["stuck_reason"] == "step-budget" for f in constrained)
+
+
 def test_iso_witness_file_mode(tmp_path):
     a = write_entry(tmp_path, "AD3_8", name="a", assign="a=1,b=2")
     b = write_entry(tmp_path, "AD3_8", name="b", assign="a=-2,b=-1")

@@ -488,6 +488,13 @@ def test_as3_1_names_the_consequence_cap():
     assert fam.branch.stuck_reason == "consequence-cap"
 
 
+def test_a_zero_step_budget_leaves_the_root_stuck():
+    system = solver.generate_constraints(catalog.get("As2_1"))
+    (branch,) = solver.eliminate(system, step_limit=0)
+    assert (branch.status, branch.stuck_reason) == ("stuck", "step-budget")
+    assert branch.path == () and branch.trace == []
+
+
 def _output_digests(result) -> tuple:
     """sha256 of every branch certificate and of every family's tensors,
     side conditions and residual equations, as canonical JSON."""
