@@ -27,14 +27,15 @@ require parameters to be instantiated first, because ranks can jump on
 parameter subvarieties.  A caller evaluates a rational point once (``at``)
 and hands the instantiated tensors to every rank computation; none of them,
 nor ``constant_tensor`` itself, takes an assignment.  A tensor without
-parameters is evaluated to Fractions once and kept (``constant_tensor``),
-and the rank computations, basis changes and 2-nilpotency all read that
-value.
+parameters is evaluated once and kept (``constant_tensor``), and the rank
+computations, basis changes and 2-nilpotency all read that value.  An
+evaluated value is an int when integral and a Fraction otherwise, the
+coefficient rule of ``scalars``.
 
-A tensor can also be made from its Fractions alone
+A tensor can also be made from its rationals alone
 (``StructureConstants.from_constant``): a point evaluation, a basis change
 of a constant tensor and the projection onto a quotient all make theirs
-this way.  Such a tensor keeps the Fractions as its constant value, has no
+this way.  Such a tensor keeps the rationals as its constant value, has no
 variables, and lists its nonzero entries from them; its Poly view ``c`` is
 built only when something reads it (a sum, an identity check, a
 parametric contraction), and that first read fills the slot, so every
@@ -62,7 +63,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import CenterMismatch, DimensionMismatch, MissingAssignment
-from .scalars import Poly, Scalar, _ints, _mono_mul
+from .scalars import Poly, Scalar, _ints, _mono_mul, _num
 
 Vector = tuple  # tuple[Poly, ...] in the standard basis
 
@@ -94,7 +95,7 @@ class StructureConstants:
 
     @classmethod
     def from_constant(cls, dim: int, t: tuple) -> "StructureConstants":
-        """A tensor without parameters, kept as its nested tuples t of Fractions."""
+        """A tensor without parameters, kept as its nested tuples t of rationals."""
         sc = cls.__new__(cls)
         sc.dim = dim
         sc._constant = t
@@ -161,7 +162,7 @@ class StructureConstants:
         return self.map_entries(lambda p: p.subs(mapping))
 
     def at(self, point) -> "StructureConstants":
-        """The tensor at a rational point, kept as its Fractions (``_at``)."""
+        """The tensor at a rational point, kept as its values (``_at``)."""
         return _at((self,), point)[0]
 
     def variables(self) -> frozenset:
@@ -184,7 +185,7 @@ class StructureConstants:
         return self.map_entries(lambda p: -p)
 
     def constant_tensor(self):
-        """Every entry as a Fraction, in nested tuples.
+        """Every entry as a rational (int or Fraction), in nested tuples.
 
         The value is computed on the first call and kept; a tensor with
         parameters raises ``MissingAssignment`` on every call and caches
@@ -252,11 +253,13 @@ class AdPair:
 def _at(tensors, point) -> list:
     """The tensors at a rational point that assigns each of their parameters.
 
-    Each tensor is evaluated once, entry by entry, and kept as its Fractions
-    (``from_constant``); one whose constant is already kept is returned as
-    is.  A parameter without a value raises ``MissingAssignment`` naming
-    every such parameter of the tensors, sorted.
+    The point's integral values are made ints once (``_num``), so that
+    evaluation multiplies ints; each tensor is evaluated once and kept as
+    its values (``from_constant``), and one whose constant is already kept
+    is returned as is.  A parameter without a value raises
+    ``MissingAssignment`` naming every such parameter of the tensors, sorted.
     """
+    point = {name: _num(x) for name, x in point.items()}
     try:
         return [sc if sc._constant is not None
                 else StructureConstants.from_constant(sc.dim, sc._evaluate(point))

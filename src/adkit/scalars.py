@@ -10,14 +10,15 @@ structural comparison, with no tolerances anywhere.
 
 A coefficient is stored as an ``int`` when it is integral and as a
 ``Fraction`` only when its denominator exceeds 1; every operation that
-builds a polynomial turns an integral result back into an ``int``.  The
-solver's systems come from integer structure constants, so nearly every
-coefficient is an integer, and int arithmetic skips the normalisation that
-each Fraction operation pays for.  The two types compare and hash alike,
-and both have ``numerator`` and ``denominator``, so the rule changes no
-value, key or printed form.  A coefficient that leaves a polynomial to be
-divided must be made a Fraction first (``constant_value`` returns one),
-since int / int is a float.
+builds a polynomial turns an integral result back into an ``int``, and
+``eval`` returns its value under the same rule.  The solver's systems come
+from integer structure constants, so nearly every coefficient and sampled
+value is an integer, and int arithmetic skips the normalisation that each
+Fraction operation pays for.  The two types compare and hash alike, and
+both have ``numerator`` and ``denominator``, so the rule changes no value,
+key or printed form.  A coefficient or value that is to be divided must be
+made a Fraction first (``constant_value`` returns one), since int / int is
+a float.
 
 Coefficient expressions in files and on the command line use a small grammar
 over the indeterminates ``a``, ``b``, ``g``, ``l``::
@@ -316,12 +317,13 @@ class Poly:
                 out[mono] = c2
         return Poly(out, _trusted=True) if hit else self
 
-    def eval(self, assign: Mapping[str, Fraction]) -> Fraction:
+    def eval(self, assign: Mapping[str, Fraction]) -> int | Fraction:
         """Exact evaluation; every occurring variable must be assigned.
 
         Each term is read once.  A value that is neither an int nor a
         Fraction goes through ``Fraction``; the variable set is built only
-        to name the missing ones in ``MissingAssignment``.
+        to name the missing ones in ``MissingAssignment``.  The result
+        follows the coefficient rule: an int when integral, else a Fraction.
         """
         total = 0
         try:
@@ -335,7 +337,7 @@ class Poly:
         except KeyError:
             raise MissingAssignment("no value for " + ", ".join(
                 sorted(self.variables() - set(assign)))) from None
-        return total if type(total) is Fraction else Fraction(total)
+        return _num(total)
 
     # -- solver helpers --------------------------------------------------------
 

@@ -12,6 +12,12 @@ SMALL_RATIONALS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                    Fraction(-2), Fraction(1, 2), Fraction(-1, 2), Fraction(3)]
 
 
+def off_int_rule(c) -> bool:
+    """Does the exact value c break the int rule: is it a float or another
+    type, or an integral Fraction?"""
+    return type(c) is not int and (type(c) is not Fraction or c.denominator == 1)
+
+
 def random_poly(rng: random.Random, names=("a", "b"), max_degree=4, terms=4) -> Poly:
     p = Poly.zero()
     for _ in range(rng.randint(0, terms)):

@@ -14,7 +14,7 @@ from adkit.errors import (CenterMismatch, DimensionMismatch, MissingAssignment,
 from adkit.iso import Witness, verify_witness
 from adkit.scalars import Poly, poly_parse
 
-from conftest import random_pair, random_invertible, random_tensor
+from conftest import off_int_rule, random_pair, random_invertible, random_tensor
 
 F = Fraction
 
@@ -401,16 +401,31 @@ def test_constant_tensor_of_parametric_tensor_is_never_cached():
         sc.constant_tensor()
 
 
-def test_point_evaluation_keeps_only_fractions():
+def _fraction_value(p: Poly, point) -> Fraction:
+    """p at a point, in Fraction arithmetic only: an oracle for ``eval``."""
+    total = F(0)
+    for m, c in p.terms.items():
+        term = F(c)
+        for name, e in m:
+            term *= F(point[name]) ** e
+        total += term
+    return total
+
+
+def test_point_evaluation_keeps_ints_when_integral():
     ad = catalog.get("AD3_15")
     point = {"a": F(1, 2), "b": -2, "g": "3/4", "l": 5}
     at = ad.at(point)
     expected = ad.subs({k: F(v) for k, v in point.items()})
-    for sc, poly in ((at.rhd, expected.rhd), (at.lhd, expected.lhd)):
+    for sc, poly, orig in ((at.rhd, expected.rhd, ad.rhd),
+                           (at.lhd, expected.lhd, ad.lhd)):
         assert sc.variables() == frozenset()
         assert sc.constant_tensor() == poly.constant_tensor()
-        assert all(type(x) is F for plane in sc.constant_tensor()
-                   for row in plane for x in row)
+        values = [x for plane in sc.constant_tensor() for row in plane for x in row]
+        assert values == [_fraction_value(p, point) for plane in orig.c
+                          for row in plane for p in row]
+        assert not any(off_int_rule(x) for x in values)
+        assert {type(x) for x in values} == {int, F}
         assert list(sc.entries()) == list(poly.entries())
         with pytest.raises(AttributeError):  # no Poly view built yet
             StructureConstants.c.__get__(sc)

@@ -2,25 +2,27 @@
 
 The values are checked against a Fraction-only oracle written here, and the
 types are checked on every polynomial built, whichever constructor or
-operation built it, by watching ``Poly.__init__``.
+operation built it, by watching ``Poly.__init__``.  Evaluated values, of a
+polynomial (``Poly.eval``) or of a tensor at a point (``at``), follow the
+same rule and are checked against the same oracle.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from adkit import catalog, solver
+from adkit import catalog, cli, solver
+from adkit.algebra import AdPair
 from adkit.scalars import Poly, _mono_mul, poly_parse
 
-from conftest import random_poly
+from conftest import off_int_rule, random_poly
 
 
 def _bad_coefficients(p: Poly) -> list:
     """Coefficients that break the rule: a float or other type, or an
     integral Fraction."""
-    return [c for c in p.terms.values()
-            if type(c) is not int
-            and (type(c) is not Fraction or c.denominator == 1)]
+    return [c for c in p.terms.values() if off_int_rule(c)]
 
 
 @pytest.fixture
@@ -84,11 +86,24 @@ def _check(p: Poly, oracle: dict):
 SCALES = [Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-3, 4),
           Fraction(4, 3), 3, -2]
 
+#: Point values of every kind ``eval`` takes: int, integral Fraction,
+#: non-integral Fraction and string.
+POINT_VALUES = [0, 3, -2, Fraction(4, 2), Fraction(-3), Fraction(1, 2),
+                Fraction(-3, 4), "5", "-1/3", "6/3"]
+
+
+def _f_value(p: Poly, point: dict) -> Fraction:
+    """p at a point that assigns all of its variables, by the oracle."""
+    out = _f_subs(_f(p), {n: {(): Fraction(x)} for n, x in point.items()})
+    assert set(out) <= {()}
+    return out.get((), Fraction(0))
+
 
 def test_random_arithmetic_matches_the_fraction_oracle(rng, built):
     polys = [random_poly(rng, names=("a", "b", "g")) for _ in range(40)]
     polys += [poly_parse("2*a-4"), poly_parse("1/2*a+1/2"), Poly.const(3),
               Poly.const(Fraction(6, 3)), Poly.var("b")]
+    value_types = set()
     for _ in range(300):
         p, q = rng.choice(polys), rng.choice(polys)
         fp, fq = _f(p), _f(q)
@@ -104,6 +119,10 @@ def test_random_arithmetic_matches_the_fraction_oracle(rng, built):
         fmap = {"a": _f(mapping["a"]),
                 "b": {(): Fraction(mapping["b"])}}
         _check(p.subs(mapping), _f_subs(fp, fmap))
+        point = {name: rng.choice(POINT_VALUES) for name in ("a", "b", "g")}
+        value = p.eval(point)
+        assert value == _f_value(p, point) and not off_int_rule(value), point
+        value_types.add(type(value))
         for r, name in ((p, "a"), (q * Poly.var("g"), "g")):
             parts = r.coefficients(name)
             g = Poly.var(name)
@@ -116,6 +135,7 @@ def test_random_arithmetic_matches_the_fraction_oracle(rng, built):
             _check(rebuilt, _f(r))
         if not q.is_zero():
             assert 0 not in (q * Poly.var("g")).coefficients("g")
+    assert value_types == {int, Fraction}
     for p in built:
         assert not _bad_coefficients(p), p.terms
 
@@ -131,7 +151,30 @@ def test_integral_results_come_back_as_int(built):
     assert Poly.const(Fraction(-5, 5)).constant_value() == Fraction(-1)
     assert type(Poly.const(7).constant_value()) is Fraction
     assert type(Poly.zero().constant_value()) is Fraction
-    assert type((half * 2).eval({"a": 1})) is Fraction
+    for value, expected in (((half * 2).eval({"a": 1}), 2),
+                            (half.eval({"a": 1}), 1),
+                            (half.eval({"a": Fraction(2)}), Fraction(3, 2))):
+        assert value == Fraction(expected) and type(value) is type(expected)
+    # every registry tensor at each point that analyze samples (a full grid
+    # over DEFAULT_SAMPLE_VALUES) keeps the oracle's values under the rule
+    kept_types = set()
+    for e in catalog.entries():
+        obj = e.tensors()
+        pair = isinstance(obj, AdPair)
+        names = sorted(obj.variables() if pair else obj.sc.variables())
+        for combo in itertools.product(cli.DEFAULT_SAMPLE_VALUES, repeat=len(names)):
+            point = dict(zip(names, combo))
+            at = obj.at(point)
+            for sc, sc_at in (((obj.rhd, at.rhd), (obj.lhd, at.lhd)) if pair
+                              else ((obj.sc, at.sc),)):
+                for row, row_at in zip((r for plane in sc.c for r in plane),
+                                       (r for plane in sc_at.constant_tensor()
+                                        for r in plane), strict=True):
+                    for p, x in zip(row, row_at, strict=True):
+                        assert x == _f_value(p, point) and not off_int_rule(x), \
+                            (e.id, point)
+                        kept_types.add(type(x))
+    assert kept_types == {int, Fraction}
     for p in built:
         assert not _bad_coefficients(p), p.terms
 
