@@ -42,12 +42,14 @@ parametric contraction), and that first read fills the slot, so every
 later read is a plain slot read.  Basis changes, 2-nilpotency and the power
 series run on integers: each rational operand is cleared once by the lcm
 of its denominators (``_cleared`` for tensors, ``_cleared_rows`` for
-matrices) and contracted over int.  A basis change then forms one Fraction
-per nonzero entry and keeps those, so a moved copy is never evaluated
-back; the power series keeps each power as the integer
-echelon rows of ``linalg.echelon_int``, the pivot rows of the one
-fraction-free elimination loop.  Parametric tensors run the same loops
-over Poly, uncleared.
+matrices) and contracted over int.  A basis change inverts its matrix once
+per object (``apply_basis_change``), and every tensor of a pair moves along
+that one inverse; it then forms one Fraction per nonzero entry and keeps
+those, so a moved copy is never evaluated back.  The power series keeps
+each power, and 2-nilpotency its products when there are more than n of
+them, as the integer echelon rows of ``linalg.echelon_int``, the pivot
+rows of the one fraction-free elimination loop.  Parametric tensors run
+the same loops over Poly, uncleared.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to use concurrently; the one slot
@@ -461,8 +463,12 @@ def is_two_nilpotent(ad: AdPair) -> bool:
     on both sides by both operations: v o e_k = 0 and e_k o v = 0 for all k.
     A pair without parameters runs this test on integers, its two tensors
     scaled by the common denominator of their entries (scaling does not
-    change which products vanish); a parametric pair runs it on its Poly
-    tensors, so the answer holds identically in the parameters.
+    change which products vanish); when more than n of its product vectors
+    are nonzero, they are first reduced to a basis of their span
+    (``linalg.echelon_int``), since the products vanish on a spanning set
+    exactly when they vanish on its span.  A parametric pair runs the test
+    on all of its Poly product vectors, so the answer holds identically in
+    the parameters.
     """
     n = ad.dim
     if ad.variables():
@@ -472,12 +478,10 @@ def is_two_nilpotent(ad: AdPair) -> bool:
     # e_k o v combines the rows of plane k; v o e_k combines the column k rows.
     sides = [rows for t in tensors for k in range(n)
              for rows in (t[k], [plane[k] for plane in t])]
-    for t in tensors:
-        for plane in t:
-            for v in plane:
-                if any(v) and any(any(combine(v, rows, zero)) for rows in sides):
-                    return False
-    return True
+    image = [v for t in tensors for plane in t for v in plane if any(v)]
+    if type(zero) is int and len(image) > n:  # Poly.zero() == 0 holds too
+        image = linalg.echelon_int(image)
+    return not any(any(combine(v, rows, zero)) for v in image for rows in sides)
 
 
 def _cleared(*tensors) -> tuple[list, int]:
@@ -627,10 +631,12 @@ def quotient_by_centers(ad: AdPair, z_sum, z_ad) -> QuotientResult:
 # -- basis change ---------------------------------------------------------------
 
 
-def transport_tensor(sc: StructureConstants, t_rows) -> StructureConstants:
+def transport_tensor(sc: StructureConstants, t, inv) -> StructureConstants:
     """Structure constants in the new basis e'_i = sum_j T[i][j] e_j.
 
-    T has rational entries; tensor entries may still carry parameters.
+    ``t`` is T as rows of Fractions and ``inv`` its inverse, both from
+    ``apply_basis_change``, which checks the shape and inverts T once for
+    all the tensors it moves.  Tensor entries may still carry parameters.
     e'_i o e'_j is sum_k T[i][k] (e_k o e'_j) in the old basis, written in
     the new one by T^-1.  A tensor without parameters runs this on integers:
     with c = C/D, T = T'/e and T^-1 = I'/f cleared by the lcm of their
@@ -639,10 +645,6 @@ def transport_tensor(sc: StructureConstants, t_rows) -> StructureConstants:
     those Fractions as its constant value, so it is never evaluated back.
     """
     n = sc.dim
-    if len(t_rows) != n or any(len(r) != n for r in t_rows):
-        raise DimensionMismatch("basis-change matrix has the wrong shape")
-    t = [[Fraction(x) for x in row] for row in t_rows]
-    inv = linalg.invert(t)
     if sc.variables():
         c, zero = sc.c, Poly.zero()
         scale = None
@@ -663,12 +665,22 @@ def transport_tensor(sc: StructureConstants, t_rows) -> StructureConstants:
 
 
 def apply_basis_change(obj, t_rows):
-    """Transport an algebra or pair along an invertible rational matrix."""
+    """Transport a tensor, algebra or pair along an invertible rational matrix.
+
+    The matrix is checked against the object's dimension, made Fractions
+    and inverted once; each of the object's tensors moves along that one
+    inverse (``transport_tensor``).
+    """
+    if not isinstance(obj, (StructureConstants, UnaryAlgebra, AdPair)):
+        raise TypeError(f"cannot transport {type(obj).__name__}")
+    n = obj.dim
+    if len(t_rows) != n or any(len(r) != n for r in t_rows):
+        raise DimensionMismatch("basis-change matrix has the wrong shape")
+    t = [[Fraction(x) for x in row] for row in t_rows]
+    inv = linalg.invert(t)
     if isinstance(obj, StructureConstants):
-        return transport_tensor(obj, t_rows)
+        return transport_tensor(obj, t, inv)
     if isinstance(obj, UnaryAlgebra):
-        return UnaryAlgebra(transport_tensor(obj.sc, t_rows), obj.label)
-    if isinstance(obj, AdPair):
-        return AdPair(transport_tensor(obj.rhd, t_rows),
-                      transport_tensor(obj.lhd, t_rows), obj.label)
-    raise TypeError(f"cannot transport {type(obj).__name__}")
+        return UnaryAlgebra(transport_tensor(obj.sc, t, inv), obj.label)
+    return AdPair(transport_tensor(obj.rhd, t, inv),
+                  transport_tensor(obj.lhd, t, inv), obj.label)

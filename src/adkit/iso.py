@@ -23,12 +23,18 @@ two tensors are evaluated once however many fingerprints and searches read
 them.
 
 Both run on cleared integers.  A fingerprint reads the pair scaled by the
-common denominator of its two tensors.  The search scales its four tensors
-by one common denominator, which the identity (linear in each) does not
-see, and each rational candidate T by the lcm e of its own denominators;
-it keeps T when the integer matrix eT has full rank and carries the scaled
-source onto e times the scaled target.  Found witnesses keep their rational
-entries.
+common denominator of its two tensors; its left and right product rows are
+reduced once each (``linalg.echelon_int``), and the two annihilator ranks
+and the center's rank are read from those echelon rows.  The search scales
+its four tensors by one common denominator, which the identity (linear in
+each) does not see, and each rational candidate T by the lcm e of its own
+denominators; it keeps T when the integer matrix eT has full rank and
+carries the scaled source onto e times the scaled target.  A candidate is
+assembled from parts cleared once: its first row, and each value of each
+column, is cleared by the lcm of its own denominators when it is made, and
+the candidate scales the parts to their common lcm (``_assemble``), the
+matrix that clearing T itself gives.  Only a found witness is turned back
+into rational entries.
 
 The identity is written once, in ``_transport_residuals``: the verifier,
 the rational search and the sqrt(d) search all test witnesses through it.
@@ -36,6 +42,7 @@ the rational search and the sqrt(d) search all test witnesses through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, permutations, product as iproduct
@@ -206,6 +213,9 @@ def fingerprint(ad: AdPair) -> Fingerprint:
     pair raises ``MissingAssignment``.  The ranks and flags are read on the
     pair cleared to integers by one common denominator, so r + l is a
     nonzero multiple of the sum's tensor, with its ranks and its symmetry.
+    The left and right product rows are reduced once each; the annihilators'
+    ranks are their echelon row counts, and the center's rank is that of the
+    two echelons together, which span the same space as all the rows.
     """
     n = ad.dim
     (r, l), _ = _cleared(ad.rhd.constant_tensor(), ad.lhd.constant_tensor())
@@ -218,8 +228,8 @@ def fingerprint(ad: AdPair) -> Fingerprint:
             sym_rows.append([r[i][j][k] - l[i][j][k] + r[j][i][k] - l[j][i][k]
                              for k in range(n)])
     # each center and annihilator is the nullspace of its product rows
-    left = _product_rows([r, l], left=True)
-    right = _product_rows([r, l], left=False)
+    left = linalg.echelon_int([v for v in _product_rows([r, l], left=True) if any(v)])
+    right = linalg.echelon_int([v for v in _product_rows([r, l], left=False) if any(v)])
     sum_rows = _product_rows([s], left=True) + _product_rows([s], left=False)
     return Fingerprint(
         dim=n,
@@ -229,8 +239,8 @@ def fingerprint(ad: AdPair) -> Fingerprint:
         sum_power_dims=series.dims,
         center_ad_dim=n - linalg.span_dim(left + right),
         center_sum_dim=n - linalg.span_dim(sum_rows),
-        left_annihilator_dim=n - linalg.span_dim(left),
-        right_annihilator_dim=n - linalg.span_dim(right),
+        left_annihilator_dim=n - len(left),
+        right_annihilator_dim=n - len(right),
         two_nilpotent=is_two_nilpotent(ad),
         sum_commutative=all(s[i][j] == s[j][i] for i in range(n) for j in range(n)),
         sym_diff_image_dim=linalg.span_dim(sym_rows),
@@ -366,15 +376,16 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
         # tried, and the first K products of the lists read only the first
         # K entries of each, so no list needs more than ``limit``
         limit = min(per_cell_cap, max(1, budget - examined))
-        columns = [_column_values(particular, null, grid, limit)
+        first = _cleared_row(first_row)
+        columns = [[_cleared_row(v) for v in _column_values(particular, null, grid, limit)]
                    for particular in particulars]
         produced = 0
         for cols in iproduct(*columns):
-            rows = [first_row, *zip(*cols)]
             examined += 1
             produced += 1
-            t, e = _cleared_rows(rows)
+            t, e = _assemble(first, cols)
             if linalg.rank(t) == n and carries(t, e):
+                rows = [[Fraction(x, e) for x in row] for row in t]
                 return SearchResult("found", Witness.from_rows(rows), examined=examined,
                                     fingerprints=fps)
             if examined >= budget or produced >= per_cell_cap:
@@ -387,6 +398,22 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
         if found is not None:
             return SearchResult("found", found, examined=examined, fingerprints=fps)
     return SearchResult("not_found", examined=examined, fingerprints=fps)
+
+
+def _cleared_row(row) -> tuple[list, int]:
+    """One rational row times the lcm of its denominators, as ints, and that lcm."""
+    (ints,), e = _cleared_rows([row])
+    return ints, e
+
+
+def _assemble(first, cols) -> tuple[list, int]:
+    """The candidate with first row ``first`` and columns ``cols`` (rows 1..n-1
+    of each column), every part given cleared as (ints, lcm): returns
+    ``_cleared_rows`` of the rational matrix, (e T, e), e the lcm of all the
+    parts' lcms."""
+    e = math.lcm(first[1], *(d for _, d in cols))
+    scaled = [ints if d == e else [x * (e // d) for x in ints] for ints, d in (first, *cols)]
+    return [scaled[0], *map(list, zip(*scaled[1:]))], e
 
 
 def _column_values(particular, null, grid, limit: int) -> list:

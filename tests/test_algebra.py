@@ -332,13 +332,20 @@ def _upper_pair(rng, dim: int) -> AdPair:
 
 
 def test_two_nilpotent_against_brute_force_on_random_pairs(rng):
+    # a pair with more than n nonzero product vectors is tested on a basis
+    # of their span: that reduction must meet both verdicts
     verdicts = []
+    reduced = {True: 0, False: 0}
     for _ in range(1000):
         ad = _upper_pair(rng, rng.choice((2, 3)))
         verdict = is_two_nilpotent(ad)
         assert verdict == (not brute_force_nonzero_triple_forms(ad))
         verdicts.append(verdict)
+        products = sum(any(v) for sc in (ad.rhd, ad.lhd)
+                       for plane in sc.constant_tensor() for v in plane)
+        reduced[verdict] += products > ad.dim
     assert 200 <= sum(verdicts) <= 800
+    assert min(reduced.values()) > 0, reduced
 
 
 def test_two_nilpotent_sees_each_single_mixed_form():
@@ -549,22 +556,80 @@ def test_round_trip_through_inverse(rng):
         assert back.rhd == ad.rhd and back.lhd == ad.lhd
 
 
-def _moved_by_fractions(c, t):
-    """The basis change written out over Fraction: e'_i o e'_j is
-    sum_{p,q} T[i][p] T[j][q] (e_p o e_q), read in the new basis by T^-1."""
-    from adkit.linalg import invert
+def _inverse_by_fractions(t):
+    """Gauss-Jordan inverse over Fraction, written apart from ``linalg``."""
     n = len(t)
-    inv = invert(t)
+    m = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)]
+         for i, row in enumerate(t)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if m[r][c])
+        m[c], m[p] = m[p], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            f = m[r][c]
+            if r != c and f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def _moved_by_fractions(c, t, zero=F(0)):
+    """The basis change written out over Fraction (or over Poly with
+    Fraction T): e'_i o e'_j is sum_{p,q} T[i][p] T[j][q] (e_p o e_q), read
+    in the new basis by T^-1."""
+    n = len(t)
+    inv = _inverse_by_fractions(t)
     out = []
     for i in range(n):
         plane = []
         for j in range(n):
             old = [sum((t[i][p] * t[j][q] * c[p][q][k]
-                        for p in range(n) for q in range(n)), F(0)) for k in range(n)]
-            plane.append(tuple(sum((old[k] * inv[k][m] for k in range(n)), F(0))
+                        for p in range(n) for q in range(n)), zero) for k in range(n)]
+            plane.append(tuple(sum((old[k] * inv[k][m] for k in range(n)), zero)
                                for m in range(n)))
         out.append(tuple(plane))
     return tuple(out)
+
+
+def test_basis_change_inverts_once_per_object(monkeypatch, rng):
+    # one inverse serves every tensor of a pair; each moved tensor is still
+    # T.c.T^-1, on the integer path and on the Poly path
+    from adkit import linalg
+    invert = linalg.invert
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return invert(rows)
+
+    monkeypatch.setattr(linalg, "invert", counted)
+    pairs = [catalog.get("AD3_10"), catalog.get("AD3_8", {"a": F(1, 2), "b": F(-3)}),
+             catalog.get("AD3_22")]
+    for ad in pairs:
+        for _ in range(3):
+            t = random_invertible(rng, 3)
+            calls.clear()
+            moved = apply_basis_change(ad, t)
+            assert len(calls) == 1
+            for sc, new in ((ad.rhd, moved.rhd), (ad.lhd, moved.lhd)):
+                if sc.variables():
+                    assert new.c == _moved_by_fractions(sc.c, t, Poly.zero())
+                else:
+                    assert new.constant_tensor() == _moved_by_fractions(
+                        sc.constant_tensor(), t)
+    alg = catalog.get("As3_2")
+    for obj in (alg, alg.sc):
+        calls.clear()
+        moved = apply_basis_change(obj, t)
+        assert len(calls) == 1
+        moved = moved if isinstance(moved, StructureConstants) else moved.sc
+        assert moved.c == _moved_by_fractions(alg.sc.c, t, Poly.zero())
+    calls.clear()
+    for obj in (catalog.get("AD3_10"), alg, alg.sc):
+        for bad in ([[F(1), F(0)], [F(0), F(1)]],
+                    [[F(1), F(0), F(0)], [F(0), F(1)], [F(0), F(0), F(1)]]):
+            with pytest.raises(DimensionMismatch):
+                apply_basis_change(obj, bad)
+    assert calls == []
 
 
 def _denominators(rows) -> int:

@@ -263,6 +263,27 @@ def test_search_columns_follow_the_budget_not_the_bound(monkeypatch):
     assert lengths and max(lengths) <= min(4096, 1000)
 
 
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+def test_candidate_assembly_equals_clearing_the_matrix(rng, bound):
+    # parts cleared one by one and scaled to their common lcm give the
+    # matrix and the e that clearing the whole rational candidate gives
+    grid = iso.rational_grid(bound)
+    scaled = 0
+    for _ in range(300):
+        n = rng.choice((2, 3, 4))
+        first = [rng.choice(grid) for _ in range(n)]
+        # column values are particular + grid combinations of null vectors
+        cols = [[rng.choice(grid) + rng.choice(grid) * rng.choice(grid)
+                 if rng.random() < 0.3 else rng.choice(grid) for _ in range(n - 1)]
+                for _ in range(n)]
+        parts = [iso._cleared_row(first)] + [iso._cleared_row(c) for c in cols]
+        t, e = iso._assemble(parts[0], parts[1:])
+        assert (t, e) == _cleared_rows([first, *zip(*cols)])
+        assert all(type(x) is int for row in t for x in row)
+        scaled += any(d != e for _, d in parts)
+    assert scaled > 0 or bound == 1
+
+
 def _candidates(rng, witness):
     """Rows the search could try on a pair with this witness: the witness,
     random grid and invertible matrices, and singular ones (the zero matrix
