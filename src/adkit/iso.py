@@ -36,6 +36,15 @@ the candidate scales the parts to their common lcm (``_assemble``), the
 matrix that clearing T itself gives.  Only a found witness is turned back
 into rational entries.
 
+Once the first row is fixed, the pairs (0, j) and (j, 0) of the identity
+are the linear part of its system: affine in rows 1..n-1, so a constant
+plus one vector per column value (``_affine_table``).  Candidates whose
+vectors do not cancel are rejected without being assembled, and only the
+survivors take the rank test and the full identity.  The search's
+``examined`` counts every candidate passed over in canonical order, the
+rejected ones included, so it is the count a candidate-by-candidate loop
+gives.
+
 The identity is written once, in ``_transport_residuals``: the verifier,
 the rational search and the sqrt(d) search all test witnesses through it.
 """
@@ -310,9 +319,14 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
 
     Fingerprints are compared first; unequal components short-circuit into a
     separation certificate.  Otherwise candidate matrices with entries p/q,
-    |p|, |q| <= bound are tried in canonical order; the linear constraints
-    imposed by the first-row image are solved before enumerating deeper rows.
-    A not-found outcome is inconclusive, never a proof.
+    |p|, |q| <= bound are passed over in canonical order, the identity
+    first; the linear constraints imposed by the first-row image are solved
+    before enumerating deeper rows, and the pairs (0, j) and (j, 0) of the
+    identity, affine once the first row is fixed, reject candidates before
+    they are assembled (``_affine_table``).  ``examined`` counts the
+    candidates passed over, those rejected that way included, and never
+    exceeds ``budget``; a budget below 1 raises ``ValueError`` before any
+    fingerprint.  A not-found outcome is inconclusive, never a proof.
 
     With a radicand, a second pass tries diagonal-times-permutation matrices
     with entries a + b*sqrt(d); this covers the diagonal rescalings that need
@@ -324,6 +338,8 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
             "search-bound",
             f"bound {bound} exceeds the search-bound budget "
             f"({SEARCH_BOUND_BUDGET})")
+    if budget < 1:
+        raise ValueError(f"candidate budget {budget} is below 1")
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dims differ")
     fp_s = fingerprint(source)
@@ -342,12 +358,11 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
     def carries(t, e):
         return next(_transport_residuals(src_int, tgt_int, t, 0, e), None) is None
 
-    examined = 0
+    examined = 1
     ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     if carries(*_cleared_rows(ident)):
-        return SearchResult("found", Witness.from_rows(ident), examined=1,
+        return SearchResult("found", Witness.from_rows(ident), examined=examined,
                             fingerprints=fps)
-    examined += 1
 
     grid = rational_grid(bound)
     # The (e'_1, e'_1) products fix rows 1..n-1 of each column m linearly:
@@ -357,9 +372,11 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
     # [lead | rhs_0 ... rhs_{n-1}] per first row solves every column.
     w = n - 1
     lead = [list(tgt[o][0][0][1:]) for o in range(2)]
-    null = linalg.nullspace(lead, w)
+    null = [_cleared_row(v) for v in linalg.nullspace(lead, w)]
     per_cell_cap = 4096  # keeps one unconstrained first row from eating the budget
     for first_row in _first_rows(grid, n):
+        if examined >= budget:
+            break
         images = [contract(src[o], first_row, first_row, Fraction(0)) for o in range(2)]
         red, pivots = linalg.rref([lead[o] + [x - tgt[o][0][0][0] * v
                                               for x, v in zip(images[o], first_row)]
@@ -372,26 +389,25 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
             for row, pc in zip(red, pivots):
                 particular[pc] = row[w + m]
             particulars.append(particular)
-        # a candidate takes one value per column; at most ``limit`` are
-        # tried, and the first K products of the lists read only the first
-        # K entries of each, so no list needs more than ``limit``
-        limit = min(per_cell_cap, max(1, budget - examined))
+        # a candidate takes one value per column, in product order, and the
+        # first ``count`` candidates are passed over; they read only the
+        # first ceil(count / size^(n-1-c)) values of column c, so no column
+        # is built further
+        limit = min(per_cell_cap, budget - examined)
+        size = min(len(grid) ** len(null), limit)
+        count = min(size ** n, limit)
         first = _cleared_row(first_row)
-        columns = [[_cleared_row(v) for v in _column_values(particular, null, grid, limit)]
-                   for particular in particulars]
-        produced = 0
-        for cols in iproduct(*columns):
-            examined += 1
-            produced += 1
-            t, e = _assemble(first, cols)
+        columns = [_column_values(_cleared_row(particular), null, grid,
+                                  -(-count // size ** (w - c)))
+                   for c, particular in enumerate(particulars)]
+        const, vectors = _affine_table(src_int, tgt_int, first, columns)
+        for p, picks in _survivors(const, vectors, size, count):
+            t, e = _assemble(first, [col[i] for col, i in zip(columns, picks)])
             if linalg.rank(t) == n and carries(t, e):
                 rows = [[Fraction(x, e) for x in row] for row in t]
-                return SearchResult("found", Witness.from_rows(rows), examined=examined,
-                                    fingerprints=fps)
-            if examined >= budget or produced >= per_cell_cap:
-                break
-        if examined >= budget:
-            break
+                return SearchResult("found", Witness.from_rows(rows),
+                                    examined=examined + p, fingerprints=fps)
+        examined += count
 
     if radicand is not None:
         found = _search_quadratic(src, tgt, n, bound, radicand)
@@ -418,10 +434,100 @@ def _assemble(first, cols) -> tuple[list, int]:
 
 def _column_values(particular, null, grid, limit: int) -> list:
     """The first ``limit`` values particular + sum c * null of one column,
-    with the coefficients c running over the grid in product order."""
-    return [[x + sum(c * v[k] for c, v in zip(choice, null))
-             for k, x in enumerate(particular)]
-            for choice in islice(iproduct(grid, repeat=len(null)), limit)]
+    with the coefficients c running over the grid in product order.
+
+    The particular and the null vectors come cleared as (ints, lcm), and so
+    does each value: its entries over their least common denominator."""
+    ints, d = particular
+    out = []
+    for choice in islice(iproduct(grid, repeat=len(null)), limit):
+        scale = math.lcm(d, *(c.denominator * dv for c, (_, dv) in zip(choice, null)))
+        x = [a * (scale // d) for a in ints]
+        for c, (v, dv) in zip(choice, null):
+            if c:
+                f = c.numerator * (scale // (c.denominator * dv))
+                x = [a + f * b for a, b in zip(x, v)]
+        g = math.gcd(scale, *x)
+        out.append(([a // g for a in x], scale // g))
+    return out
+
+
+def _affine_table(src, tgt, first, columns) -> tuple[list, list]:
+    """The residuals of the pairs (0, j) and (j, 0), j >= 1, as a constant
+    plus one vector per column value.
+
+    With the first row fixed, those pairs of the identity are affine in rows
+    1..n-1, and each entry of those rows comes from one column value.
+    ``src`` and ``tgt`` are the search's cleared tensors, ``first`` the
+    cleared first row (f, e0) and ``columns`` the cleared values of each
+    column.  At the common scale D of the values, a candidate's residual
+    times e0*D is the constant plus the vectors of its values, coordinate
+    by coordinate in ``_transport_residuals`` order (op, i, j, m) over the
+    pairs with exactly one index 0.  Returns (const, vectors), with
+    vectors[c][i] a tuple for columns[c][i].
+    """
+    f, e0 = first
+    n = len(f)
+    scale = math.lcm(*(d for col in columns for _, d in col))
+    const = []
+    # gens[c][k]: per coordinate, the coefficient of row k+1 of column c
+    gens = [[[] for _ in range(n - 1)] for _ in range(n)]
+    for s, g in zip(src, tgt):
+        # T0 o T_j = sum_b T[j][b] (T0 o e_b), T_j o T0 = sum_a T[j][a] (e_a o T0)
+        right = [combine(f, [plane[b] for plane in s], 0) for b in range(n)]
+        left = [combine(f, plane, 0) for plane in s]
+        for i in range(n):
+            for j in range(n):
+                if (i == 0) == (j == 0):
+                    continue
+                row, prods, gij = i + j, (right if i == 0 else left), g[i][j]
+                # minus sum_k tgt[i][j][k] T[k][m]: k = 0 is the first row,
+                # and k >= 1 reads column m's value
+                const.extend(-scale * gij[0] * x for x in f)
+                for c in range(n):
+                    for k in range(n - 1):
+                        gens[c][k].extend((prods[c][m] if k + 1 == row else 0)
+                                          - (e0 * gij[k + 1] if m == c else 0)
+                                          for m in range(n))
+    vectors = []
+    for c, col in enumerate(columns):
+        out = []
+        for ints, d in col:
+            vec, up = [0] * len(const), scale // d
+            for x, gen in zip(ints, gens[c]):
+                if x:
+                    x *= up
+                    vec = [a + x * b for a, b in zip(vec, gen)]
+            out.append(tuple(vec))
+        vectors.append(out)
+    return const, vectors
+
+
+def _survivors(const, vectors, size: int, count: int):
+    """(p, picks) for each of the first ``count`` candidates, in product
+    order, whose affine residual ``const`` + sum of its values' ``vectors``
+    vanishes: p is its 1-based position and picks its index in each column.
+
+    Every column holds ``size`` values, of which ``vectors`` covers those
+    that the first ``count`` products read.  The last column's values are
+    indexed by their vector, so each prefix of the other columns looks up
+    the values that cancel its sum.
+    """
+    *heads, last = vectors
+    index = {}
+    for i, v in enumerate(last):
+        index.setdefault(v, []).append(i)
+    for q in range(-(-count // size)):
+        rest, picks, need = q, [], [-x for x in const]
+        for h in reversed(heads):        # the digits of q in base size
+            rest, i = divmod(rest, size)
+            picks.insert(0, i)
+            need = [a - b for a, b in zip(need, h[i])]
+        for i in index.get(tuple(need), ()):
+            p = q * size + i + 1
+            if p > count:
+                break
+            yield p, (*picks, i)
 
 
 def _search_quadratic(src, tgt, n, bound, d, budget=500_000):

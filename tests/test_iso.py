@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 from itertools import islice, permutations, product as iproduct
@@ -12,7 +13,7 @@ from adkit.algebra import (AdPair, StructureConstants, _cleared, _cleared_rows,
 from adkit.errors import DimensionMismatch, MissingAssignment, SingularMatrix
 from adkit.scalars import Poly, QuadExt, poly_parse
 
-from conftest import random_invertible
+from conftest import constant_pair, random_invertible
 
 F = Fraction
 
@@ -385,6 +386,207 @@ def test_found_witnesses_always_verify(rng):
         res = iso.search_witness(ad, moved, bound=2)
         assert res.status == "found"
         assert iso.verify_witness(ad, moved, res.witness).ok
+
+
+def test_search_budget_bounds_the_candidates_examined(monkeypatch):
+    # budget 1 tries the identity alone, and no budget is overrun; a budget
+    # below 1 is rejected before any fingerprint is computed
+    ad = catalog.get("AD3_10")
+    moved = apply_basis_change(ad, [[F(0), F(1), F(0)], [F(-1), F(0), F(0)],
+                                    [F(0), F(0), F(1)]])
+    res = iso.search_witness(moved, ad, bound=2, budget=1)
+    assert (res.status, res.examined) == ("not_found", 1)
+    for budget in range(2, 40):
+        res = iso.search_witness(moved, ad, bound=2, budget=budget)
+        assert res.examined <= budget
+        assert res.status == "found" or res.examined == budget
+    computed = []
+    monkeypatch.setattr(iso, "fingerprint", computed.append)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget"):
+            iso.search_witness(moved, ad, budget=budget)
+    assert computed == []
+
+
+def _fraction_column_values(particular, null, grid, limit):
+    """Column values as rational rows: the first ``limit`` values
+    particular + sum c * null, coefficients in grid product order."""
+    return [[x + sum(c * v[k] for c, v in zip(choice, null))
+             for k, x in enumerate(particular)]
+            for choice in islice(iproduct(grid, repeat=len(null)), limit)]
+
+
+def _per_candidate_search(source, target, bound, budget):
+    """The rational search as a loop that assembles and tests every
+    candidate in turn, with no affine filter: an oracle for ``examined`` and
+    for the witness found.  Returns (status, examined, witness rows or None);
+    the pair's fingerprints are taken to agree."""
+    n = source.dim
+    cleared, _ = _cleared(*_constants(source), *_constants(target))
+    src_int, tgt_int = cleared[:2], cleared[2:]
+
+    def carries(t, e):
+        return next(iso._transport_residuals(src_int, tgt_int, t, 0, e), None) is None
+
+    src, tgt = _constants(source), _constants(target)
+    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    if carries(*_cleared_rows(ident)):
+        return "found", 1, ident
+    examined = 1
+    grid = iso.rational_grid(bound)
+    w = n - 1
+    lead = [list(tgt[o][0][0][1:]) for o in range(2)]
+    null = linalg.nullspace(lead, w)
+    per_cell_cap = 4096
+    for first_row in iso._first_rows(grid, n):
+        images = [contract(src[o], first_row, first_row, F(0)) for o in range(2)]
+        red, pivots = linalg.rref([lead[o] + [x - tgt[o][0][0][0] * v
+                                              for x, v in zip(images[o], first_row)]
+                                   for o in range(2)])
+        if pivots and pivots[-1] >= w:
+            continue
+        particulars = []
+        for m in range(n):
+            particular = [F(0)] * w
+            for row, pc in zip(red, pivots):
+                particular[pc] = row[w + m]
+            particulars.append(particular)
+        limit = min(per_cell_cap, max(1, budget - examined))
+        first = iso._cleared_row(first_row)
+        columns = [[iso._cleared_row(v)
+                    for v in _fraction_column_values(particular, null, grid, limit)]
+                   for particular in particulars]
+        produced = 0
+        for cols in iproduct(*columns):
+            examined += 1
+            produced += 1
+            t, e = iso._assemble(first, cols)
+            if linalg.rank(t) == n and carries(t, e):
+                return "found", examined, [[F(x, e) for x in row] for row in t]
+            if examined >= budget or produced >= per_cell_cap:
+                break
+        if examined >= budget:
+            break
+    return "not_found", examined, None
+
+
+def _agrees_with_the_oracle(src, tgt, bound, budget):
+    res = iso.search_witness(src, tgt, bound=bound, budget=budget)
+    status, examined, rows = _per_candidate_search(src, tgt, bound, budget)
+    assert (res.status, res.examined) == (status, examined), (bound, budget)
+    if rows is None:
+        assert res.witness is None
+    else:
+        assert res.witness.entries == iso.Witness.from_rows(rows).entries
+    return status
+
+
+def _ran_out_mid_block(monkeypatch):
+    """Record whether a first row's candidates were cut inside a block of
+    the last column by the budget (not by the per-row cap)."""
+    seen = []
+    survivors = iso._survivors
+
+    def recorded(const, vectors, size, count):
+        seen.append(count < size ** len(vectors) and count % size and count != 4096)
+        return survivors(const, vectors, size, count)
+
+    monkeypatch.setattr(iso, "_survivors", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("budget", [2, 57, 60, 1000, 5000])
+def test_search_matches_the_per_candidate_oracle(monkeypatch, rng, budget):
+    # every registry point from a signed-permutation copy and a random copy;
+    # 5000 crosses the per-row cap of 4096 on the 49 x 49 x 49 first rows
+    cut = _ran_out_mid_block(monkeypatch)
+    outcomes = set()
+    for ad in _registry_points():
+        n = ad.dim
+        perm = list(range(n))
+        rng.shuffle(perm)
+        signed = [[F(rng.choice((-1, 1))) if perm[i] == j else F(0) for j in range(n)]
+                  for i in range(n)]
+        for t in (signed, random_invertible(rng, n)):
+            for bound in (1, 2):
+                outcomes.add(_agrees_with_the_oracle(apply_basis_change(ad, t), ad,
+                                                     bound, budget))
+    # at budget 2 a first row has one candidate, so no block to cut
+    assert outcomes == {"found", "not_found"} and (any(cut) or budget == 2)
+
+
+def test_search_matches_the_oracle_on_fingerprint_equal_pairs(monkeypatch):
+    cut = _ran_out_mid_block(monkeypatch)
+    points = list(_registry_points())
+    prints = [iso.fingerprint(ad) for ad in points]
+    pairs = [(a, b) for i, a in enumerate(points) for j, b in enumerate(points)
+             if i < j and prints[i] == prints[j]]
+    assert len(pairs) > 100
+    found = 0
+    for a, b in pairs:
+        for bound, budget in ((1, 300), (2, 1000)):
+            found += _agrees_with_the_oracle(a, b, bound, budget) == "found"
+    assert 0 < found < len(pairs) and any(cut)
+
+
+def test_search_matches_the_oracle_in_dimension_one():
+    # e'_1 = t e_1 carries r = 1, l = -1/2 onto r = s, l = -s/2 when t = s
+    src = constant_pair({(1, 1, 1): F(1)}, {(1, 1, 1): F(-1, 2)}, 1)
+    for scale, status in ((F(2), "found"), (F(-1, 2), "found"), (F(3), "not_found")):
+        tgt = constant_pair({(1, 1, 1): scale}, {(1, 1, 1): -scale / 2}, 1)
+        for bound, budget in ((2, 1000), (2, 3), (1, 2)):
+            _agrees_with_the_oracle(src, tgt, bound, budget)
+        assert iso.search_witness(src, tgt, bound=2).status == status
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_column_values_on_ints_equal_the_cleared_fraction_ones(rng, bound):
+    grid = iso.rational_grid(bound)
+    for _ in range(40):
+        w = rng.choice((1, 2, 3))
+        particular = [rng.choice(grid) for _ in range(w)]
+        null = [[rng.choice(grid) for _ in range(w)] for _ in range(rng.randint(0, w))]
+        limit = rng.choice((1, 7, 60))
+        values = iso._column_values(iso._cleared_row(particular),
+                                    [iso._cleared_row(v) for v in null], grid, limit)
+        assert values == [iso._cleared_row(v) for v in
+                          _fraction_column_values(particular, null, grid, limit)]
+
+
+def test_affine_table_is_the_linear_part_of_the_transport_residuals(rng):
+    # const + the vectors of a candidate's values is its residual on the
+    # pairs (0, j) and (j, 0) times e0 * D, so it vanishes exactly when
+    # those pairs carry; the witness's own parts are among the values
+    grid = iso.rational_grid(2)
+    carried = rejected = 0
+    for ad in _registry_points():
+        n = ad.dim
+        t = random_invertible(rng, n)
+        cleared, _ = _cleared(*_constants(ad), *_constants(apply_basis_change(ad, t)))
+        src, tgt = cleared[:2], cleared[2:]
+        keys = [(op, i, j, m) for op in ("rhd", "lhd") for i in range(n) for j in range(n)
+                if (i == 0) != (j == 0) for m in range(n)]
+        for first_row in (t[0], [rng.choice(grid) for _ in range(n)]):
+            first = iso._cleared_row(first_row)
+            columns = [[iso._cleared_row([rng.choice(grid) for _ in range(n - 1)])
+                        for _ in range(3)] for _ in range(n)]
+            for c, col in enumerate(columns):
+                col.insert(rng.randint(0, 3), iso._cleared_row([row[c] for row in t[1:]]))
+            const, vectors = iso._affine_table(src, tgt, first, columns)
+            scale = math.lcm(*(d for col in columns for _, d in col))
+            assert len(const) == len(keys)
+            for picks in iproduct(range(4), repeat=n):
+                parts = [col[i] for col, i in zip(columns, picks)]
+                total = [sum(xs) for xs in zip(const, *(v[i] for v, i in zip(vectors, picks)))]
+                rows, e = iso._assemble(first, parts)
+                res = dict(iso._transport_residuals(src, tgt, rows, 0, e))
+                assert [x * e * e for x in total] == [
+                    res.get(key, 0) * first[1] * scale for key in keys]
+                if any(total):
+                    rejected += 1
+                else:
+                    carried += 1
+    assert carried >= 57 and rejected > 57
 
 
 # -- quadratic extension witnesses ------------------------------------------------------
