@@ -422,13 +422,13 @@ def _per_candidate_search(source, target, bound, budget):
     for the witness found.  Returns (status, examined, witness rows or None);
     the pair's fingerprints are taken to agree."""
     n = source.dim
-    cleared, _ = _cleared(*_constants(source), *_constants(target))
+    src, tgt = _constants(source), _constants(target)
+    cleared, _ = _cleared(*src, *tgt)
     src_int, tgt_int = cleared[:2], cleared[2:]
 
     def carries(t, e):
         return next(iso._transport_residuals(src_int, tgt_int, t, 0, e), None) is None
 
-    src, tgt = _constants(source), _constants(target)
     ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
     if carries(*_cleared_rows(ident)):
         return "found", 1, ident
