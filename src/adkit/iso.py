@@ -27,14 +27,13 @@ common denominator of its two tensors; its left and right product rows are
 reduced once each (``linalg.echelon_int``), and the two annihilator ranks
 and the center's rank are read from those echelon rows.  The search scales
 its four tensors by one common denominator, which the identity (linear in
-each) does not see, and each rational candidate T by the lcm e of its own
-denominators; it keeps T when the integer matrix eT has full rank and
-carries the scaled source onto e times the scaled target.  A candidate is
-assembled from parts cleared once: its first row, and each value of each
-column, is cleared by the lcm of its own denominators when it is made, and
-the candidate scales the parts to their common lcm (``_assemble``), the
-matrix that clearing T itself gives.  Only a found witness is turned back
-into rational entries.
+each) does not see.  All candidates of one first row share one scale e:
+the lcm of the denominators of the first row, of its particular solutions
+and of the null-vector combinations, which are built and cleared once per
+search.  A candidate T is kept when the integer matrix eT has full rank and
+carries the scaled source onto e times the scaled target; scaling eT and e
+by a common integer k multiplies both sides by k^2, so neither test depends
+on the choice of e.  Only a found witness is turned back into rationals.
 
 Once the first row is fixed, the pairs (0, j) and (j, 0) of the identity
 are the linear part of its system: affine in rows 1..n-1, so a constant
@@ -45,8 +44,10 @@ survivors take the rank test and the full identity.  The search's
 rejected ones included, so it is the count a candidate-by-candidate loop
 gives.
 
-The identity is written once, in ``_transport_residuals``: the verifier,
-the rational search and the sqrt(d) search all test witnesses through it.
+The identity is written out in ``_transport_residuals``: the verifier, the
+rational search and the sqrt(d) search all test witnesses through it.
+``_affine_table`` is a second, hand-written expansion of its pairs (0, j)
+and (j, 0), kept for speed and tied to the first by its unit test.
 """
 
 from __future__ import annotations
@@ -330,8 +331,10 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
 
     With a radicand, a second pass tries diagonal-times-permutation matrices
     with entries a + b*sqrt(d); this covers the diagonal rescalings that need
-    a square root.  A bound above ``SEARCH_BOUND_BUDGET`` raises
-    ``BudgetExceeded`` before anything is built.
+    a square root.  Each pass examines at most ``budget`` candidates, and
+    ``examined`` counts those of the rational pass.  A bound above
+    ``SEARCH_BOUND_BUDGET`` raises ``BudgetExceeded`` before anything is
+    built.
     """
     if bound > SEARCH_BOUND_BUDGET:
         raise BudgetExceeded(
@@ -372,8 +375,15 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
     # [lead | rhs_0 ... rhs_{n-1}] per first row solves every column.
     w = n - 1
     lead = [list(tgt[o][0][0][1:]) for o in range(2)]
-    null = [_cleared_row(v) for v in linalg.nullspace(lead, w)]
+    null = linalg.nullspace(lead, w)
     per_cell_cap = 4096  # keeps one unconstrained first row from eating the budget
+    # a column's values are its particular plus these combinations of the
+    # null vectors, coefficients in grid product order: one list, cleared
+    # once (dn), for every column of every first row
+    combos, dn = _cleared_rows(
+        [[sum(c * v[k] for c, v in zip(choice, null)) for k in range(w)]
+         for choice in islice(iproduct(grid, repeat=len(null)),
+                              min(per_cell_cap, budget))])
     for first_row in _first_rows(grid, n):
         if examined >= budget:
             break
@@ -394,15 +404,19 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
         # first ceil(count / size^(n-1-c)) values of column c, so no column
         # is built further
         limit = min(per_cell_cap, budget - examined)
-        size = min(len(grid) ** len(null), limit)
+        size = min(len(combos), limit)
         count = min(size ** n, limit)
-        first = _cleared_row(first_row)
-        columns = [_column_values(_cleared_row(particular), null, grid,
-                                  -(-count // size ** (w - c)))
-                   for c, particular in enumerate(particulars)]
-        const, vectors = _affine_table(src_int, tgt_int, first, columns)
+        # every part at the one scale e: the candidate is e T
+        (first,), e0 = _cleared_rows([first_row])
+        parts, dp = _cleared_rows(particulars)
+        e = math.lcm(e0, dp, dn)
+        first = [x * (e // e0) for x in first]
+        columns = [[[a * (e // dp) + b * (e // dn) for a, b in zip(part, combo)]
+                    for combo in combos[:-(-count // size ** (w - c))]]
+                   for c, part in enumerate(parts)]
+        const, vectors = _affine_table(src_int, tgt_int, first, e, columns)
         for p, picks in _survivors(const, vectors, size, count):
-            t, e = _assemble(first, [col[i] for col, i in zip(columns, picks)])
+            t = [first, *zip(*(col[i] for col, i in zip(columns, picks)))]
             if linalg.rank(t) == n and carries(t, e):
                 rows = [[Fraction(x, e) for x in row] for row in t]
                 return SearchResult("found", Witness.from_rows(rows),
@@ -410,93 +424,53 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
         examined += count
 
     if radicand is not None:
-        found = _search_quadratic(src, tgt, n, bound, radicand)
+        found = _search_quadratic(src, tgt, n, bound, radicand, budget)
         if found is not None:
             return SearchResult("found", found, examined=examined, fingerprints=fps)
     return SearchResult("not_found", examined=examined, fingerprints=fps)
 
 
-def _cleared_row(row) -> tuple[list, int]:
-    """One rational row times the lcm of its denominators, as ints, and that lcm."""
-    (ints,), e = _cleared_rows([row])
-    return ints, e
-
-
-def _assemble(first, cols) -> tuple[list, int]:
-    """The candidate with first row ``first`` and columns ``cols`` (rows 1..n-1
-    of each column), every part given cleared as (ints, lcm): returns
-    ``_cleared_rows`` of the rational matrix, (e T, e), e the lcm of all the
-    parts' lcms."""
-    e = math.lcm(first[1], *(d for _, d in cols))
-    scaled = [ints if d == e else [x * (e // d) for x in ints] for ints, d in (first, *cols)]
-    return [scaled[0], *map(list, zip(*scaled[1:]))], e
-
-
-def _column_values(particular, null, grid, limit: int) -> list:
-    """The first ``limit`` values particular + sum c * null of one column,
-    with the coefficients c running over the grid in product order.
-
-    The particular and the null vectors come cleared as (ints, lcm), and so
-    does each value: its entries over their least common denominator."""
-    ints, d = particular
-    out = []
-    for choice in islice(iproduct(grid, repeat=len(null)), limit):
-        scale = math.lcm(d, *(c.denominator * dv for c, (_, dv) in zip(choice, null)))
-        x = [a * (scale // d) for a in ints]
-        for c, (v, dv) in zip(choice, null):
-            if c:
-                f = c.numerator * (scale // (c.denominator * dv))
-                x = [a + f * b for a, b in zip(x, v)]
-        g = math.gcd(scale, *x)
-        out.append(([a // g for a in x], scale // g))
-    return out
-
-
-def _affine_table(src, tgt, first, columns) -> tuple[list, list]:
+def _affine_table(src, tgt, first, e, columns) -> tuple[list, list]:
     """The residuals of the pairs (0, j) and (j, 0), j >= 1, as a constant
     plus one vector per column value.
 
     With the first row fixed, those pairs of the identity are affine in rows
     1..n-1, and each entry of those rows comes from one column value.
-    ``src`` and ``tgt`` are the search's cleared tensors, ``first`` the
-    cleared first row (f, e0) and ``columns`` the cleared values of each
-    column.  At the common scale D of the values, a candidate's residual
-    times e0*D is the constant plus the vectors of its values, coordinate
-    by coordinate in ``_transport_residuals`` order (op, i, j, m) over the
-    pairs with exactly one index 0.  Returns (const, vectors), with
-    vectors[c][i] a tuple for columns[c][i].
+    ``src`` and ``tgt`` are the search's cleared tensors, and ``first`` and
+    each value of ``columns`` are ints at the candidate's scale e.  A
+    candidate's residual in ``_transport_residuals(src, tgt, t, 0, e)`` is
+    the constant plus the vectors of its values, coordinate by coordinate in
+    (op, i, j, m) order over the pairs with exactly one index 0.  Returns
+    (const, vectors), with vectors[c][i] a tuple for columns[c][i].
     """
-    f, e0 = first
-    n = len(f)
-    scale = math.lcm(*(d for col in columns for _, d in col))
+    n = len(first)
     const = []
     # gens[c][k]: per coordinate, the coefficient of row k+1 of column c
     gens = [[[] for _ in range(n - 1)] for _ in range(n)]
     for s, g in zip(src, tgt):
         # T0 o T_j = sum_b T[j][b] (T0 o e_b), T_j o T0 = sum_a T[j][a] (e_a o T0)
-        right = [combine(f, [plane[b] for plane in s], 0) for b in range(n)]
-        left = [combine(f, plane, 0) for plane in s]
+        right = [combine(first, [plane[b] for plane in s], 0) for b in range(n)]
+        left = [combine(first, plane, 0) for plane in s]
         for i in range(n):
             for j in range(n):
                 if (i == 0) == (j == 0):
                     continue
                 row, prods, gij = i + j, (right if i == 0 else left), g[i][j]
-                # minus sum_k tgt[i][j][k] T[k][m]: k = 0 is the first row,
+                # minus e sum_k tgt[i][j][k] T[k][m]: k = 0 is the first row,
                 # and k >= 1 reads column m's value
-                const.extend(-scale * gij[0] * x for x in f)
+                const.extend(-e * gij[0] * x for x in first)
                 for c in range(n):
                     for k in range(n - 1):
                         gens[c][k].extend((prods[c][m] if k + 1 == row else 0)
-                                          - (e0 * gij[k + 1] if m == c else 0)
+                                          - (e * gij[k + 1] if m == c else 0)
                                           for m in range(n))
     vectors = []
     for c, col in enumerate(columns):
         out = []
-        for ints, d in col:
-            vec, up = [0] * len(const), scale // d
+        for ints in col:
+            vec = [0] * len(const)
             for x, gen in zip(ints, gens[c]):
                 if x:
-                    x *= up
                     vec = [a + x * b for a, b in zip(vec, gen)]
             out.append(tuple(vec))
         vectors.append(out)
@@ -530,13 +504,14 @@ def _survivors(const, vectors, size: int, count: int):
             yield p, (*picks, i)
 
 
-def _search_quadratic(src, tgt, n, bound, d, budget=500_000):
+def _search_quadratic(src, tgt, n, bound, d, budget):
     """Small search over matrices with entries a + b*sqrt(d).
 
     Only diagonal-times-permutation shapes are tried, e'_i = d_i e_{s(i)};
     these cover the square-root rescalings that arise in normalisation
     arguments.  Each candidate is tested on the rational tensors, which
-    QuadExt arithmetic coerces into Q(sqrt d).
+    QuadExt arithmetic coerces into Q(sqrt d); after ``budget`` candidates
+    the pass gives up.
     """
     grid = rational_grid(bound)
     zero = QuadExt(0, 0, d)

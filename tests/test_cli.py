@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from adkit import catalog, cli, fileio, iso
-from adkit.algebra import StructureConstants
+from adkit.algebra import AdPair, StructureConstants
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "adkit", *args],
@@ -289,6 +289,30 @@ def test_iso_search_computes_each_fingerprint_once(tmp_path, monkeypatch):
         assert len(calls) == 2
         assert report["results"]["fingerprint_a"] == cli._fingerprint_dict(
             original(calls[0]))
+
+
+def test_iso_search_radicand_and_inconclusive_outcomes(tmp_path, capsys):
+    # e2>e2 = 2e3 against AD3_22(0,0): every witness needs sqrt(2)
+    rhd = StructureConstants.from_table(3, {(2, 2, 3): "2"})
+    lhd = StructureConstants.from_table(3, {(1, 1, 3): "1", (2, 2, 3): "-2"})
+    a = tmp_path / "sqrt2.json"
+    a.write_text(fileio.render_algebra(AdPair(rhd, lhd)))
+    b = write_entry(tmp_path, "AD3_22", name="ad3_22", assign="a=0,b=0")
+
+    def search(*options):
+        code = cli.main(["iso", str(a), str(b), "--search", *options])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    code, out, _ = search("--radicand", "2", "--bound", "2")
+    results = json.loads(out)["results"]
+    assert (code, results["outcome"], results["witness_verified"]) == (0, "found", True)
+    code, out, err = search("--radicand", "4")
+    assert (code, out) == (2, "") and "radicand 4 is a rational square" in err
+    code, out, _ = search("--bound", "1")
+    report = json.loads(out)
+    assert (code, report["status"]) == (3, "inconclusive")
+    assert (report["results"]["outcome"], report["results"]["examined"]) == ("not_found", 217)
 
 
 def test_iso_search_requires_instantiation(tmp_path):

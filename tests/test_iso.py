@@ -244,45 +244,101 @@ def test_first_rows_are_generated_lazily():
 
 def test_search_columns_follow_the_budget_not_the_bound(monkeypatch):
     # the candidates of a first row are the first products of its column
-    # lists, so lists cut at the candidate limit leave every outcome as it
-    # was, at any bound
+    # lists, so combinations and columns cut at the candidate limit leave
+    # every outcome as it was, at any bound; here the null-vector
+    # combinations alone number 7,569 at bound 8
     ad = catalog.get("AD3_12", {"a": F(2), "b": F(2)})
     moved = apply_basis_change(ad, [[F(1), F(0), F(0)], [F(1), F(1), F(0)],
                                     [F(0), F(0), F(1)]])
-    lengths = []
-    original = iso._column_values
+    columns, cleared = [], []
+    table, cleared_rows = iso._affine_table, iso._cleared_rows
 
-    def recorded(*args):
-        values = original(*args)
-        lengths.append(len(values))
-        return values
+    def recorded_table(src, tgt, first, e, cols):
+        columns.extend(map(len, cols))
+        return table(src, tgt, first, e, cols)
 
-    monkeypatch.setattr(iso, "_column_values", recorded)
+    def recorded_rows(rows):
+        cleared.append(len(rows))
+        return cleared_rows(rows)
+
+    monkeypatch.setattr(iso, "_affine_table", recorded_table)
+    monkeypatch.setattr(iso, "_cleared_rows", recorded_rows)
     for bound in (2, 4, 8):
         res = iso.search_witness(ad, moved, bound=bound, budget=1000)
         assert (res.status, res.examined) == ("not_found", 1000)
-    assert lengths and max(lengths) <= min(4096, 1000)
+    assert columns and max(columns) <= min(4096, 1000)
+    assert max(cleared) <= min(4096, 1000)
+
+
+def _search_records(monkeypatch, rng, bound, budget):
+    """Search every registry point from a random copy, and record what the
+    search built: per pair (source, target, records), one record per first
+    row reached, with the ``first`` row, scale ``e`` and ``columns`` handed
+    to ``_affine_table``, and the ``picks`` and matrix ``t`` of every
+    candidate that took the rank test."""
+    records = []
+    table, survivors, rank = iso._affine_table, iso._survivors, linalg.rank
+
+    def recorded_table(src, tgt, first, e, columns):
+        records.append({"first": first, "e": e, "columns": columns,
+                        "picks": [], "t": []})
+        return table(src, tgt, first, e, columns)
+
+    def recorded_survivors(*args):
+        for p, picks in survivors(*args):
+            records[-1]["picks"].append(picks)
+            yield p, picks
+
+    def recorded_rank(t):
+        if records:  # not a fingerprint's rank
+            records[-1]["t"].append(t)
+        return rank(t)
+
+    monkeypatch.setattr(iso, "_affine_table", recorded_table)
+    monkeypatch.setattr(iso, "_survivors", recorded_survivors)
+    monkeypatch.setattr(linalg, "rank", recorded_rank)
+    out = []
+    for ad in _registry_points():
+        moved = apply_basis_change(ad, random_invertible(rng, ad.dim))
+        records.clear()
+        iso.search_witness(moved, ad, bound=bound, budget=budget)
+        out.append((moved, ad, list(records)))
+    return out
+
+
+def _oracle_rows(source, target, grid, records):
+    """Each record with the oracle's first row and the column values it
+    holds as rationals: particular + sum c * null, by
+    ``_fraction_column_values``."""
+    src, tgt = _constants(source), _constants(target)
+    null = linalg.nullspace(_lead(tgt), source.dim - 1)
+    for rec, (first_row, particulars) in zip(records,
+                                            _solvable_first_rows(src, tgt, grid)):
+        yield rec, first_row, [_fraction_column_values(particular, null, grid, len(col))
+                               for particular, col in zip(particulars, rec["columns"])]
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 4])
-def test_candidate_assembly_equals_clearing_the_matrix(rng, bound):
-    # parts cleared one by one and scaled to their common lcm give the
-    # matrix and the e that clearing the whole rational candidate gives
+def test_candidate_assembly_equals_clearing_the_matrix(monkeypatch, rng, bound):
+    # every candidate that takes the rank test is e times the rational
+    # candidate its picks name: a multiple of the matrix that clearing the
+    # candidate by its own denominators gives
     grid = iso.rational_grid(bound)
-    scaled = 0
-    for _ in range(300):
-        n = rng.choice((2, 3, 4))
-        first = [rng.choice(grid) for _ in range(n)]
-        # column values are particular + grid combinations of null vectors
-        cols = [[rng.choice(grid) + rng.choice(grid) * rng.choice(grid)
-                 if rng.random() < 0.3 else rng.choice(grid) for _ in range(n - 1)]
-                for _ in range(n)]
-        parts = [iso._cleared_row(first)] + [iso._cleared_row(c) for c in cols]
-        t, e = iso._assemble(parts[0], parts[1:])
-        assert (t, e) == _cleared_rows([first, *zip(*cols)])
-        assert all(type(x) is int for row in t for x in row)
-        scaled += any(d != e for _, d in parts)
-    assert scaled > 0 or bound == 1
+    tested = scaled = 0
+    for source, target, records in _search_records(monkeypatch, rng, bound, 1000):
+        for rec, first_row, values in _oracle_rows(source, target, grid, records):
+            e = rec["e"]
+            assert len(rec["picks"]) == len(rec["t"])
+            for picks, t in zip(rec["picks"], rec["t"]):
+                rows = [first_row, *zip(*(col[i] for col, i in zip(values, picks)))]
+                ints, lcm = _cleared_rows(rows)
+                assert e % lcm == 0
+                assert [list(row) for row in t] == [[x * (e // lcm) for x in row]
+                                                    for row in ints]
+                assert all(type(x) is int for row in t for x in row)
+                tested += 1
+                scaled += e != lcm
+    assert tested > 57 and (scaled > 0 or bound == 1)
 
 
 def _candidates(rng, witness):
@@ -416,28 +472,17 @@ def _fraction_column_values(particular, null, grid, limit):
             for choice in islice(iproduct(grid, repeat=len(null)), limit)]
 
 
-def _per_candidate_search(source, target, bound, budget):
-    """The rational search as a loop that assembles and tests every
-    candidate in turn, with no affine filter: an oracle for ``examined`` and
-    for the witness found.  Returns (status, examined, witness rows or None);
-    the pair's fingerprints are taken to agree."""
-    n = source.dim
-    src, tgt = _constants(source), _constants(target)
-    cleared, _ = _cleared(*src, *tgt)
-    src_int, tgt_int = cleared[:2], cleared[2:]
+def _lead(tgt):
+    """The coefficients of rows 1..n-1 in the (e'_1, e'_1) products."""
+    return [list(tgt[o][0][0][1:]) for o in range(2)]
 
-    def carries(t, e):
-        return next(iso._transport_residuals(src_int, tgt_int, t, 0, e), None) is None
 
-    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-    if carries(*_cleared_rows(ident)):
-        return "found", 1, ident
-    examined = 1
-    grid = iso.rational_grid(bound)
+def _solvable_first_rows(src, tgt, grid):
+    """(first row, each column's particular solution) for every first row,
+    in search order, whose (e'_1, e'_1) products some rows 1..n-1 meet."""
+    n = len(src[0])
     w = n - 1
-    lead = [list(tgt[o][0][0][1:]) for o in range(2)]
-    null = linalg.nullspace(lead, w)
-    per_cell_cap = 4096
+    lead = _lead(tgt)
     for first_row in iso._first_rows(grid, n):
         images = [contract(src[o], first_row, first_row, F(0)) for o in range(2)]
         red, pivots = linalg.rref([lead[o] + [x - tgt[o][0][0][0] * v
@@ -451,16 +496,39 @@ def _per_candidate_search(source, target, bound, budget):
             for row, pc in zip(red, pivots):
                 particular[pc] = row[w + m]
             particulars.append(particular)
+        yield first_row, particulars
+
+
+def _per_candidate_search(source, target, bound, budget):
+    """The rational search as a loop that assembles and tests every
+    candidate in turn, with no affine filter: an oracle for ``examined`` and
+    for the witness found.  Each candidate is a rational matrix, cleared by
+    the lcm of its own denominators.  Returns (status, examined, witness
+    rows or None); the pair's fingerprints are taken to agree."""
+    n = source.dim
+    src, tgt = _constants(source), _constants(target)
+    cleared, _ = _cleared(*src, *tgt)
+    src_int, tgt_int = cleared[:2], cleared[2:]
+
+    def carries(t, e):
+        return next(iso._transport_residuals(src_int, tgt_int, t, 0, e), None) is None
+
+    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    if carries(*_cleared_rows(ident)):
+        return "found", 1, ident
+    examined = 1
+    grid = iso.rational_grid(bound)
+    null = linalg.nullspace(_lead(tgt), n - 1)
+    per_cell_cap = 4096
+    for first_row, particulars in _solvable_first_rows(src, tgt, grid):
         limit = min(per_cell_cap, max(1, budget - examined))
-        first = iso._cleared_row(first_row)
-        columns = [[iso._cleared_row(v)
-                    for v in _fraction_column_values(particular, null, grid, limit)]
+        columns = [_fraction_column_values(particular, null, grid, limit)
                    for particular in particulars]
         produced = 0
         for cols in iproduct(*columns):
             examined += 1
             produced += 1
-            t, e = iso._assemble(first, cols)
+            t, e = _cleared_rows([first_row, *zip(*cols)])
             if linalg.rank(t) == n and carries(t, e):
                 return "found", examined, [[F(x, e) for x in row] for row in t]
             if examined >= budget or produced >= per_cell_cap:
@@ -540,23 +608,28 @@ def test_search_matches_the_oracle_in_dimension_one():
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])
-def test_column_values_on_ints_equal_the_cleared_fraction_ones(rng, bound):
+def test_column_values_on_ints_equal_the_cleared_fraction_ones(monkeypatch, rng, bound):
+    # the first row and every column value the search builds is e times
+    # its rational value, and e clears them all
     grid = iso.rational_grid(bound)
-    for _ in range(40):
-        w = rng.choice((1, 2, 3))
-        particular = [rng.choice(grid) for _ in range(w)]
-        null = [[rng.choice(grid) for _ in range(w)] for _ in range(rng.randint(0, w))]
-        limit = rng.choice((1, 7, 60))
-        values = iso._column_values(iso._cleared_row(particular),
-                                    [iso._cleared_row(v) for v in null], grid, limit)
-        assert values == [iso._cleared_row(v) for v in
-                          _fraction_column_values(particular, null, grid, limit)]
+    reached = rescaled = 0
+    for source, target, records in _search_records(monkeypatch, rng, bound, 300):
+        for rec, first_row, values in _oracle_rows(source, target, grid, records):
+            e = rec["e"]
+            assert rec["first"] == [e * x for x in first_row]
+            for col, oracle in zip(rec["columns"], values):
+                assert col == [[e * x for x in v] for v in oracle]
+                assert all(type(x) is int for v in col for x in v)
+            reached += 1
+            rescaled += e != _cleared_rows([first_row])[1]
+    assert reached > 57 and rescaled > 0
 
 
 def test_affine_table_is_the_linear_part_of_the_transport_residuals(rng):
-    # const + the vectors of a candidate's values is its residual on the
-    # pairs (0, j) and (j, 0) times e0 * D, so it vanishes exactly when
-    # those pairs carry; the witness's own parts are among the values
+    # at the candidates' scale e, const + the vectors of a candidate's
+    # values is its residual on the pairs (0, j) and (j, 0), so it vanishes
+    # exactly when those pairs carry; the witness's own parts are among the
+    # values
     grid = iso.rational_grid(2)
     carried = rejected = 0
     for ad in _registry_points():
@@ -567,21 +640,19 @@ def test_affine_table_is_the_linear_part_of_the_transport_residuals(rng):
         keys = [(op, i, j, m) for op in ("rhd", "lhd") for i in range(n) for j in range(n)
                 if (i == 0) != (j == 0) for m in range(n)]
         for first_row in (t[0], [rng.choice(grid) for _ in range(n)]):
-            first = iso._cleared_row(first_row)
-            columns = [[iso._cleared_row([rng.choice(grid) for _ in range(n - 1)])
-                        for _ in range(3)] for _ in range(n)]
-            for c, col in enumerate(columns):
-                col.insert(rng.randint(0, 3), iso._cleared_row([row[c] for row in t[1:]]))
-            const, vectors = iso._affine_table(src, tgt, first, columns)
-            scale = math.lcm(*(d for col in columns for _, d in col))
+            values = [[[rng.choice(grid) for _ in range(n - 1)] for _ in range(3)]
+                      for _ in range(n)]
+            for c, col in enumerate(values):
+                col.insert(rng.randint(0, 3), [row[c] for row in t[1:]])
+            (first, *ints), e = _cleared_rows([first_row, *(v for col in values for v in col)])
+            columns = [ints[4 * c:4 * c + 4] for c in range(n)]
+            const, vectors = iso._affine_table(src, tgt, first, e, columns)
             assert len(const) == len(keys)
             for picks in iproduct(range(4), repeat=n):
-                parts = [col[i] for col, i in zip(columns, picks)]
                 total = [sum(xs) for xs in zip(const, *(v[i] for v, i in zip(vectors, picks)))]
-                rows, e = iso._assemble(first, parts)
+                rows = [first, *zip(*(col[i] for col, i in zip(columns, picks)))]
                 res = dict(iso._transport_residuals(src, tgt, rows, 0, e))
-                assert [x * e * e for x in total] == [
-                    res.get(key, 0) * first[1] * scale for key in keys]
+                assert total == [res.get(key, 0) for key in keys]
                 if any(total):
                     rejected += 1
                 else:
@@ -613,6 +684,24 @@ def test_quadratic_retry_finds_sqrt_witness():
     assert res.status == "found"
     assert res.witness.is_quadratic
     assert iso.verify_witness(src, tgt, res.witness).ok
+
+
+def test_sqrt_pass_keeps_to_the_candidate_budget(monkeypatch):
+    # at bound 1 the sqrt(3) pass has 6 * 8^3 = 3,072 candidates, and it
+    # tries only the first ``budget`` of them
+    checks = []
+    original = iso._transport_residuals
+
+    def counted(src, tgt, t, zero, e=1):
+        checks.append(type(zero))
+        return original(src, tgt, t, zero, e)
+
+    monkeypatch.setattr(iso, "_transport_residuals", counted)
+    src = quad_pair_needing_sqrt2()
+    tgt = catalog.get("AD3_22", {"a": F(0), "b": F(0)})
+    res = iso.search_witness(src, tgt, bound=1, radicand=F(3), budget=10)
+    assert (res.status, res.examined) == ("not_found", 10)
+    assert checks.count(QuadExt) == 10
 
 
 def _per_cell_quadratic(src, tgt, n, bound, d, budget=500_000):
