@@ -27,27 +27,26 @@ common denominator of its two tensors; its left and right product rows are
 reduced once each (``linalg.echelon_int``), and the two annihilator ranks
 and the center's rank are read from those echelon rows.  The search scales
 its four tensors by one common denominator, which the identity (linear in
-each) does not see.  All candidates of one first row share one scale e:
-the lcm of the denominators of the first row, of its particular solutions
-and of the null-vector combinations, which are built and cleared once per
-search.  A candidate T is kept when the integer matrix eT has full rank and
-carries the scaled source onto e times the scaled target; scaling eT and e
-by a common integer k multiplies both sides by k^2, so neither test depends
-on the choice of e.  Only a found witness is turned back into rationals.
+each) does not see.
 
-Once the first row is fixed, the pairs (0, j) and (j, 0) of the identity
-are the linear part of its system: affine in rows 1..n-1, so a constant
-plus one vector per column value (``_affine_table``).  Candidates whose
-vectors do not cancel are rejected without being assembled, and only the
-survivors take the rank test and the full identity.  The search's
-``examined`` counts every candidate passed over in canonical order, the
-rejected ones included, so it is the count a candidate-by-candidate loop
-gives.
+Once the first row of T is fixed, the pairs (0, 0), (0, j) and (j, 0) of
+the identity are linear in rows 1..n-1.  The search solves them rather than
+filtering candidates by them: one nullspace of the system [A | -b] gives a
+particular solution and the homogeneous directions (``_solved_rows``), and
+only the pairs (i, j) with i, j >= 1 are left to the free values.  A
+candidate is the particular solution plus a grid combination of the
+directions, built on integers at one scale e per first row; it is kept
+when the integer matrix eT has full rank and carries the scaled source onto
+e times the scaled target.  Scaling eT and e by a common integer k
+multiplies both sides by k^2, so neither test depends on the choice of e.
+Only a found witness is turned back into rationals.  ``examined`` counts
+the candidates actually checked.
 
-The identity is written out in ``_transport_residuals``: the verifier, the
-rational search and the sqrt(d) search all test witnesses through it.
-``_affine_table`` is a second, hand-written expansion of its pairs (0, j)
-and (j, 0), kept for speed and tied to the first by its unit test.
+With a radicand d, a second pass takes the same rational first rows and
+solutions, gives the free values the form a + b sqrt(d), and checks each
+candidate over Q(sqrt d) by its determinant and the identity.  The
+identity is written out once, in ``_transport_residuals``: the verifier
+and both passes of the search test witnesses through it.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations, product as iproduct
+from itertools import islice, product as iproduct
 
 from . import linalg
 from .algebra import (AdPair, _cleared, _cleared_rows, _product_rows, combine, contract,
@@ -261,8 +260,11 @@ def fingerprint(ad: AdPair) -> Fingerprint:
 
 #: The largest ``bound`` the search admits.  The grid holds fewer than
 #: 2*bound^2 + 1 rationals, and the sqrt(d) pass holds |grid|^2 scalars:
-#: 101,760 at bound 16.
+#: 101,761 at bound 16.
 SEARCH_BOUND_BUDGET = 16
+#: Candidates tried per first row, so that one first row with many free
+#: values cannot spend the whole budget.
+ROW_CANDIDATES = 64
 
 
 def rational_grid(bound: int):
@@ -316,25 +318,25 @@ class SearchResult:
 
 def search_witness(source: AdPair, target: AdPair, bound: int = 3,
                    radicand=None, budget: int = 200_000) -> SearchResult:
-    """Bounded enumeration of rational witnesses between instantiated pairs.
+    """Bounded search for a witness between instantiated pairs.
 
     Fingerprints are compared first; unequal components short-circuit into a
-    separation certificate.  Otherwise candidate matrices with entries p/q,
-    |p|, |q| <= bound are passed over in canonical order, the identity
-    first; the linear constraints imposed by the first-row image are solved
-    before enumerating deeper rows, and the pairs (0, j) and (j, 0) of the
-    identity, affine once the first row is fixed, reject candidates before
-    they are assembled (``_affine_table``).  ``examined`` counts the
-    candidates passed over, those rejected that way included, and never
-    exceeds ``budget``; a budget below 1 raises ``ValueError`` before any
+    separation certificate.  Otherwise the identity is tried, and then each
+    first row of grid values p/q, |p|, q <= bound, in ``_first_rows`` order.
+    The pairs of the identity that are linear in the other rows are solved
+    (``_solved_rows``), and a first row without a solution costs no
+    candidate.  A solvable one gives at most ``ROW_CANDIDATES`` candidates:
+    the particular solution plus grid combinations of the homogeneous
+    directions, coefficients in product order.  ``examined`` counts the
+    candidates checked, the identity included, and never exceeds
+    ``budget``; a budget below 1 raises ``ValueError`` before any
     fingerprint.  A not-found outcome is inconclusive, never a proof.
 
-    With a radicand, a second pass tries diagonal-times-permutation matrices
-    with entries a + b*sqrt(d); this covers the diagonal rescalings that need
-    a square root.  Each pass examines at most ``budget`` candidates, and
-    ``examined`` counts those of the rational pass.  A bound above
-    ``SEARCH_BOUND_BUDGET`` raises ``BudgetExceeded`` before anything is
-    built.
+    With a radicand, and only when the rational pass finds nothing, the
+    same solve runs again with free values a + b*sqrt(d), a and b from the
+    grid; it checks at most ``budget`` candidates, and ``examined`` counts
+    those of the rational pass.  A bound above ``SEARCH_BOUND_BUDGET``
+    raises ``BudgetExceeded`` before anything is built.
     """
     if bound > SEARCH_BOUND_BUDGET:
         raise BudgetExceeded(
@@ -352,178 +354,99 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
         return SearchResult("separated", separation=fp_s.differing(fp_t),
                             fingerprints=fps)
     n = source.dim
-    src = (source.rhd.constant_tensor(), source.lhd.constant_tensor())
-    tgt = (target.rhd.constant_tensor(), target.lhd.constant_tensor())
     # the identity is linear in src and in tgt: one scale clears all four
-    cleared, _ = _cleared(*src, *tgt)
-    src_int, tgt_int = cleared[:2], cleared[2:]
+    cleared, _ = _cleared(source.rhd.constant_tensor(), source.lhd.constant_tensor(),
+                          target.rhd.constant_tensor(), target.lhd.constant_tensor())
+    src, tgt = cleared[:2], cleared[2:]
 
-    def carries(t, e):
-        return next(_transport_residuals(src_int, tgt_int, t, 0, e), None) is None
+    def carries(t, e, zero=0):
+        return next(_transport_residuals(src, tgt, t, zero, e), None) is None
 
     examined = 1
-    ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    if carries(*_cleared_rows(ident)):
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    if carries(ident, 1):
         return SearchResult("found", Witness.from_rows(ident), examined=examined,
                             fingerprints=fps)
 
     grid = rational_grid(bound)
-    # The (e'_1, e'_1) products fix rows 1..n-1 of each column m linearly:
-    # sum_k tgt[o][0][0][k] T[k][m] = (first_row o first_row)_m for both
-    # operations.  The coefficients (k >= 1) depend on neither the first row
-    # nor the column, so their nullspace is one per search, and one rref of
-    # [lead | rhs_0 ... rhs_{n-1}] per first row solves every column.
-    w = n - 1
-    lead = [list(tgt[o][0][0][1:]) for o in range(2)]
-    null = linalg.nullspace(lead, w)
-    per_cell_cap = 4096  # keeps one unconstrained first row from eating the budget
-    # a column's values are its particular plus these combinations of the
-    # null vectors, coefficients in grid product order: one list, cleared
-    # once (dn), for every column of every first row
-    combos, dn = _cleared_rows(
-        [[sum(c * v[k] for c, v in zip(choice, null)) for k in range(w)]
-         for choice in islice(iproduct(grid, repeat=len(null)),
-                              min(per_cell_cap, budget))])
-    for first_row in _first_rows(grid, n):
-        if examined >= budget:
-            break
-        images = [contract(src[o], first_row, first_row, Fraction(0)) for o in range(2)]
-        red, pivots = linalg.rref([lead[o] + [x - tgt[o][0][0][0] * v
-                                              for x, v in zip(images[o], first_row)]
-                                   for o in range(2)])
-        if pivots and pivots[-1] >= w:
-            continue  # some column has no solution
-        particulars = []
-        for m in range(n):
-            particular = [Fraction(0)] * w
-            for row, pc in zip(red, pivots):
-                particular[pc] = row[w + m]
-            particulars.append(particular)
-        # a candidate takes one value per column, in product order, and the
-        # first ``count`` candidates are passed over; they read only the
-        # first ceil(count / size^(n-1-c)) values of column c, so no column
-        # is built further
-        limit = min(per_cell_cap, budget - examined)
-        size = min(len(combos), limit)
-        count = min(size ** n, limit)
+    # the free values are c/g with integer c
+    g = math.lcm(*(c.denominator for c in grid))
+    values = [int(c * g) for c in grid]
+    for f, e0, particular, directions in _solved_rows(src, tgt, grid, n):
         # every part at the one scale e: the candidate is e T
-        (first,), e0 = _cleared_rows([first_row])
-        parts, dp = _cleared_rows(particulars)
-        e = math.lcm(e0, dp, dn)
-        first = [x * (e // e0) for x in first]
-        columns = [[[a * (e // dp) + b * (e // dn) for a, b in zip(part, combo)]
-                    for combo in combos[:-(-count // size ** (w - c))]]
-                   for c, part in enumerate(parts)]
-        const, vectors = _affine_table(src_int, tgt_int, first, e, columns)
-        for p, picks in _survivors(const, vectors, size, count):
-            t = [first, *zip(*(col[i] for col, i in zip(columns, picks)))]
+        (part, *vecs), d = _cleared_rows([particular, *directions])
+        e = e0 * d * g
+        first = [x * d * g for x in f]
+        for cs in islice(iproduct(values, repeat=len(vecs)),
+                         min(ROW_CANDIDATES, budget - examined)):
+            examined += 1
+            rest = [e0 * (g * x + sum(c * v[u] for c, v in zip(cs, vecs) if c))
+                    for u, x in enumerate(part)]
+            t = [first, *(rest[k:k + n] for k in range(0, len(rest), n))]
             if linalg.rank(t) == n and carries(t, e):
                 rows = [[Fraction(x, e) for x in row] for row in t]
                 return SearchResult("found", Witness.from_rows(rows),
-                                    examined=examined + p, fingerprints=fps)
-        examined += count
+                                    examined=examined, fingerprints=fps)
+        if examined >= budget:
+            break
 
     if radicand is not None:
-        found = _search_quadratic(src, tgt, n, bound, radicand, budget)
-        if found is not None:
-            return SearchResult("found", found, examined=examined, fingerprints=fps)
+        zero = QuadExt(0, 0, radicand)
+        scalars = [QuadExt(a, b, radicand) for a in grid for b in grid]
+        checked = 0
+        for f, e0, particular, directions in _solved_rows(src, tgt, grid, n):
+            first = [zero + Fraction(x, e0) for x in f]
+            part = [zero + x for x in particular]
+            for cs in islice(iproduct(scalars, repeat=len(directions)),
+                             min(ROW_CANDIDATES, budget - checked)):
+                checked += 1
+                rest = [sum((c * v[u] for c, v in zip(cs, directions) if c and v[u]), x)
+                        for u, x in enumerate(part)]
+                t = [first, *(rest[k:k + n] for k in range(0, len(rest), n))]
+                if carries(t, 1, zero) and linalg.det(t) != 0:
+                    return SearchResult("found", Witness(tuple(map(tuple, t)),
+                                                         Fraction(radicand)),
+                                        examined=examined, fingerprints=fps)
+            if checked >= budget:
+                break
     return SearchResult("not_found", examined=examined, fingerprints=fps)
 
 
-def _affine_table(src, tgt, first, e, columns) -> tuple[list, list]:
-    """The residuals of the pairs (0, j) and (j, 0), j >= 1, as a constant
-    plus one vector per column value.
+def _solved_rows(src, tgt, grid, n: int):
+    """(f, e0, particular, directions) for each first row in search order
+    whose linear pairs can be met.
 
-    With the first row fixed, those pairs of the identity are affine in rows
-    1..n-1, and each entry of those rows comes from one column value.
-    ``src`` and ``tgt`` are the search's cleared tensors, and ``first`` and
-    each value of ``columns`` are ints at the candidate's scale e.  A
-    candidate's residual in ``_transport_residuals(src, tgt, t, 0, e)`` is
-    the constant plus the vectors of its values, coordinate by coordinate in
-    (op, i, j, m) order over the pairs with exactly one index 0.  Returns
-    (const, vectors), with vectors[c][i] a tuple for columns[c][i].
+    f is the first row cleared to integers at scale e0.  With it fixed, the
+    pairs (0, 0), (0, j) and (j, 0) of the identity, on the cleared tensors
+    ``src`` and ``tgt``, are linear in the rows 1..n-1 of e0 T, read row by
+    row as y: the residual of each such pair is A y - b.  The null vectors
+    of [A | -b] are canonical (``linalg.nullspace``), so the system is
+    solvable exactly when the last column is free; its vector, cut to y and
+    divided by e0, is the particular solution, and the others span the
+    homogeneous solutions.
     """
-    n = len(first)
-    const = []
-    # gens[c][k]: per coordinate, the coefficient of row k+1 of column c
-    gens = [[[] for _ in range(n - 1)] for _ in range(n)]
-    for s, g in zip(src, tgt):
-        # T0 o T_j = sum_b T[j][b] (T0 o e_b), T_j o T0 = sum_a T[j][a] (e_a o T0)
-        right = [combine(first, [plane[b] for plane in s], 0) for b in range(n)]
-        left = [combine(first, plane, 0) for plane in s]
-        for i in range(n):
-            for j in range(n):
-                if (i == 0) == (j == 0):
-                    continue
-                row, prods, gij = i + j, (right if i == 0 else left), g[i][j]
-                # minus e sum_k tgt[i][j][k] T[k][m]: k = 0 is the first row,
-                # and k >= 1 reads column m's value
-                const.extend(-e * gij[0] * x for x in first)
-                for c in range(n):
-                    for k in range(n - 1):
-                        gens[c][k].extend((prods[c][m] if k + 1 == row else 0)
-                                          - (e * gij[k + 1] if m == c else 0)
-                                          for m in range(n))
-    vectors = []
-    for c, col in enumerate(columns):
-        out = []
-        for ints in col:
-            vec = [0] * len(const)
-            for x, gen in zip(ints, gens[c]):
-                if x:
-                    vec = [a + x * b for a, b in zip(vec, gen)]
-            out.append(tuple(vec))
-        vectors.append(out)
-    return const, vectors
-
-
-def _survivors(const, vectors, size: int, count: int):
-    """(p, picks) for each of the first ``count`` candidates, in product
-    order, whose affine residual ``const`` + sum of its values' ``vectors``
-    vanishes: p is its 1-based position and picks its index in each column.
-
-    Every column holds ``size`` values, of which ``vectors`` covers those
-    that the first ``count`` products read.  The last column's values are
-    indexed by their vector, so each prefix of the other columns looks up
-    the values that cancel its sum.
-    """
-    *heads, last = vectors
-    index = {}
-    for i, v in enumerate(last):
-        index.setdefault(v, []).append(i)
-    for q in range(-(-count // size)):
-        rest, picks, need = q, [], [-x for x in const]
-        for h in reversed(heads):        # the digits of q in base size
-            rest, i = divmod(rest, size)
-            picks.insert(0, i)
-            need = [a - b for a, b in zip(need, h[i])]
-        for i in index.get(tuple(need), ()):
-            p = q * size + i + 1
-            if p > count:
-                break
-            yield p, (*picks, i)
-
-
-def _search_quadratic(src, tgt, n, bound, d, budget):
-    """Small search over matrices with entries a + b*sqrt(d).
-
-    Only diagonal-times-permutation shapes are tried, e'_i = d_i e_{s(i)};
-    these cover the square-root rescalings that arise in normalisation
-    arguments.  Each candidate is tested on the rational tensors, which
-    QuadExt arithmetic coerces into Q(sqrt d); after ``budget`` candidates
-    the pass gives up.
-    """
-    grid = rational_grid(bound)
-    zero = QuadExt(0, 0, d)
-    scalars = [QuadExt(a, b, d) for a in grid for b in grid if a or b]
-    idx = range(n)
-    examined = 0
-    for perm in permutations(idx):
-        for diag in iproduct(scalars, repeat=n):
-            examined += 1
-            if examined > budget:
-                return None
-            rows = [[diag[i] if perm[i] == k else zero for k in idx] for i in idx]
-            if next(_transport_residuals(src, tgt, rows, zero), None) is None:
-                return Witness(tuple(tuple(r) for r in rows), Fraction(d))
-    return None
+    w = (n - 1) * n
+    pairs = [(0, 0)] + [(0, k) for k in range(1, n)] + [(k, 0) for k in range(1, n)]
+    # Per residual row (op, pair, m), the coefficients of y: the products
+    # f o e_q and e_q o f, through which row k enters the pairs (0, k) and
+    # (k, 0), as one table per entry f[p]; less the target's rows 1..n-1.
+    # The target's row 0 and the product f o f go to the constant.
+    prods = [[] for _ in range(n)]
+    target, rows = [], []
+    for o, (s, g) in enumerate(zip(src, tgt)):
+        for i, j in pairs:
+            for m in range(n):
+                for p in range(n):
+                    prods[p].extend((s[p][q][m] if i == 0 else s[q][p][m]) if i + j == k
+                                    else 0 for k in range(1, n) for q in range(n))
+                target.extend(g[i][j][k] * (q == m) for k in range(1, n) for q in range(n))
+                rows.append((o, i == j, g[i][j][0], m))
+    for first_row in _first_rows(grid, n):
+        (f,), e0 = _cleared_rows([first_row])
+        coeffs = combine([*f, -e0], [*prods, target], 0)
+        ff = [contract(s, f, f, 0) for s in src]
+        system = [coeffs[r * w:r * w + w] + [(ff[o][m] if origin else 0) - e0 * g0 * f[m]]
+                  for r, (o, origin, g0, m) in enumerate(rows)]
+        null = linalg.nullspace(system, w + 1)
+        if null and null[-1][w]:
+            yield f, e0, [y / e0 for y in null[-1][:w]], [v[:w] for v in null[:-1]]

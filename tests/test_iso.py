@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import islice, permutations, product as iproduct
@@ -242,103 +243,333 @@ def test_first_rows_are_generated_lazily():
     assert peak < 2_000_000
 
 
-def test_search_columns_follow_the_budget_not_the_bound(monkeypatch):
-    # the candidates of a first row are the first products of its column
-    # lists, so combinations and columns cut at the candidate limit leave
-    # every outcome as it was, at any bound; here the null-vector
-    # combinations alone number 7,569 at bound 8
-    ad = catalog.get("AD3_12", {"a": F(2), "b": F(2)})
-    moved = apply_basis_change(ad, [[F(1), F(0), F(0)], [F(1), F(1), F(0)],
-                                    [F(0), F(0), F(1)]])
-    columns, cleared = [], []
-    table, cleared_rows = iso._affine_table, iso._cleared_rows
-
-    def recorded_table(src, tgt, first, e, cols):
-        columns.extend(map(len, cols))
-        return table(src, tgt, first, e, cols)
-
-    def recorded_rows(rows):
-        cleared.append(len(rows))
-        return cleared_rows(rows)
-
-    monkeypatch.setattr(iso, "_affine_table", recorded_table)
-    monkeypatch.setattr(iso, "_cleared_rows", recorded_rows)
-    for bound in (2, 4, 8):
-        res = iso.search_witness(ad, moved, bound=bound, budget=1000)
-        assert (res.status, res.examined) == ("not_found", 1000)
-    assert columns and max(columns) <= min(4096, 1000)
-    assert max(cleared) <= min(4096, 1000)
+def _constants(ad):
+    return (ad.rhd.constant_tensor(), ad.lhd.constant_tensor())
 
 
-def _search_records(monkeypatch, rng, bound, budget):
-    """Search every registry point from a random copy, and record what the
-    search built: per pair (source, target, records), one record per first
-    row reached, with the ``first`` row, scale ``e`` and ``columns`` handed
-    to ``_affine_table``, and the ``picks`` and matrix ``t`` of every
-    candidate that took the rank test."""
-    records = []
-    table, survivors, rank = iso._affine_table, iso._survivors, linalg.rank
-
-    def recorded_table(src, tgt, first, e, columns):
-        records.append({"first": first, "e": e, "columns": columns,
-                        "picks": [], "t": []})
-        return table(src, tgt, first, e, columns)
-
-    def recorded_survivors(*args):
-        for p, picks in survivors(*args):
-            records[-1]["picks"].append(picks)
-            yield p, picks
-
-    def recorded_rank(t):
-        if records:  # not a fingerprint's rank
-            records[-1]["t"].append(t)
-        return rank(t)
-
-    monkeypatch.setattr(iso, "_affine_table", recorded_table)
-    monkeypatch.setattr(iso, "_survivors", recorded_survivors)
-    monkeypatch.setattr(linalg, "rank", recorded_rank)
-    out = []
-    for ad in _registry_points():
-        moved = apply_basis_change(ad, random_invertible(rng, ad.dim))
-        records.clear()
-        iso.search_witness(moved, ad, bound=bound, budget=budget)
-        out.append((moved, ad, list(records)))
-    return out
+def _signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[F(rng.choice((-1, 1))) if perm[i] == j else F(0) for j in range(n)]
+            for i in range(n)]
 
 
-def _oracle_rows(source, target, grid, records):
-    """Each record with the oracle's first row and the column values it
-    holds as rationals: particular + sum c * null, by
-    ``_fraction_column_values``."""
-    src, tgt = _constants(source), _constants(target)
-    null = linalg.nullspace(_lead(tgt), source.dim - 1)
-    for rec, (first_row, particulars) in zip(records,
-                                            _solvable_first_rows(src, tgt, grid)):
-        yield rec, first_row, [_fraction_column_values(particular, null, grid, len(col))
-                               for particular, col in zip(particulars, rec["columns"])]
+def _carrier(source, target):
+    """The search's integer transport test, on the pair cleared by one lcm."""
+    cleared, _ = _cleared(*_constants(source), *_constants(target))
+
+    def carries(t, e):
+        return next(iso._transport_residuals(cleared[:2], cleared[2:], t, 0, e),
+                    None) is None
+    return carries
+
+
+def _linear_solution(src, tgt, first_row):
+    """(particular, directions) of rows 1..n-1 of T, read row by row, once
+    its first row is fixed, or None when there is no solution.  The pairs of
+    the transport identity with an index 0 are read off
+    ``_transport_residuals`` on Fractions, probed with unit rows, and solved
+    by one nullspace."""
+    n = len(first_row)
+    w = (n - 1) * n
+    keys = [(op, i, j, m) for op in ("rhd", "lhd") for i in range(n) for j in range(n)
+            if 0 in (i, j) for m in range(n)]
+
+    def residuals(x):
+        rows = [list(first_row), *(x[k:k + n] for k in range(0, w, n))]
+        res = dict(iso._transport_residuals(src, tgt, rows, F(0)))
+        return [res.get(key, F(0)) for key in keys]
+
+    const = residuals([F(0)] * w)
+    columns = [[a - b for a, b in zip(residuals([F(int(u == v)) for v in range(w)]), const)]
+               for u in range(w)]
+    null = linalg.nullspace([list(row) for row in zip(*columns, const)], w + 1)
+    if not null or not null[-1][w]:
+        return None
+    return null[-1][:w], [v[:w] for v in null[:-1]]
+
+
+def test_solved_rows_are_the_linear_part_of_the_transport_residuals(rng):
+    # with the first row fixed, the pairs with an index 0 are affine in the
+    # other rows: on every fifth registry point the search solves exactly
+    # the first rows whose probed system has a solution, and finds the same
+    # canonical solution; on the other points, a witness's rows solve the
+    # system of its own first row
+    solvable = 0
+    for number, ad in enumerate(_registry_points()):
+        n = ad.dim
+        t = random_invertible(rng, n)
+        src, tgt = _constants(ad), _constants(apply_basis_change(ad, t))
+        cleared, _ = _cleared(*src, *tgt)
+        grid = iso.rational_grid(1) if number % 5 == 0 else sorted({F(0), *t[0]})
+        solved = {tuple(F(x, e0) for x in f): (particular, directions)
+                  for f, e0, particular, directions
+                  in iso._solved_rows(cleared[:2], cleared[2:], grid, n)}
+        if number % 5 == 0:
+            for first_row in iso._first_rows(grid, n):
+                assert solved.get(first_row) == _linear_solution(src, tgt, first_row)
+            solvable += len(solved)
+        else:
+            particular, directions = solved[tuple(t[0])]
+            offset = [x - p for x, p in zip((x for row in t[1:] for x in row), particular)]
+            assert linalg.rank(directions + [offset]) == len(directions)
+    assert solvable > 12
+
+
+def _recording_solves(monkeypatch):
+    """Record every (f, e0, particular, directions) the search takes from
+    ``_solved_rows``, in order, in the returned list."""
+    solves = []
+    solved_rows = iso._solved_rows
+
+    def recorded(*args):
+        for solve in solved_rows(*args):
+            solves.append(solve)
+            yield solve
+
+    monkeypatch.setattr(iso, "_solved_rows", recorded)
+    return solves
+
+
+def _oracle_candidates(solves, n, bound, budget):
+    """The rational pass's candidates after the identity, in order, as
+    rational matrices: for each solved first row, rows 1..n-1 are the
+    particular solution plus grid combinations of the directions, in
+    product order, at most ``iso.ROW_CANDIDATES`` per first row and
+    ``budget`` - 1 in all."""
+    grid = iso.rational_grid(bound)
+    left = budget - 1
+    for f, e0, particular, directions in solves:
+        first_row = [F(x, e0) for x in f]
+        for choice in islice(iproduct(grid, repeat=len(directions)),
+                             min(iso.ROW_CANDIDATES, left)):
+            left -= 1
+            x = [p + sum(c * v[u] for c, v in zip(choice, directions) if c)
+                 for u, p in enumerate(particular)]
+            yield [first_row, *(x[k:k + n] for k in range(0, len(x), n))]
+        if left <= 0:
+            return
+
+
+def _per_candidate_search(source, target, bound, budget):
+    """The rational pass as a Fraction loop: each candidate is assembled as
+    a rational matrix and cleared by the lcm of its own denominators, then
+    tested.  An oracle for ``examined`` and for the witness found.  Returns
+    (status, examined, witness rows or None); the pair's fingerprints are
+    taken to agree.  A smaller budget only cuts the same candidates shorter,
+    so one run answers for every budget up to its own (``_at_budget``)."""
+    n = source.dim
+    cleared, _ = _cleared(*_constants(source), *_constants(target))
+    carries = _carrier(source, target)
+    examined = 1
+    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    if carries(*_cleared_rows(ident)):
+        return "found", examined, ident
+    solves = iso._solved_rows(cleared[:2], cleared[2:], iso.rational_grid(bound), n)
+    for rows in _oracle_candidates(solves, n, bound, budget):
+        examined += 1
+        t, e = _cleared_rows(rows)
+        if linalg.rank(t) == n and carries(t, e):
+            return "found", examined, rows
+    return "not_found", examined, None
+
+
+def _at_budget(outcome, budget):
+    """The oracle's outcome at a budget no larger than the one it ran with."""
+    status, examined, rows = outcome
+    if status == "found" and examined <= budget:
+        return outcome
+    return "not_found", min(budget, examined), None
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 4])
 def test_candidate_assembly_equals_clearing_the_matrix(monkeypatch, rng, bound):
-    # every candidate that takes the rank test is e times the rational
-    # candidate its picks name: a multiple of the matrix that clearing the
-    # candidate by its own denominators gives
+    # every candidate that takes the rank test is an integer multiple of the
+    # oracle's rational candidate at the same place, cleared by its own
+    # denominators: the one scale of a first row changes no candidate
+    solves = _recording_solves(monkeypatch)
+    tested = []
+    rank = linalg.rank
+
+    def recorded(t):
+        tested.append(t)
+        return rank(t)
+
+    monkeypatch.setattr(iso, "fingerprint", lambda ad: None)
+    monkeypatch.setattr(linalg, "rank", recorded)
+    checked = scaled = 0
+    for ad in _registry_points():
+        moved = apply_basis_change(ad, random_invertible(rng, ad.dim))
+        tested.clear()
+        solves.clear()
+        iso.search_witness(moved, ad, bound=bound, budget=100)
+        oracle = list(_oracle_candidates(solves, ad.dim, bound, 100))[:len(tested)]
+        assert len(oracle) == len(tested)
+        for t, rows in zip(tested, oracle):
+            ints, _ = _cleared_rows(rows)
+            k = next(x // y for tr, ir in zip(t, ints) for x, y in zip(tr, ir) if y)
+            assert [list(row) for row in t] == [[k * x for x in row] for row in ints]
+            assert all(type(x) is int for row in t for x in row)
+            checked += 1
+            scaled += k > 1
+    assert checked > 57 and (scaled > 0 or bound == 1)
+
+
+def _fraction_column_values(particular, null, grid, limit):
+    """Column values as rational rows: the first ``limit`` values
+    particular + sum c * null, coefficients in grid product order."""
+    return [[x + sum(c * v[k] for c, v in zip(choice, null))
+             for k, x in enumerate(particular)]
+            for choice in islice(iproduct(grid, repeat=len(null)), limit)]
+
+
+def _lead(tgt):
+    """The coefficients of rows 1..n-1 in the (e'_1, e'_1) products."""
+    return [list(tgt[o][0][0][1:]) for o in range(2)]
+
+
+def _solvable_first_rows(src, tgt, grid):
+    """(first row, each column's particular solution) for every first row,
+    in search order, whose (e'_1, e'_1) products some rows 1..n-1 meet."""
+    n = len(src[0])
+    w = n - 1
+    lead = _lead(tgt)
+    for first_row in iso._first_rows(grid, n):
+        images = [contract(src[o], first_row, first_row, F(0)) for o in range(2)]
+        red, pivots = linalg.rref([lead[o] + [x - tgt[o][0][0][0] * v
+                                              for x, v in zip(images[o], first_row)]
+                                   for o in range(2)])
+        if pivots and pivots[-1] >= w:
+            continue
+        particulars = []
+        for m in range(n):
+            particular = [F(0)] * w
+            for row, pc in zip(red, pivots):
+                particular[pc] = row[w + m]
+            particulars.append(particular)
+        yield first_row, particulars
+
+
+def _grid_search_reference(source, target, bound, budget):
+    """The rational pass as it was before the linear pairs were solved: the
+    (0, 0) pair alone fixes each column of rows 1..n-1 up to the nullspace
+    of its coefficients, and a candidate takes one value per column, grid
+    combinations in product order, at most 4096 per first row.  Returns
+    "found" or "not_found"; a reference for the reach of the search."""
+    n = source.dim
+    src, tgt = _constants(source), _constants(target)
+    carries = _carrier(source, target)
+    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    if carries(*_cleared_rows(ident)):
+        return "found"
+    examined = 1
     grid = iso.rational_grid(bound)
-    tested = scaled = 0
-    for source, target, records in _search_records(monkeypatch, rng, bound, 1000):
-        for rec, first_row, values in _oracle_rows(source, target, grid, records):
-            e = rec["e"]
-            assert len(rec["picks"]) == len(rec["t"])
-            for picks, t in zip(rec["picks"], rec["t"]):
-                rows = [first_row, *zip(*(col[i] for col, i in zip(values, picks)))]
-                ints, lcm = _cleared_rows(rows)
-                assert e % lcm == 0
-                assert [list(row) for row in t] == [[x * (e // lcm) for x in row]
-                                                    for row in ints]
-                assert all(type(x) is int for row in t for x in row)
-                tested += 1
-                scaled += e != lcm
-    assert tested > 57 and (scaled > 0 or bound == 1)
+    null = linalg.nullspace(_lead(tgt), n - 1)
+    for first_row, particulars in _solvable_first_rows(src, tgt, grid):
+        limit = min(4096, budget - examined)
+        columns = [_fraction_column_values(particular, null, grid, limit)
+                   for particular in particulars]
+        for cols in islice(iproduct(*columns), limit):
+            examined += 1
+            t, e = _cleared_rows([first_row, *zip(*cols)])
+            if linalg.rank(t) == n and carries(t, e):
+                return "found"
+        if examined >= budget:
+            break
+    return "not_found"
+
+
+def _agrees_with_the_oracle(src, tgt, bound, budget, expected):
+    res = iso.search_witness(src, tgt, bound=bound, budget=budget)
+    status, examined, rows = expected
+    assert (res.status, res.examined) == (status, examined), (bound, budget)
+    if rows is None:
+        assert res.witness is None
+    else:
+        assert res.witness.entries == iso.Witness.from_rows(rows).entries
+        assert iso.verify_witness(src, tgt, res.witness).ok
+    return status
+
+
+def _finds_what_the_grid_search_found(src, tgt, bound, budget, status):
+    if _grid_search_reference(src, tgt, bound, budget) == "found":
+        assert status == "found", (bound, budget)
+
+
+@pytest.fixture(scope="module")
+def copies_and_their_oracle():
+    """Every registry point against a signed-permutation copy and a random
+    copy, at bounds 1 and 2, with the oracle's outcome at budget 5000, the
+    largest that ``test_search_matches_the_per_candidate_oracle`` takes."""
+    rng = random.Random(20240817)
+    cases = []
+    for ad in _registry_points():
+        for t in (_signed_permutation(rng, ad.dim), random_invertible(rng, ad.dim)):
+            moved = apply_basis_change(ad, t)
+            for bound in (1, 2):
+                cases.append((moved, ad, bound,
+                              _per_candidate_search(moved, ad, bound, 5000)))
+    return cases
+
+
+@pytest.mark.parametrize("budget", [2, 57, 60, 1000, 5000])
+def test_search_matches_the_per_candidate_oracle(copies_and_their_oracle, budget):
+    # 57 and 60 cut the candidates of a first row short, 5000 outlasts the
+    # first rows of most copies, and at 1000 every pair that the grid search
+    # found is found
+    outcomes = set()
+    for moved, ad, bound, outcome in copies_and_their_oracle:
+        status = _agrees_with_the_oracle(moved, ad, bound, budget,
+                                         _at_budget(outcome, budget))
+        if budget == 1000:
+            _finds_what_the_grid_search_found(moved, ad, bound, budget, status)
+        outcomes.add(status)
+    assert outcomes == {"found", "not_found"}
+
+
+def test_search_matches_the_oracle_on_fingerprint_equal_pairs():
+    points = list(_registry_points())
+    prints = [iso.fingerprint(ad) for ad in points]
+    pairs = [(a, b) for i, a in enumerate(points) for j, b in enumerate(points)
+             if i < j and prints[i] == prints[j]]
+    assert len(pairs) > 100
+    found = 0
+    for a, b in pairs:
+        outcome = _per_candidate_search(a, b, 1, 1000)
+        for budget in (2, 57, 1000):
+            status = _agrees_with_the_oracle(a, b, 1, budget, _at_budget(outcome, budget))
+        _finds_what_the_grid_search_found(a, b, 1, 1000, status)
+        found += status == "found"
+    assert 0 < found < len(pairs)
+
+
+def test_search_matches_the_oracle_in_dimension_one():
+    # e'_1 = t e_1 carries r = 1, l = -1/2 onto r = s, l = -s/2 when t = s
+    src = constant_pair({(1, 1, 1): F(1)}, {(1, 1, 1): F(-1, 2)}, 1)
+    for scale, status in ((F(2), "found"), (F(-1, 2), "found"), (F(3), "not_found")):
+        tgt = constant_pair({(1, 1, 1): scale}, {(1, 1, 1): -scale / 2}, 1)
+        for bound, budget in ((2, 1000), (2, 57), (2, 3), (1, 2)):
+            _agrees_with_the_oracle(src, tgt, bound, budget,
+                                    _per_candidate_search(src, tgt, bound, budget))
+        assert iso.search_witness(src, tgt, bound=2).status == status
+
+
+def test_search_reaches_random_and_signed_copies():
+    # two copies of each registry point per kind (seed 7), bound 2, budget
+    # 1000: every signed-permutation copy is found, and all but a few random
+    # copies; the grid search found 103 and 68 of these
+    copies = {"signed": (_signed_permutation, random.Random(7)),
+              "random": (random_invertible, random.Random(7))}
+    found = {"signed": 0, "random": 0}
+    for ad in _registry_points():
+        for kind, (draw, rng) in copies.items():
+            for _ in range(2):
+                moved = apply_basis_change(ad, draw(rng, ad.dim))
+                res = iso.search_witness(moved, ad, bound=2, budget=1000)
+                if res.status == "found":
+                    assert iso.verify_witness(moved, ad, res.witness).ok
+                    found[kind] += 1
+    assert found["signed"] == 114 and found["random"] >= 105, found
 
 
 def _candidates(rng, witness):
@@ -464,202 +695,6 @@ def test_search_budget_bounds_the_candidates_examined(monkeypatch):
     assert computed == []
 
 
-def _fraction_column_values(particular, null, grid, limit):
-    """Column values as rational rows: the first ``limit`` values
-    particular + sum c * null, coefficients in grid product order."""
-    return [[x + sum(c * v[k] for c, v in zip(choice, null))
-             for k, x in enumerate(particular)]
-            for choice in islice(iproduct(grid, repeat=len(null)), limit)]
-
-
-def _lead(tgt):
-    """The coefficients of rows 1..n-1 in the (e'_1, e'_1) products."""
-    return [list(tgt[o][0][0][1:]) for o in range(2)]
-
-
-def _solvable_first_rows(src, tgt, grid):
-    """(first row, each column's particular solution) for every first row,
-    in search order, whose (e'_1, e'_1) products some rows 1..n-1 meet."""
-    n = len(src[0])
-    w = n - 1
-    lead = _lead(tgt)
-    for first_row in iso._first_rows(grid, n):
-        images = [contract(src[o], first_row, first_row, F(0)) for o in range(2)]
-        red, pivots = linalg.rref([lead[o] + [x - tgt[o][0][0][0] * v
-                                              for x, v in zip(images[o], first_row)]
-                                   for o in range(2)])
-        if pivots and pivots[-1] >= w:
-            continue
-        particulars = []
-        for m in range(n):
-            particular = [F(0)] * w
-            for row, pc in zip(red, pivots):
-                particular[pc] = row[w + m]
-            particulars.append(particular)
-        yield first_row, particulars
-
-
-def _per_candidate_search(source, target, bound, budget):
-    """The rational search as a loop that assembles and tests every
-    candidate in turn, with no affine filter: an oracle for ``examined`` and
-    for the witness found.  Each candidate is a rational matrix, cleared by
-    the lcm of its own denominators.  Returns (status, examined, witness
-    rows or None); the pair's fingerprints are taken to agree."""
-    n = source.dim
-    src, tgt = _constants(source), _constants(target)
-    cleared, _ = _cleared(*src, *tgt)
-    src_int, tgt_int = cleared[:2], cleared[2:]
-
-    def carries(t, e):
-        return next(iso._transport_residuals(src_int, tgt_int, t, 0, e), None) is None
-
-    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-    if carries(*_cleared_rows(ident)):
-        return "found", 1, ident
-    examined = 1
-    grid = iso.rational_grid(bound)
-    null = linalg.nullspace(_lead(tgt), n - 1)
-    per_cell_cap = 4096
-    for first_row, particulars in _solvable_first_rows(src, tgt, grid):
-        limit = min(per_cell_cap, max(1, budget - examined))
-        columns = [_fraction_column_values(particular, null, grid, limit)
-                   for particular in particulars]
-        produced = 0
-        for cols in iproduct(*columns):
-            examined += 1
-            produced += 1
-            t, e = _cleared_rows([first_row, *zip(*cols)])
-            if linalg.rank(t) == n and carries(t, e):
-                return "found", examined, [[F(x, e) for x in row] for row in t]
-            if examined >= budget or produced >= per_cell_cap:
-                break
-        if examined >= budget:
-            break
-    return "not_found", examined, None
-
-
-def _agrees_with_the_oracle(src, tgt, bound, budget):
-    res = iso.search_witness(src, tgt, bound=bound, budget=budget)
-    status, examined, rows = _per_candidate_search(src, tgt, bound, budget)
-    assert (res.status, res.examined) == (status, examined), (bound, budget)
-    if rows is None:
-        assert res.witness is None
-    else:
-        assert res.witness.entries == iso.Witness.from_rows(rows).entries
-    return status
-
-
-def _ran_out_mid_block(monkeypatch):
-    """Record whether a first row's candidates were cut inside a block of
-    the last column by the budget (not by the per-row cap)."""
-    seen = []
-    survivors = iso._survivors
-
-    def recorded(const, vectors, size, count):
-        seen.append(count < size ** len(vectors) and count % size and count != 4096)
-        return survivors(const, vectors, size, count)
-
-    monkeypatch.setattr(iso, "_survivors", recorded)
-    return seen
-
-
-@pytest.mark.parametrize("budget", [2, 57, 60, 1000, 5000])
-def test_search_matches_the_per_candidate_oracle(monkeypatch, rng, budget):
-    # every registry point from a signed-permutation copy and a random copy;
-    # 5000 crosses the per-row cap of 4096 on the 49 x 49 x 49 first rows
-    cut = _ran_out_mid_block(monkeypatch)
-    outcomes = set()
-    for ad in _registry_points():
-        n = ad.dim
-        perm = list(range(n))
-        rng.shuffle(perm)
-        signed = [[F(rng.choice((-1, 1))) if perm[i] == j else F(0) for j in range(n)]
-                  for i in range(n)]
-        for t in (signed, random_invertible(rng, n)):
-            for bound in (1, 2):
-                outcomes.add(_agrees_with_the_oracle(apply_basis_change(ad, t), ad,
-                                                     bound, budget))
-    # at budget 2 a first row has one candidate, so no block to cut
-    assert outcomes == {"found", "not_found"} and (any(cut) or budget == 2)
-
-
-def test_search_matches_the_oracle_on_fingerprint_equal_pairs(monkeypatch):
-    cut = _ran_out_mid_block(monkeypatch)
-    points = list(_registry_points())
-    prints = [iso.fingerprint(ad) for ad in points]
-    pairs = [(a, b) for i, a in enumerate(points) for j, b in enumerate(points)
-             if i < j and prints[i] == prints[j]]
-    assert len(pairs) > 100
-    found = 0
-    for a, b in pairs:
-        for bound, budget in ((1, 300), (2, 1000)):
-            found += _agrees_with_the_oracle(a, b, bound, budget) == "found"
-    assert 0 < found < len(pairs) and any(cut)
-
-
-def test_search_matches_the_oracle_in_dimension_one():
-    # e'_1 = t e_1 carries r = 1, l = -1/2 onto r = s, l = -s/2 when t = s
-    src = constant_pair({(1, 1, 1): F(1)}, {(1, 1, 1): F(-1, 2)}, 1)
-    for scale, status in ((F(2), "found"), (F(-1, 2), "found"), (F(3), "not_found")):
-        tgt = constant_pair({(1, 1, 1): scale}, {(1, 1, 1): -scale / 2}, 1)
-        for bound, budget in ((2, 1000), (2, 3), (1, 2)):
-            _agrees_with_the_oracle(src, tgt, bound, budget)
-        assert iso.search_witness(src, tgt, bound=2).status == status
-
-
-@pytest.mark.parametrize("bound", [1, 2, 3])
-def test_column_values_on_ints_equal_the_cleared_fraction_ones(monkeypatch, rng, bound):
-    # the first row and every column value the search builds is e times
-    # its rational value, and e clears them all
-    grid = iso.rational_grid(bound)
-    reached = rescaled = 0
-    for source, target, records in _search_records(monkeypatch, rng, bound, 300):
-        for rec, first_row, values in _oracle_rows(source, target, grid, records):
-            e = rec["e"]
-            assert rec["first"] == [e * x for x in first_row]
-            for col, oracle in zip(rec["columns"], values):
-                assert col == [[e * x for x in v] for v in oracle]
-                assert all(type(x) is int for v in col for x in v)
-            reached += 1
-            rescaled += e != _cleared_rows([first_row])[1]
-    assert reached > 57 and rescaled > 0
-
-
-def test_affine_table_is_the_linear_part_of_the_transport_residuals(rng):
-    # at the candidates' scale e, const + the vectors of a candidate's
-    # values is its residual on the pairs (0, j) and (j, 0), so it vanishes
-    # exactly when those pairs carry; the witness's own parts are among the
-    # values
-    grid = iso.rational_grid(2)
-    carried = rejected = 0
-    for ad in _registry_points():
-        n = ad.dim
-        t = random_invertible(rng, n)
-        cleared, _ = _cleared(*_constants(ad), *_constants(apply_basis_change(ad, t)))
-        src, tgt = cleared[:2], cleared[2:]
-        keys = [(op, i, j, m) for op in ("rhd", "lhd") for i in range(n) for j in range(n)
-                if (i == 0) != (j == 0) for m in range(n)]
-        for first_row in (t[0], [rng.choice(grid) for _ in range(n)]):
-            values = [[[rng.choice(grid) for _ in range(n - 1)] for _ in range(3)]
-                      for _ in range(n)]
-            for c, col in enumerate(values):
-                col.insert(rng.randint(0, 3), [row[c] for row in t[1:]])
-            (first, *ints), e = _cleared_rows([first_row, *(v for col in values for v in col)])
-            columns = [ints[4 * c:4 * c + 4] for c in range(n)]
-            const, vectors = iso._affine_table(src, tgt, first, e, columns)
-            assert len(const) == len(keys)
-            for picks in iproduct(range(4), repeat=n):
-                total = [sum(xs) for xs in zip(const, *(v[i] for v, i in zip(vectors, picks)))]
-                rows = [first, *zip(*(col[i] for col, i in zip(columns, picks)))]
-                res = dict(iso._transport_residuals(src, tgt, rows, 0, e))
-                assert total == [res.get(key, 0) for key in keys]
-                if any(total):
-                    rejected += 1
-                else:
-                    carried += 1
-    assert carried >= 57 and rejected > 57
-
-
 # -- quadratic extension witnesses ------------------------------------------------------
 
 
@@ -687,8 +722,8 @@ def test_quadratic_retry_finds_sqrt_witness():
 
 
 def test_sqrt_pass_keeps_to_the_candidate_budget(monkeypatch):
-    # at bound 1 the sqrt(3) pass has 6 * 8^3 = 3,072 candidates, and it
-    # tries only the first ``budget`` of them
+    # the sqrt(3) pass checks each candidate by the transport identity
+    # first, and it checks only the first ``budget`` of them
     checks = []
     original = iso._transport_residuals
 
@@ -704,6 +739,32 @@ def test_sqrt_pass_keeps_to_the_candidate_budget(monkeypatch):
     assert checks.count(QuadExt) == 10
 
 
+def test_sqrt_candidates_solve_the_linear_pairs(monkeypatch):
+    # every candidate of the sqrt(2) pass meets the pairs with an index 0,
+    # first rows with denominators included: the sqrt(2) pair against a
+    # permuted AD3_22(0,0), where no candidate at bound 2 carries
+    candidates = []
+    original = iso._transport_residuals
+
+    def recorded(src, tgt, t, zero, e=1):
+        if type(zero) is QuadExt:
+            candidates.append(t)
+        return original(src, tgt, t, zero, e)
+
+    monkeypatch.setattr(iso, "_transport_residuals", recorded)
+    src = quad_pair_needing_sqrt2()
+    perm = [[F(int(j == k)) for k in range(3)] for j in (2, 0, 1)]
+    tgt = apply_basis_change(catalog.get("AD3_22", {"a": F(0), "b": F(0)}), perm)
+    res = iso.search_witness(src, tgt, bound=2, radicand=F(2), budget=1000)
+    assert res.status == "not_found"
+    zero = QuadExt(0, 0, 2)
+    for t in candidates:
+        residuals = original(_constants(src), _constants(tgt), t, zero)
+        assert not [key for key, _ in residuals if 0 in key[1:3]]
+    assert len(candidates) > 300
+    assert any(x.a.denominator > 1 for t in candidates for x in t[0])
+
+
 def _per_cell_quadratic(src, tgt, n, bound, d, budget=500_000):
     """The sqrt(d) pass as a loop over tensor cells: for e'_i = d_i e_{s(i)}
     the transport identity is d_i d_j src[s(i)][s(j)][s(k)] = d_k tgt[i][j][k]
@@ -714,6 +775,13 @@ def _per_cell_quadratic(src, tgt, n, bound, d, budget=500_000):
     cells = [(i, j, k) for i in idx for j in idx for k in idx]
     examined = 0
     for perm in permutations(idx):
+        # d_i d_j and d_k are nonzero, so a zero cell must meet a zero cell
+        if any((s[perm[i]][perm[j]][perm[k]] == 0) != (g[i][j][k] == 0)
+               for s, g in zip(src, tgt) for i, j, k in cells):
+            examined += len(scalars) ** n
+            if examined > budget:
+                return None
+            continue
         for diag in iproduct(scalars, repeat=n):
             examined += 1
             if examined > budget:
@@ -727,32 +795,35 @@ def _per_cell_quadratic(src, tgt, n, bound, d, budget=500_000):
     return None
 
 
-def _constants(ad):
-    return (ad.rhd.constant_tensor(), ad.lhd.constant_tensor())
-
-
 def test_quadratic_pass_matches_the_per_cell_oracle(rng):
-    pairs = [(quad_pair_needing_sqrt2(), catalog.get("AD3_22", {"a": F(0), "b": F(0)}),
-              2, 1000)]
-    # every third registry point against a signed-permutation copy; the
-    # budgets leave some pairs without a witness
+    # every pair that the old diagonal pass (``_per_cell_quadratic``) links
+    # is still found with the radicand: the sqrt(2) pair with its basis
+    # permuted in all six ways on either side, where the old pass links 2
+    # of the 12 and the search 10, and every third registry point against a
+    # signed-permutation copy
+    sqrt2 = quad_pair_needing_sqrt2()
+    ad22 = catalog.get("AD3_22", {"a": F(0), "b": F(0)})
+    pairs = []
+    for perm in permutations(range(3)):
+        p = [[F(int(perm[i] == j)) for j in range(3)] for i in range(3)]
+        pairs += [(apply_basis_change(sqrt2, p), ad22, 2, 1000),
+                  (sqrt2, apply_basis_change(ad22, p), 2, 1000)]
     for ad in list(_registry_points())[::3]:
-        n = ad.dim
-        perm = list(range(n))
-        rng.shuffle(perm)
-        t = [[F(rng.choice((-1, 1))) if perm[i] == j else F(0) for j in range(n)]
-             for i in range(n)]
-        bound, budget = (2, 300) if n == 2 else (1, 160)
-        pairs.append((ad, apply_basis_change(ad, t), bound, budget))
-    found = 0
+        bound, budget = (2, 300) if ad.dim == 2 else (1, 160)
+        pairs.append((ad, apply_basis_change(ad, _signed_permutation(rng, ad.dim)),
+                      bound, budget))
+    linked, found = 0, []
     for src, tgt, bound, budget in pairs:
-        args = (_constants(src), _constants(tgt), src.dim, bound, F(2), budget)
-        w = iso._search_quadratic(*args)
-        assert w == _per_cell_quadratic(*args)
-        if w is not None:
-            found += 1
-            assert iso.verify_witness(src, tgt, w).ok
-    assert 2 < found < len(pairs) - 2
+        old = _per_cell_quadratic(_constants(src), _constants(tgt), src.dim, bound,
+                                  F(2), budget)
+        res = iso.search_witness(src, tgt, bound=bound, radicand=F(2), budget=budget)
+        if old is not None:
+            linked += 1
+            assert res.status == "found"
+        if res.status == "found":
+            assert iso.verify_witness(src, tgt, res.witness).ok
+        found.append(res.status == "found")
+    assert sum(found[:12]) >= 10 and 2 < linked < sum(found)
 
 
 def test_quad_witness_verification_directly():
