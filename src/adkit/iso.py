@@ -44,7 +44,7 @@ the candidates actually checked.
 
 With a radicand d, a second pass takes the same rational first rows and
 solutions, gives the free values the form a + b sqrt(d), and checks each
-candidate over Q(sqrt d) by its determinant and the identity.  The
+candidate over Q(sqrt d) by the identity and its determinant.  The
 identity is written out once, in ``_transport_residuals``: the verifier
 and both passes of the search test witnesses through it.
 """

@@ -1,4 +1,3 @@
-import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -243,178 +242,6 @@ def test_first_rows_are_generated_lazily():
     assert peak < 2_000_000
 
 
-def _constants(ad):
-    return (ad.rhd.constant_tensor(), ad.lhd.constant_tensor())
-
-
-def _signed_permutation(rng, n):
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return [[F(rng.choice((-1, 1))) if perm[i] == j else F(0) for j in range(n)]
-            for i in range(n)]
-
-
-def _carrier(source, target):
-    """The search's integer transport test, on the pair cleared by one lcm."""
-    cleared, _ = _cleared(*_constants(source), *_constants(target))
-
-    def carries(t, e):
-        return next(iso._transport_residuals(cleared[:2], cleared[2:], t, 0, e),
-                    None) is None
-    return carries
-
-
-def _linear_solution(src, tgt, first_row):
-    """(particular, directions) of rows 1..n-1 of T, read row by row, once
-    its first row is fixed, or None when there is no solution.  The pairs of
-    the transport identity with an index 0 are read off
-    ``_transport_residuals`` on Fractions, probed with unit rows, and solved
-    by one nullspace."""
-    n = len(first_row)
-    w = (n - 1) * n
-    keys = [(op, i, j, m) for op in ("rhd", "lhd") for i in range(n) for j in range(n)
-            if 0 in (i, j) for m in range(n)]
-
-    def residuals(x):
-        rows = [list(first_row), *(x[k:k + n] for k in range(0, w, n))]
-        res = dict(iso._transport_residuals(src, tgt, rows, F(0)))
-        return [res.get(key, F(0)) for key in keys]
-
-    const = residuals([F(0)] * w)
-    columns = [[a - b for a, b in zip(residuals([F(int(u == v)) for v in range(w)]), const)]
-               for u in range(w)]
-    null = linalg.nullspace([list(row) for row in zip(*columns, const)], w + 1)
-    if not null or not null[-1][w]:
-        return None
-    return null[-1][:w], [v[:w] for v in null[:-1]]
-
-
-def test_solved_rows_are_the_linear_part_of_the_transport_residuals(rng):
-    # with the first row fixed, the pairs with an index 0 are affine in the
-    # other rows: on every fifth registry point the search solves exactly
-    # the first rows whose probed system has a solution, and finds the same
-    # canonical solution; on the other points, a witness's rows solve the
-    # system of its own first row
-    solvable = 0
-    for number, ad in enumerate(_registry_points()):
-        n = ad.dim
-        t = random_invertible(rng, n)
-        src, tgt = _constants(ad), _constants(apply_basis_change(ad, t))
-        cleared, _ = _cleared(*src, *tgt)
-        grid = iso.rational_grid(1) if number % 5 == 0 else sorted({F(0), *t[0]})
-        solved = {tuple(F(x, e0) for x in f): (particular, directions)
-                  for f, e0, particular, directions
-                  in iso._solved_rows(cleared[:2], cleared[2:], grid, n)}
-        if number % 5 == 0:
-            for first_row in iso._first_rows(grid, n):
-                assert solved.get(first_row) == _linear_solution(src, tgt, first_row)
-            solvable += len(solved)
-        else:
-            particular, directions = solved[tuple(t[0])]
-            offset = [x - p for x, p in zip((x for row in t[1:] for x in row), particular)]
-            assert linalg.rank(directions + [offset]) == len(directions)
-    assert solvable > 12
-
-
-def _recording_solves(monkeypatch):
-    """Record every (f, e0, particular, directions) the search takes from
-    ``_solved_rows``, in order, in the returned list."""
-    solves = []
-    solved_rows = iso._solved_rows
-
-    def recorded(*args):
-        for solve in solved_rows(*args):
-            solves.append(solve)
-            yield solve
-
-    monkeypatch.setattr(iso, "_solved_rows", recorded)
-    return solves
-
-
-def _oracle_candidates(solves, n, bound, budget):
-    """The rational pass's candidates after the identity, in order, as
-    rational matrices: for each solved first row, rows 1..n-1 are the
-    particular solution plus grid combinations of the directions, in
-    product order, at most ``iso.ROW_CANDIDATES`` per first row and
-    ``budget`` - 1 in all."""
-    grid = iso.rational_grid(bound)
-    left = budget - 1
-    for f, e0, particular, directions in solves:
-        first_row = [F(x, e0) for x in f]
-        for choice in islice(iproduct(grid, repeat=len(directions)),
-                             min(iso.ROW_CANDIDATES, left)):
-            left -= 1
-            x = [p + sum(c * v[u] for c, v in zip(choice, directions) if c)
-                 for u, p in enumerate(particular)]
-            yield [first_row, *(x[k:k + n] for k in range(0, len(x), n))]
-        if left <= 0:
-            return
-
-
-def _per_candidate_search(source, target, bound, budget):
-    """The rational pass as a Fraction loop: each candidate is assembled as
-    a rational matrix and cleared by the lcm of its own denominators, then
-    tested.  An oracle for ``examined`` and for the witness found.  Returns
-    (status, examined, witness rows or None); the pair's fingerprints are
-    taken to agree.  A smaller budget only cuts the same candidates shorter,
-    so one run answers for every budget up to its own (``_at_budget``)."""
-    n = source.dim
-    cleared, _ = _cleared(*_constants(source), *_constants(target))
-    carries = _carrier(source, target)
-    examined = 1
-    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-    if carries(*_cleared_rows(ident)):
-        return "found", examined, ident
-    solves = iso._solved_rows(cleared[:2], cleared[2:], iso.rational_grid(bound), n)
-    for rows in _oracle_candidates(solves, n, bound, budget):
-        examined += 1
-        t, e = _cleared_rows(rows)
-        if linalg.rank(t) == n and carries(t, e):
-            return "found", examined, rows
-    return "not_found", examined, None
-
-
-def _at_budget(outcome, budget):
-    """The oracle's outcome at a budget no larger than the one it ran with."""
-    status, examined, rows = outcome
-    if status == "found" and examined <= budget:
-        return outcome
-    return "not_found", min(budget, examined), None
-
-
-@pytest.mark.parametrize("bound", [1, 2, 3, 4])
-def test_candidate_assembly_equals_clearing_the_matrix(monkeypatch, rng, bound):
-    # every candidate that takes the rank test is an integer multiple of the
-    # oracle's rational candidate at the same place, cleared by its own
-    # denominators: the one scale of a first row changes no candidate
-    solves = _recording_solves(monkeypatch)
-    tested = []
-    rank = linalg.rank
-
-    def recorded(t):
-        tested.append(t)
-        return rank(t)
-
-    monkeypatch.setattr(iso, "fingerprint", lambda ad: None)
-    monkeypatch.setattr(linalg, "rank", recorded)
-    checked = scaled = 0
-    for ad in _registry_points():
-        moved = apply_basis_change(ad, random_invertible(rng, ad.dim))
-        tested.clear()
-        solves.clear()
-        iso.search_witness(moved, ad, bound=bound, budget=100)
-        oracle = list(_oracle_candidates(solves, ad.dim, bound, 100))[:len(tested)]
-        assert len(oracle) == len(tested)
-        for t, rows in zip(tested, oracle):
-            ints, _ = _cleared_rows(rows)
-            k = next(x // y for tr, ir in zip(t, ints) for x, y in zip(tr, ir) if y)
-            assert [list(row) for row in t] == [[k * x for x in row] for row in ints]
-            assert all(type(x) is int for row in t for x in row)
-            checked += 1
-            scaled += k > 1
-    assert checked > 57 and (scaled > 0 or bound == 1)
-
-
 def _fraction_column_values(particular, null, grid, limit):
     """Column values as rational rows: the first ``limit`` values
     particular + sum c * null, coefficients in grid product order."""
@@ -448,131 +275,6 @@ def _solvable_first_rows(src, tgt, grid):
                 particular[pc] = row[w + m]
             particulars.append(particular)
         yield first_row, particulars
-
-
-def _grid_search_reference(source, target, bound, budget):
-    """The rational pass as it was before the linear pairs were solved: the
-    (0, 0) pair alone fixes each column of rows 1..n-1 up to the nullspace
-    of its coefficients, and a candidate takes one value per column, grid
-    combinations in product order, at most 4096 per first row.  Returns
-    "found" or "not_found"; a reference for the reach of the search."""
-    n = source.dim
-    src, tgt = _constants(source), _constants(target)
-    carries = _carrier(source, target)
-    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-    if carries(*_cleared_rows(ident)):
-        return "found"
-    examined = 1
-    grid = iso.rational_grid(bound)
-    null = linalg.nullspace(_lead(tgt), n - 1)
-    for first_row, particulars in _solvable_first_rows(src, tgt, grid):
-        limit = min(4096, budget - examined)
-        columns = [_fraction_column_values(particular, null, grid, limit)
-                   for particular in particulars]
-        for cols in islice(iproduct(*columns), limit):
-            examined += 1
-            t, e = _cleared_rows([first_row, *zip(*cols)])
-            if linalg.rank(t) == n and carries(t, e):
-                return "found"
-        if examined >= budget:
-            break
-    return "not_found"
-
-
-def _agrees_with_the_oracle(src, tgt, bound, budget, expected):
-    res = iso.search_witness(src, tgt, bound=bound, budget=budget)
-    status, examined, rows = expected
-    assert (res.status, res.examined) == (status, examined), (bound, budget)
-    if rows is None:
-        assert res.witness is None
-    else:
-        assert res.witness.entries == iso.Witness.from_rows(rows).entries
-        assert iso.verify_witness(src, tgt, res.witness).ok
-    return status
-
-
-def _finds_what_the_grid_search_found(src, tgt, bound, budget, status):
-    # run only where the search found nothing: the grid search must not
-    # have found anything there either
-    if status != "found":
-        assert _grid_search_reference(src, tgt, bound, budget) == "not_found", (
-            bound, budget)
-
-
-@pytest.fixture(scope="module")
-def copies_and_their_oracle():
-    """Every registry point against a signed-permutation copy and a random
-    copy, at bounds 1 and 2, with the oracle's outcome at budget 5000, the
-    largest that ``test_search_matches_the_per_candidate_oracle`` takes."""
-    rng = random.Random(20240817)
-    cases = []
-    for ad in _registry_points():
-        for t in (_signed_permutation(rng, ad.dim), random_invertible(rng, ad.dim)):
-            moved = apply_basis_change(ad, t)
-            for bound in (1, 2):
-                cases.append((moved, ad, bound,
-                              _per_candidate_search(moved, ad, bound, 5000)))
-    return cases
-
-
-@pytest.mark.parametrize("budget", [2, 57, 60, 1000, 5000])
-def test_search_matches_the_per_candidate_oracle(copies_and_their_oracle, budget):
-    # 57 and 60 cut the candidates of a first row short, 5000 outlasts the
-    # first rows of most copies, and at 1000 every pair that the grid search
-    # found is found
-    outcomes = set()
-    for moved, ad, bound, outcome in copies_and_their_oracle:
-        status = _agrees_with_the_oracle(moved, ad, bound, budget,
-                                         _at_budget(outcome, budget))
-        if budget == 1000:
-            _finds_what_the_grid_search_found(moved, ad, bound, budget, status)
-        outcomes.add(status)
-    assert outcomes == {"found", "not_found"}
-
-
-def test_search_matches_the_oracle_on_fingerprint_equal_pairs():
-    points = list(_registry_points())
-    prints = [iso.fingerprint(ad) for ad in points]
-    pairs = [(a, b) for i, a in enumerate(points) for j, b in enumerate(points)
-             if i < j and prints[i] == prints[j]]
-    assert len(pairs) > 100
-    found = 0
-    for a, b in pairs:
-        outcome = _per_candidate_search(a, b, 1, 1000)
-        for budget in (2, 57, 1000):
-            status = _agrees_with_the_oracle(a, b, 1, budget, _at_budget(outcome, budget))
-        _finds_what_the_grid_search_found(a, b, 1, 1000, status)
-        found += status == "found"
-    assert 0 < found < len(pairs)
-
-
-def test_search_matches_the_oracle_in_dimension_one():
-    # e'_1 = t e_1 carries r = 1, l = -1/2 onto r = s, l = -s/2 when t = s
-    src = constant_pair({(1, 1, 1): F(1)}, {(1, 1, 1): F(-1, 2)}, 1)
-    for scale, status in ((F(2), "found"), (F(-1, 2), "found"), (F(3), "not_found")):
-        tgt = constant_pair({(1, 1, 1): scale}, {(1, 1, 1): -scale / 2}, 1)
-        for bound, budget in ((2, 1000), (2, 57), (2, 3), (1, 2)):
-            _agrees_with_the_oracle(src, tgt, bound, budget,
-                                    _per_candidate_search(src, tgt, bound, budget))
-        assert iso.search_witness(src, tgt, bound=2).status == status
-
-
-def test_search_reaches_random_and_signed_copies():
-    # two copies of each registry point per kind (seed 7), bound 2, budget
-    # 1000: every signed-permutation copy is found, and all but a few random
-    # copies; the grid search found 103 and 68 of these
-    copies = {"signed": (_signed_permutation, random.Random(7)),
-              "random": (random_invertible, random.Random(7))}
-    found = {"signed": 0, "random": 0}
-    for ad in _registry_points():
-        for kind, (draw, rng) in copies.items():
-            for _ in range(2):
-                moved = apply_basis_change(ad, draw(rng, ad.dim))
-                res = iso.search_witness(moved, ad, bound=2, budget=1000)
-                if res.status == "found":
-                    assert iso.verify_witness(moved, ad, res.witness).ok
-                    found[kind] += 1
-    assert found["signed"] == 114 and found["random"] >= 105, found
 
 
 def _candidates(rng, witness):
@@ -698,6 +400,298 @@ def test_search_budget_bounds_the_candidates_examined(monkeypatch):
     assert computed == []
 
 
+def _signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[F(rng.choice((-1, 1))) if perm[i] == j else F(0) for j in range(n)]
+            for i in range(n)]
+
+
+def _carrier(cleared):
+    """The search's integer transport test, on the source's and target's
+    tensors cleared by one lcm."""
+    def carries(t, e):
+        return next(iso._transport_residuals(cleared[:2], cleared[2:], t, 0, e),
+                    None) is None
+    return carries
+
+
+def _linear_solution(src, tgt, first_row):
+    """(particular, directions) of rows 1..n-1 of T, read row by row, once
+    its first row is fixed, or None when there is no solution.  The pairs of
+    the transport identity with an index 0 are read off
+    ``_transport_residuals`` on Fractions, probed with unit rows, and solved
+    by one nullspace."""
+    n = len(first_row)
+    w = (n - 1) * n
+    keys = [(op, i, j, m) for op in ("rhd", "lhd") for i in range(n) for j in range(n)
+            if 0 in (i, j) for m in range(n)]
+
+    def residuals(x):
+        rows = [list(first_row), *(x[k:k + n] for k in range(0, w, n))]
+        res = dict(iso._transport_residuals(src, tgt, rows, F(0)))
+        return [res.get(key, F(0)) for key in keys]
+
+    const = residuals([F(0)] * w)
+    columns = [[a - b for a, b in zip(residuals([F(int(u == v)) for v in range(w)]), const)]
+               for u in range(w)]
+    null = linalg.nullspace([list(row) for row in zip(*columns, const)], w + 1)
+    if not null or not null[-1][w]:
+        return None
+    return null[-1][:w], [v[:w] for v in null[:-1]]
+
+
+def test_solved_rows_are_the_linear_part_of_the_transport_residuals(rng):
+    # with the first row fixed, the pairs with an index 0 are affine in the
+    # other rows: on every fifth registry point the search solves exactly
+    # the first rows whose probed system has a solution, and finds the same
+    # canonical solution; on the other points, a witness's rows solve the
+    # system of its own first row
+    solvable = 0
+    for number, ad in enumerate(_registry_points()):
+        n = ad.dim
+        t = random_invertible(rng, n)
+        src, tgt = _constants(ad), _constants(apply_basis_change(ad, t))
+        cleared, _ = _cleared(*src, *tgt)
+        grid = iso.rational_grid(1) if number % 5 == 0 else sorted({F(0), *t[0]})
+        solved = {tuple(F(x, e0) for x in f): (particular, directions)
+                  for f, e0, particular, directions
+                  in iso._solved_rows(cleared[:2], cleared[2:], grid, n)}
+        if number % 5 == 0:
+            for first_row in iso._first_rows(grid, n):
+                assert solved.get(first_row) == _linear_solution(src, tgt, first_row)
+            solvable += len(solved)
+        else:
+            particular, directions = solved[tuple(t[0])]
+            offset = [x - p for x, p in zip((x for row in t[1:] for x in row), particular)]
+            assert linalg.rank(directions + [offset]) == len(directions)
+    assert solvable > 12
+
+
+def _recording_solves(monkeypatch):
+    """Record every (f, e0, particular, directions) the search takes from
+    ``_solved_rows``, in order, in the returned list."""
+    solves = []
+    solved_rows = iso._solved_rows
+
+    def recorded(*args):
+        for solve in solved_rows(*args):
+            solves.append(solve)
+            yield solve
+
+    monkeypatch.setattr(iso, "_solved_rows", recorded)
+    return solves
+
+
+def _oracle_candidates(solves, n, bound, budget):
+    """The rational pass's candidates after the identity, in order, as
+    rational matrices: for each solved first row, rows 1..n-1 are the
+    particular solution plus grid combinations of the directions, in
+    product order, at most ``iso.ROW_CANDIDATES`` per first row and
+    ``budget`` - 1 in all."""
+    grid = iso.rational_grid(bound)
+    left = budget - 1
+    for f, e0, particular, directions in solves:
+        first_row = [F(x, e0) for x in f]
+        for choice in islice(iproduct(grid, repeat=len(directions)),
+                             min(iso.ROW_CANDIDATES, left)):
+            left -= 1
+            x = [p + sum(c * v[u] for c, v in zip(choice, directions) if c)
+                 for u, p in enumerate(particular)]
+            yield [first_row, *(x[k:k + n] for k in range(0, len(x), n))]
+        if left <= 0:
+            return
+
+
+def _per_candidate_search(source, target, bound, budget):
+    """The rational pass as a Fraction loop: each candidate is assembled as
+    a rational matrix and cleared by the lcm of its own denominators, then
+    tested.  An oracle for ``examined`` and for the witness found.  Returns
+    (status, examined, witness rows or None); the pair's fingerprints are
+    taken to agree.  A smaller budget only cuts the same candidates shorter,
+    so one run answers for every budget up to its own (``_at_budget``)."""
+    n = source.dim
+    cleared, _ = _cleared(*_constants(source), *_constants(target))
+    carries = _carrier(cleared)
+    examined = 1
+    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    if carries(*_cleared_rows(ident)):
+        return "found", examined, ident
+    solves = iso._solved_rows(cleared[:2], cleared[2:], iso.rational_grid(bound), n)
+    for rows in _oracle_candidates(solves, n, bound, budget):
+        examined += 1
+        t, e = _cleared_rows(rows)
+        if linalg.rank(t) == n and carries(t, e):
+            return "found", examined, rows
+    return "not_found", examined, None
+
+
+def _at_budget(outcome, budget):
+    """The oracle's outcome at a budget no larger than the one it ran with."""
+    status, examined, rows = outcome
+    if status == "found" and examined <= budget:
+        return outcome
+    return "not_found", min(budget, examined), None
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+def test_candidate_assembly_equals_clearing_the_matrix(monkeypatch, rng, bound):
+    # every candidate that takes the rank test is an integer multiple of the
+    # oracle's rational candidate at the same place, cleared by its own
+    # denominators: the one scale of a first row changes no candidate
+    solves = _recording_solves(monkeypatch)
+    tested = []
+    rank = linalg.rank
+
+    def recorded(t):
+        tested.append(t)
+        return rank(t)
+
+    monkeypatch.setattr(iso, "fingerprint", lambda ad: None)
+    monkeypatch.setattr(linalg, "rank", recorded)
+    checked = scaled = 0
+    for ad in _registry_points():
+        moved = apply_basis_change(ad, random_invertible(rng, ad.dim))
+        tested.clear()
+        solves.clear()
+        iso.search_witness(moved, ad, bound=bound, budget=100)
+        oracle = list(_oracle_candidates(solves, ad.dim, bound, 100))[:len(tested)]
+        assert len(oracle) == len(tested)
+        for t, rows in zip(tested, oracle):
+            ints, _ = _cleared_rows(rows)
+            k = next(x // y for tr, ir in zip(t, ints) for x, y in zip(tr, ir) if y)
+            assert [list(row) for row in t] == [[k * x for x in row] for row in ints]
+            assert all(type(x) is int for row in t for x in row)
+            checked += 1
+            scaled += k > 1
+    assert checked > 57 and (scaled > 0 or bound == 1)
+
+
+def _grid_search_reference(source, target, bound, budget):
+    """The rational pass as it was before the linear pairs were solved: the
+    (0, 0) pair alone fixes each column of rows 1..n-1 up to the nullspace
+    of its coefficients, and a candidate takes one value per column, grid
+    combinations in product order, at most 4096 per first row.  Returns
+    "found" or "not_found"; a reference for the reach of the search."""
+    n = source.dim
+    src, tgt = _constants(source), _constants(target)
+    carries = _carrier(_cleared(*src, *tgt)[0])
+    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    if carries(*_cleared_rows(ident)):
+        return "found"
+    examined = 1
+    grid = iso.rational_grid(bound)
+    null = linalg.nullspace(_lead(tgt), n - 1)
+    for first_row, particulars in _solvable_first_rows(src, tgt, grid):
+        limit = min(4096, budget - examined)
+        columns = [_fraction_column_values(particular, null, grid, limit)
+                   for particular in particulars]
+        for cols in islice(iproduct(*columns), limit):
+            examined += 1
+            t, e = _cleared_rows([first_row, *zip(*cols)])
+            if linalg.rank(t) == n and carries(t, e):
+                return "found"
+        if examined >= budget:
+            break
+    return "not_found"
+
+
+def _agrees_with_the_oracle(src, tgt, bound, budget, expected):
+    res = iso.search_witness(src, tgt, bound=bound, budget=budget)
+    status, examined, rows = expected
+    assert (res.status, res.examined) == (status, examined), (bound, budget)
+    if rows is None:
+        assert res.witness is None
+    else:
+        assert res.witness.entries == iso.Witness.from_rows(rows).entries
+        assert iso.verify_witness(src, tgt, res.witness).ok
+    return status
+
+
+def _finds_what_the_grid_search_found(src, tgt, bound, budget, status):
+    # run only where the search found nothing: the grid search must not
+    # have found anything there either
+    if status != "found":
+        assert _grid_search_reference(src, tgt, bound, budget) == "not_found", (
+            bound, budget)
+
+
+@pytest.fixture(scope="module")
+def copies_and_their_oracle():
+    """Every registry point against a signed-permutation copy and a random
+    copy, at bounds 1 and 2, with the oracle's outcome at budget 5000, the
+    largest that ``test_search_matches_the_per_candidate_oracle`` takes."""
+    rng = random.Random(20240817)
+    cases = []
+    for ad in _registry_points():
+        for t in (_signed_permutation(rng, ad.dim), random_invertible(rng, ad.dim)):
+            moved = apply_basis_change(ad, t)
+            for bound in (1, 2):
+                cases.append((moved, ad, bound,
+                              _per_candidate_search(moved, ad, bound, 5000)))
+    return cases
+
+
+@pytest.mark.parametrize("budget", [2, 57, 60, 1000, 5000])
+def test_search_matches_the_per_candidate_oracle(copies_and_their_oracle, budget):
+    # 57 and 60 cut the candidates of a first row short, 5000 outlasts the
+    # first rows of most copies, and at 1000 every pair that the grid search
+    # found is found
+    outcomes = set()
+    for moved, ad, bound, outcome in copies_and_their_oracle:
+        status = _agrees_with_the_oracle(moved, ad, bound, budget,
+                                         _at_budget(outcome, budget))
+        if budget == 1000:
+            _finds_what_the_grid_search_found(moved, ad, bound, budget, status)
+        outcomes.add(status)
+    assert outcomes == {"found", "not_found"}
+
+
+def test_search_matches_the_oracle_on_fingerprint_equal_pairs():
+    points = list(_registry_points())
+    prints = [iso.fingerprint(ad) for ad in points]
+    pairs = [(a, b) for i, a in enumerate(points) for j, b in enumerate(points)
+             if i < j and prints[i] == prints[j]]
+    assert len(pairs) > 100
+    found = 0
+    for a, b in pairs:
+        outcome = _per_candidate_search(a, b, 1, 1000)
+        for budget in (2, 57, 1000):
+            status = _agrees_with_the_oracle(a, b, 1, budget, _at_budget(outcome, budget))
+        _finds_what_the_grid_search_found(a, b, 1, 1000, status)
+        found += status == "found"
+    assert 0 < found < len(pairs)
+
+
+def test_search_matches_the_oracle_in_dimension_one():
+    # e'_1 = t e_1 carries r = 1, l = -1/2 onto r = s, l = -s/2 when t = s
+    src = constant_pair({(1, 1, 1): F(1)}, {(1, 1, 1): F(-1, 2)}, 1)
+    for scale, status in ((F(2), "found"), (F(-1, 2), "found"), (F(3), "not_found")):
+        tgt = constant_pair({(1, 1, 1): scale}, {(1, 1, 1): -scale / 2}, 1)
+        for bound, budget in ((2, 1000), (2, 57), (2, 3), (1, 2)):
+            _agrees_with_the_oracle(src, tgt, bound, budget,
+                                    _per_candidate_search(src, tgt, bound, budget))
+        assert iso.search_witness(src, tgt, bound=2).status == status
+
+
+def test_search_reaches_random_and_signed_copies():
+    # two copies of each registry point per kind (seed 7), bound 2, budget
+    # 1000: every signed-permutation copy is found, and all but a few random
+    # copies; the grid search found 103 and 68 of these
+    copies = {"signed": (_signed_permutation, random.Random(7)),
+              "random": (random_invertible, random.Random(7))}
+    found = {"signed": 0, "random": 0}
+    for ad in _registry_points():
+        for kind, (draw, rng) in copies.items():
+            for _ in range(2):
+                moved = apply_basis_change(ad, draw(rng, ad.dim))
+                res = iso.search_witness(moved, ad, bound=2, budget=1000)
+                if res.status == "found":
+                    assert iso.verify_witness(moved, ad, res.witness).ok
+                    found[kind] += 1
+    assert found["signed"] == 114 and found["random"] >= 105, found
+
+
 # -- quadratic extension witnesses ------------------------------------------------------
 
 
@@ -796,6 +790,10 @@ def _per_cell_quadratic(src, tgt, n, bound, d, budget=500_000):
                     rows[i][perm[i]] = diag[i]
                 return iso.Witness(tuple(tuple(r) for r in rows), F(d))
     return None
+
+
+def _constants(ad):
+    return (ad.rhd.constant_tensor(), ad.lhd.constant_tensor())
 
 
 def test_quadratic_pass_matches_the_per_cell_oracle(rng):
