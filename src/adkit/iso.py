@@ -34,17 +34,19 @@ the identity are linear in rows 1..n-1.  The search solves them rather than
 filtering candidates by them: one nullspace of the system [A | -b] gives a
 particular solution and the homogeneous directions (``_solved_rows``), and
 only the pairs (i, j) with i, j >= 1 are left to the free values.  A
-candidate is the particular solution plus a grid combination of the
-directions, built on integers at one scale e per first row; it is kept
-when the integer matrix eT has full rank and carries the scaled source onto
-e times the scaled target.  Scaling eT and e by a common integer k
-multiplies both sides by k^2, so neither test depends on the choice of e.
-Only a found witness is turned back into rationals.  ``examined`` counts
-the candidates actually checked.
+candidate is the particular solution plus a combination of the directions
+by free values, built at one scale e per first row (``_candidates``).  The
+rational pass takes grid values: its eT is an integer matrix, kept when it
+has full rank and carries the scaled source onto e times the scaled
+target.  Scaling eT and e by a common integer k multiplies both sides by
+k^2, so neither test depends on the choice of e.  ``examined`` counts the
+candidates actually checked.
 
-With a radicand d, a second pass takes the same rational first rows and
-solutions, gives the free values the form a + b sqrt(d), and checks each
-candidate over Q(sqrt d) by the identity and its determinant.  The
+With a radicand d, a second pass reads the same candidates with free
+values a + b sqrt(d), a and b from the grid, and keeps one that carries
+the pair over Q(sqrt d) and has a nonzero determinant.  Each pass takes
+the first ``budget`` candidates of its stream; only a found witness is
+divided by e, into the witness's ring (``Witness.from_rows``).  The
 identity is written out once, in ``_transport_residuals``: the verifier
 and both passes of the search test witnesses through it.
 """
@@ -79,16 +81,13 @@ class Witness:
 
     @classmethod
     def from_rows(cls, rows, radicand=None) -> "Witness":
-        out = []
-        for row in rows:
-            conv = []
-            for c in row:
-                if isinstance(c, (QuadExt, Poly)):
-                    conv.append(c)
-                else:
-                    conv.append(Poly.const(c))
-            out.append(tuple(conv))
-        return cls(tuple(out), radicand)
+        """Rows of Poly, QuadExt or rational entries; a rational entry goes
+        into the witness's ring, as a Poly, or over ``radicand`` if given."""
+        def entry(c):
+            if isinstance(c, (QuadExt, Poly)):
+                return c
+            return Poly.const(c) if radicand is None else QuadExt(c, 0, radicand)
+        return cls(tuple(tuple(map(entry, row)) for row in rows), radicand)
 
     @classmethod
     def identity(cls, dim: int) -> "Witness":
@@ -321,21 +320,19 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
     """Bounded search for a witness between instantiated pairs.
 
     Fingerprints are compared first; unequal components short-circuit into a
-    separation certificate.  Otherwise the identity is tried, and then each
-    first row of grid values p/q, |p|, q <= bound, in ``_first_rows`` order.
-    The pairs of the identity that are linear in the other rows are solved
-    (``_solved_rows``), and a first row without a solution costs no
-    candidate.  A solvable one gives at most ``ROW_CANDIDATES`` candidates:
-    the particular solution plus grid combinations of the homogeneous
-    directions, coefficients in product order.  ``examined`` counts the
-    candidates checked, the identity included, and never exceeds
-    ``budget``; a budget below 1 raises ``ValueError`` before any
+    separation certificate.  Otherwise the identity is tried, and then the
+    candidates of ``_candidates``: each first row of grid values p/q,
+    |p|, q <= bound, in ``_first_rows`` order, with the pairs of the
+    identity that are linear in the other rows solved (``_solved_rows``);
+    a first row without a solution costs no candidate.  ``examined``
+    counts the candidates checked, the identity included, and never
+    exceeds ``budget``; a budget below 1 raises ``ValueError`` before any
     fingerprint.  A not-found outcome is inconclusive, never a proof.
 
     With a radicand, and only when the rational pass finds nothing, the
-    same solve runs again with free values a + b*sqrt(d), a and b from the
-    grid; it checks at most ``budget`` candidates, and ``examined`` counts
-    those of the rational pass.  A bound above ``SEARCH_BOUND_BUDGET``
+    same candidates are read again with free values a + b*sqrt(d), a and b
+    from the grid; the first ``budget`` are checked, and ``examined``
+    counts the rational pass's.  A bound above ``SEARCH_BOUND_BUDGET``
     raises ``BudgetExceeded`` before anything is built.
     """
     if bound > SEARCH_BOUND_BUDGET:
@@ -368,48 +365,42 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
         return SearchResult("found", Witness.from_rows(ident), examined=examined,
                             fingerprints=fps)
 
+    def found(t, e, radicand=None):
+        scale = Fraction(1, e)
+        rows = [[scale * x for x in row] for row in t]
+        return SearchResult("found", Witness.from_rows(rows, radicand),
+                            examined=examined, fingerprints=fps)
+
     grid = rational_grid(bound)
-    # the free values are c/g with integer c
+    # the free values are c/g, c in Z or in Z[sqrt d]
     g = math.lcm(*(c.denominator for c in grid))
-    values = [int(c * g) for c in grid]
+    for t, e in islice(_candidates(src, tgt, grid, g, [int(c * g) for c in grid], n),
+                       budget - 1):
+        examined += 1
+        if linalg.rank(t) == n and carries(t, e):
+            return found(t, e)
+    if radicand is not None:
+        zero = QuadExt(0, 0, radicand)
+        scalars = [QuadExt(a * g, b * g, radicand) for a in grid for b in grid]
+        for t, e in islice(_candidates(src, tgt, grid, g, scalars, n), budget):
+            if carries(t, e, zero) and linalg.det(t) != 0:
+                return found(t, e, radicand)
+    return SearchResult("not_found", examined=examined, fingerprints=fps)
+
+
+def _candidates(src, tgt, grid, g, values, n: int):
+    """(e T, e) for each candidate in search order: for each first row that
+    ``_solved_rows`` solves, at most ``ROW_CANDIDATES``, the particular
+    solution plus (c/g)-combinations of the homogeneous directions, c from
+    ``values`` in product order, all at the row's one scale e."""
     for f, e0, particular, directions in _solved_rows(src, tgt, grid, n):
-        # every part at the one scale e: the candidate is e T
         (part, *vecs), d = _cleared_rows([particular, *directions])
         e = e0 * d * g
         first = [x * d * g for x in f]
-        for cs in islice(iproduct(values, repeat=len(vecs)),
-                         min(ROW_CANDIDATES, budget - examined)):
-            examined += 1
-            rest = [e0 * (g * x + sum(c * v[u] for c, v in zip(cs, vecs) if c))
+        for cs in islice(iproduct(values, repeat=len(vecs)), ROW_CANDIDATES):
+            rest = [e0 * (g * x + sum(c * v[u] for c, v in zip(cs, vecs) if c and v[u]))
                     for u, x in enumerate(part)]
-            t = [first, *(rest[k:k + n] for k in range(0, len(rest), n))]
-            if linalg.rank(t) == n and carries(t, e):
-                rows = [[Fraction(x, e) for x in row] for row in t]
-                return SearchResult("found", Witness.from_rows(rows),
-                                    examined=examined, fingerprints=fps)
-        if examined >= budget:
-            break
-
-    if radicand is not None:
-        zero = QuadExt(0, 0, radicand)
-        scalars = [QuadExt(a, b, radicand) for a in grid for b in grid]
-        checked = 0
-        for f, e0, particular, directions in _solved_rows(src, tgt, grid, n):
-            first = [zero + Fraction(x, e0) for x in f]
-            part = [zero + x for x in particular]
-            for cs in islice(iproduct(scalars, repeat=len(directions)),
-                             min(ROW_CANDIDATES, budget - checked)):
-                checked += 1
-                rest = [sum((c * v[u] for c, v in zip(cs, directions) if c and v[u]), x)
-                        for u, x in enumerate(part)]
-                t = [first, *(rest[k:k + n] for k in range(0, len(rest), n))]
-                if carries(t, 1, zero) and linalg.det(t) != 0:
-                    return SearchResult("found", Witness(tuple(map(tuple, t)),
-                                                         Fraction(radicand)),
-                                        examined=examined, fingerprints=fps)
-            if checked >= budget:
-                break
-    return SearchResult("not_found", examined=examined, fingerprints=fps)
+            yield [first, *(rest[k:k + n] for k in range(0, len(rest), n))], e
 
 
 def _solved_rows(src, tgt, grid, n: int):

@@ -566,8 +566,11 @@ def rational_sqrt(q: Fraction) -> Fraction:
 class QuadExt:
     """Element a + b*sqrt(d) of the quadratic extension with radicand d.
 
-    The radicand must not be a rational square; otherwise the value would
-    be an ordinary rational and the construction is rejected.
+    Ring operations only: sums, differences, negation, products and
+    comparison, with an int, a Fraction or a QuadExt of the same radicand.
+    The radicand must not be a rational square, or the value would be an
+    ordinary rational; the constructor rejects one, and arithmetic results
+    share the checked radicand (``_make``).
     """
 
     __slots__ = ("a", "b", "d")
@@ -579,53 +582,45 @@ class QuadExt:
         if is_rational_square(self.d):
             raise ValueError(f"radicand {self.d} is a rational square")
 
+    def _make(self, a: Fraction, b: Fraction) -> "QuadExt":
+        out = object.__new__(QuadExt)
+        out.a, out.b, out.d = a, b, self.d
+        return out
+
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             if other.d != self.d:
                 raise ValueError("mixed radicands")
             return other
-        return QuadExt(Fraction(other), 0, self.d)
+        if isinstance(other, (int, Fraction)):
+            return self._make(Fraction(other), Fraction(0))
+        raise TypeError(f"cannot combine QuadExt with {type(other).__name__}")
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        return self._make(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return self._make(-self.a, -self.b)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return self._make(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        o = self._coerce(other)
+        return self._make(o.a - self.a, o.b - self.b)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._make(self.a * other, self.b * other)
         o = self._coerce(other)
-        return QuadExt(self.a * o.a + self.b * o.b * self.d,
-                       self.a * o.b + self.b * o.a, self.d)
+        return self._make(self.a * o.a + self.b * o.b * self.d,
+                          self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
-
-    def norm(self) -> Fraction:
-        """a^2 - b^2*d, the product with the conjugate (a rational)."""
-        return self.a * self.a - self.b * self.b * self.d
-
-    def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("element has zero norm")
-        return QuadExt(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

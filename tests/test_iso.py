@@ -738,14 +738,17 @@ def test_sqrt_pass_keeps_to_the_candidate_budget(monkeypatch):
 
 def test_sqrt_candidates_solve_the_linear_pairs(monkeypatch):
     # every candidate of the sqrt(2) pass meets the pairs with an index 0,
-    # first rows with denominators included: the sqrt(2) pair against a
-    # permuted AD3_22(0,0), where no candidate at bound 2 carries
+    # first rows with denominators included, and its first rows are those
+    # of the search, in order: the sqrt(2) pair against a permuted
+    # AD3_22(0,0), where no candidate at bound 2 carries.  The search checks
+    # e T at its scale e, so T is the recorded rows over e.  Here the pairs
+    # with an index 0 do not see the scale of the first row, its order does.
     candidates = []
     original = iso._transport_residuals
 
     def recorded(src, tgt, t, zero, e=1):
         if type(zero) is QuadExt:
-            candidates.append(t)
+            candidates.append([[x * F(1, e) for x in row] for row in t])
         return original(src, tgt, t, zero, e)
 
     monkeypatch.setattr(iso, "_transport_residuals", recorded)
@@ -759,7 +762,10 @@ def test_sqrt_candidates_solve_the_linear_pairs(monkeypatch):
         residuals = original(_constants(src), _constants(tgt), t, zero)
         assert not [key for key, _ in residuals if 0 in key[1:3]]
     assert len(candidates) > 300
-    assert any(x.a.denominator > 1 for t in candidates for x in t[0])
+    assert any(F(x).denominator > 1 for t in candidates for x in t[0])
+    firsts = [tuple(t[0]) for t in candidates]
+    first_rows = iso._first_rows(iso.rational_grid(2), 3)
+    assert all(row in first_rows for row in dict.fromkeys(firsts))
 
 
 def _per_cell_quadratic(src, tgt, n, bound, d, budget=500_000):

@@ -1,3 +1,5 @@
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -311,19 +313,42 @@ def test_quadext_product_rule():
     assert z.b == Fraction(1, 2) * Fraction(-1, 3) + 2 * 3
 
 
-def test_quadext_conjugate_norm_is_rational():
-    x = QuadExt(3, Fraction(1, 2), 5)
-    prod = x * x.conjugate()
-    assert prod.b == 0
-    assert prod.a == x.norm() == 9 - Fraction(1, 4) * 5
+def test_quadext_arithmetic_matches_the_checking_constructor():
+    # random sums, differences, negations and products, an int or a Fraction
+    # on either side included, equal the elements that QuadExt(a, b, d)
+    # builds from Fractions; any other operand raises
+    rng = random.Random(11)
+    d = Fraction(3, 2)
+    formulas = {operator.add: lambda a, b, c, e: (a + c, b + e),
+                operator.sub: lambda a, b, c, e: (a - c, b - e),
+                operator.mul: lambda a, b, c, e: (a * c + b * e * d, a * e + b * c)}
 
+    def parts(v):
+        return (v.a, v.b) if isinstance(v, QuadExt) else (Fraction(v), Fraction(0))
 
-def test_quadext_inverse_exists_iff_norm_nonzero():
-    x = QuadExt(3, 1, 2)
-    assert x * x.inverse() == 1
-    y = QuadExt(0, 0, 2)
-    with pytest.raises(ZeroDivisionError):
-        y.inverse()
+    def same(value, expected):
+        return (type(value), type(value.a), type(value.b), value.a, value.b, value.d) == (
+            QuadExt, Fraction, Fraction, expected.a, expected.b, expected.d)
+
+    def draw():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+
+    for _ in range(200):
+        x = QuadExt(draw(), draw(), d)
+        assert same(-x, QuadExt(-x.a, -x.b, d))
+        for y in (QuadExt(draw(), draw(), d), draw(), rng.randint(-9, 9)):
+            for op, formula in formulas.items():
+                assert same(op(x, y), QuadExt(*formula(*parts(x), *parts(y)), d))
+                if not isinstance(y, QuadExt):
+                    assert same(op(y, x), QuadExt(*formula(*parts(y), *parts(x)), d))
+    x = QuadExt(1, 2, d)
+    for other in (QuadExt(1, 1, 3), Poly.var("a"), 0.5, "1/2", None):
+        for op in formulas:
+            with pytest.raises((TypeError, ValueError)):
+                op(x, other)
+            if not isinstance(other, Poly):  # Poly + x is the Poly's sum
+                with pytest.raises((TypeError, ValueError)):
+                    op(other, x)
 
 
 def test_rational_square_detection():
