@@ -50,8 +50,8 @@ def _parse_entry_list(raw, dim: int, params, where: str) -> StructureConstants:
     return StructureConstants.from_table(dim, table, params)
 
 
-def parse_algebra(text: str):
-    """Parse an algebra file; returns UnaryAlgebra or AdPair."""
+def _load(text: str) -> tuple[dict, int]:
+    """A file's top-level JSON object and its 'dim', a positive integer."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -61,6 +61,12 @@ def parse_algebra(text: str):
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise AlgebraFormatError("'dim' must be a positive integer")
+    return doc, dim
+
+
+def parse_algebra(text: str):
+    """Parse an algebra file; returns UnaryAlgebra or AdPair."""
+    doc, dim = _load(text)
     params = doc.get("params", [])
     if not isinstance(params, list):
         raise AlgebraFormatError("'params' must be a list of parameter names")
@@ -91,22 +97,20 @@ def _entry_rows(sc: StructureConstants):
     return rows
 
 
-def render_algebra(obj, label: str | None = None) -> str:
+def render_algebra(obj) -> str:
     """Serialise to the file format (sorted keys, canonical coefficients)."""
     if isinstance(obj, UnaryAlgebra):
         doc = {"dim": obj.dim, "kind": "associative",
                "params": sorted(obj.sc.variables()),
                "mul": _entry_rows(obj.sc)}
-        label = label if label is not None else obj.label
     elif isinstance(obj, AdPair):
         doc = {"dim": obj.dim, "kind": "antidendriform",
                "params": sorted(obj.variables()),
                "rhd": _entry_rows(obj.rhd), "lhd": _entry_rows(obj.lhd)}
-        label = label if label is not None else obj.label
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")
-    if label:
-        doc["label"] = label
+    if obj.label:
+        doc["label"] = obj.label
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -138,15 +142,7 @@ def parse_witness(text: str):
     Plain entries become polynomials; with a radicand, two-element entries
     become quadratic-extension scalars.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AlgebraFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise AlgebraFormatError("top level must be an object")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise AlgebraFormatError("'dim' must be a positive integer")
+    doc, dim = _load(text)
     entries = doc.get("entries")
     if (not isinstance(entries, list) or len(entries) != dim
             or any(not isinstance(r, list) or len(r) != dim for r in entries)):

@@ -8,6 +8,7 @@ import pytest
 
 from adkit import catalog, cli, fileio, iso
 from adkit.algebra import AdPair, StructureConstants
+from adkit.errors import AlgebraFormatError
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "adkit", *args],
@@ -85,6 +86,15 @@ def test_witness_file_that_is_not_an_object_exits_2(tmp_path):
     proc = run_cli("iso", str(a), str(a), "--witness", str(w))
     assert proc.returncode == 2
     assert "error: top level must be an object" in proc.stderr
+
+
+def test_algebra_and_witness_files_share_the_document_checks():
+    for text, message in (("{", "not valid JSON"), ("[1, 2]", "top level must be an object"),
+                          ('{"dim": 0}', "'dim' must be a positive integer"),
+                          ('{"dim": "3"}', "'dim' must be a positive integer")):
+        for parse in (fileio.parse_algebra, fileio.parse_witness):
+            with pytest.raises(AlgebraFormatError, match=message):
+                parse(text)
 
 
 def test_quadratic_witness_on_a_parametric_pair_exits_2(tmp_path):
