@@ -36,19 +36,17 @@ particular solution and the homogeneous directions (``_solved_rows``), and
 only the pairs (i, j) with i, j >= 1 are left to the free values.  A
 candidate is the particular solution plus a combination of the directions
 by free values, built at one scale e per first row (``_candidates``).  The
-rational pass takes grid values: its eT is an integer matrix, kept when it
-has full rank and carries the scaled source onto e times the scaled
-target.  Scaling eT and e by a common integer k multiplies both sides by
-k^2, so neither test depends on the choice of e.  ``examined`` counts the
-candidates actually checked.
-
-With a radicand d, a second pass reads the same candidates with free
-values a + b sqrt(d), a and b from the grid, and keeps one that carries
-the pair over Q(sqrt d) and has a nonzero determinant.  Each pass takes
-the first ``budget`` candidates of its stream; only a found witness is
-divided by e, into the witness's ring (``Witness.from_rows``).  The
-identity is written out once, in ``_transport_residuals``: the verifier
-and both passes of the search test witnesses through it.
+rational pass takes grid values and keeps an integer eT that has full rank
+and carries the scaled source onto e times the scaled target; scaling eT
+and e by a common k multiplies both sides by k^2, so neither test depends
+on e.  With a radicand d, a second pass reads the same candidates with free
+values a + b sqrt(d), a and b from the grid, and keeps one that carries the
+pair over Q(sqrt d) and has a nonzero determinant.  Each pass checks the
+first ``budget`` units of its stream: candidates, and first rows whose
+linear pairs have no solution.  Only a found witness is divided by e, into
+the witness's ring (``Witness.from_rows``).  The identity is written out
+once, in ``_transport_residuals``: the verifier and both passes of the
+search test witnesses through it.
 """
 
 from __future__ import annotations
@@ -81,8 +79,7 @@ class Witness:
 
     @classmethod
     def from_rows(cls, rows, radicand=None) -> "Witness":
-        """Rows of Poly, QuadExt or rational entries; a rational entry goes
-        into the witness's ring, as a Poly, or over ``radicand`` if given."""
+        """Rows of Poly, QuadExt or rationals; a rational goes into the ring."""
         def entry(c):
             if isinstance(c, (QuadExt, Poly)):
                 return c
@@ -321,19 +318,17 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
 
     Fingerprints are compared first; unequal components short-circuit into a
     separation certificate.  Otherwise the identity is tried, and then the
-    candidates of ``_candidates``: each first row of grid values p/q,
-    |p|, q <= bound, in ``_first_rows`` order, with the pairs of the
-    identity that are linear in the other rows solved (``_solved_rows``);
-    a first row without a solution costs no candidate.  ``examined``
-    counts the candidates checked, the identity included, and never
-    exceeds ``budget``; a budget below 1 raises ``ValueError`` before any
-    fingerprint.  A not-found outcome is inconclusive, never a proof.
-
-    With a radicand, and only when the rational pass finds nothing, the
-    same candidates are read again with free values a + b*sqrt(d), a and b
-    from the grid; the first ``budget`` are checked, and ``examined``
-    counts the rational pass's.  A bound above ``SEARCH_BOUND_BUDGET``
-    raises ``BudgetExceeded`` before anything is built.
+    candidates of ``_candidates`` for the first rows of grid values p/q,
+    |p|, q <= bound, in ``_first_rows`` order.  ``examined`` counts the
+    candidates checked, the identity included, and one unit for each first
+    row whose linear pairs have no solution, so it bounds the solves too.
+    It never exceeds ``budget``; a budget below 1 raises ``ValueError``
+    before any fingerprint.  A not-found outcome is inconclusive, never a
+    proof.  With a radicand, and only when the rational pass finds nothing,
+    the same candidates are read again with free values a + b*sqrt(d), a
+    and b from the grid, up to ``budget`` units; ``examined`` counts the
+    rational pass.  A bound above ``SEARCH_BOUND_BUDGET`` raises
+    ``BudgetExceeded`` before anything is built.
     """
     if bound > SEARCH_BOUND_BUDGET:
         raise BudgetExceeded(
@@ -359,17 +354,15 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
     def carries(t, e, zero=0):
         return next(_transport_residuals(src, tgt, t, zero, e), None) is None
 
+    def found(t, e, radicand=None):
+        rows = [[Fraction(1, e) * x for x in row] for row in t]
+        return SearchResult("found", Witness.from_rows(rows, radicand),
+                            examined=examined, fingerprints=fps)
+
     examined = 1
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
     if carries(ident, 1):
-        return SearchResult("found", Witness.from_rows(ident), examined=examined,
-                            fingerprints=fps)
-
-    def found(t, e, radicand=None):
-        scale = Fraction(1, e)
-        rows = [[scale * x for x in row] for row in t]
-        return SearchResult("found", Witness.from_rows(rows, radicand),
-                            examined=examined, fingerprints=fps)
+        return found(ident, 1)
 
     grid = rational_grid(bound)
     # the free values are c/g, c in Z or in Z[sqrt d]
@@ -377,13 +370,13 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
     for t, e in islice(_candidates(src, tgt, grid, g, [int(c * g) for c in grid], n),
                        budget - 1):
         examined += 1
-        if linalg.rank(t) == n and carries(t, e):
+        if t is not None and linalg.rank(t) == n and carries(t, e):
             return found(t, e)
     if radicand is not None:
         zero = QuadExt(0, 0, radicand)
         scalars = [QuadExt(a * g, b * g, radicand) for a in grid for b in grid]
         for t, e in islice(_candidates(src, tgt, grid, g, scalars, n), budget):
-            if carries(t, e, zero) and linalg.det(t) != 0:
+            if t is not None and carries(t, e, zero) and linalg.det(t) != 0:
                 return found(t, e, radicand)
     return SearchResult("not_found", examined=examined, fingerprints=fps)
 
@@ -392,8 +385,12 @@ def _candidates(src, tgt, grid, g, values, n: int):
     """(e T, e) for each candidate in search order: for each first row that
     ``_solved_rows`` solves, at most ``ROW_CANDIDATES``, the particular
     solution plus (c/g)-combinations of the homogeneous directions, c from
-    ``values`` in product order, all at the row's one scale e."""
+    ``values`` in product order, all at the row's one scale e.  A first row
+    without a solution yields (None, 0), so that it costs one unit."""
     for f, e0, particular, directions in _solved_rows(src, tgt, grid, n):
+        if particular is None:
+            yield None, 0
+            continue
         (part, *vecs), d = _cleared_rows([particular, *directions])
         e = e0 * d * g
         first = [x * d * g for x in f]
@@ -404,8 +401,8 @@ def _candidates(src, tgt, grid, g, values, n: int):
 
 
 def _solved_rows(src, tgt, grid, n: int):
-    """(f, e0, particular, directions) for each first row in search order
-    whose linear pairs can be met.
+    """(f, e0, particular, directions) for each first row in search order;
+    the last two are None when its linear pairs cannot be met.
 
     f is the first row cleared to integers at scale e0.  With it fixed, the
     pairs (0, 0), (0, j) and (j, 0) of the identity, on the cleared tensors
@@ -441,3 +438,5 @@ def _solved_rows(src, tgt, grid, n: int):
         null = linalg.nullspace(system, w + 1)
         if null and null[-1][w]:
             yield f, e0, [y / e0 for y in null[-1][:w]], [v[:w] for v in null[:-1]]
+        else:
+            yield f, e0, None, None

@@ -322,7 +322,7 @@ def test_iso_search_radicand_and_inconclusive_outcomes(tmp_path, capsys):
     code, out, _ = search("--bound", "1")
     report = json.loads(out)
     assert (code, report["status"]) == (3, "inconclusive")
-    assert (report["results"]["outcome"], report["results"]["examined"]) == ("not_found", 109)
+    assert (report["results"]["outcome"], report["results"]["examined"]) == ("not_found", 127)
 
 
 def test_iso_search_requires_instantiation(tmp_path):

@@ -400,6 +400,31 @@ def test_search_budget_bounds_the_candidates_examined(monkeypatch):
     assert computed == []
 
 
+def test_search_budget_bounds_the_first_rows_solved(monkeypatch):
+    # a first row whose linear pairs have no solution costs one unit, so no
+    # search solves more first rows than its budget: the seed-7 random
+    # copies of AD3_12 at bound 3, where most first rows have no solution
+    solves = []
+    nullspace = linalg.nullspace
+
+    def counted(*args):
+        solves.append(args)
+        return nullspace(*args)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    rng = random.Random(7)
+    searched = 0
+    for ad in _registry_points():
+        for _ in range(2):
+            moved = apply_basis_change(ad, random_invertible(rng, ad.dim))
+            if ad.label == "AD3_12":
+                solves.clear()
+                res = iso.search_witness(moved, ad, bound=3, budget=1000)
+                assert len(solves) <= res.examined <= 1000
+                searched += 1
+    assert searched == 6
+
+
 def _signed_permutation(rng, n):
     perm = list(range(n))
     rng.shuffle(perm)
@@ -418,7 +443,7 @@ def _carrier(cleared):
 
 def _linear_solution(src, tgt, first_row):
     """(particular, directions) of rows 1..n-1 of T, read row by row, once
-    its first row is fixed, or None when there is no solution.  The pairs of
+    its first row is fixed, or (None, None) when there is none.  The pairs of
     the transport identity with an index 0 are read off
     ``_transport_residuals`` on Fractions, probed with unit rows, and solved
     by one nullspace."""
@@ -437,16 +462,16 @@ def _linear_solution(src, tgt, first_row):
                for u in range(w)]
     null = linalg.nullspace([list(row) for row in zip(*columns, const)], w + 1)
     if not null or not null[-1][w]:
-        return None
+        return None, None
     return null[-1][:w], [v[:w] for v in null[:-1]]
 
 
 def test_solved_rows_are_the_linear_part_of_the_transport_residuals(rng):
     # with the first row fixed, the pairs with an index 0 are affine in the
-    # other rows: on every fifth registry point the search solves exactly
-    # the first rows whose probed system has a solution, and finds the same
-    # canonical solution; on the other points, a witness's rows solve the
-    # system of its own first row
+    # other rows: on every fifth registry point the search tries every first
+    # row, solves exactly those whose probed system has a solution, and
+    # finds the same canonical solution; on the other points, a witness's
+    # rows solve the system of its own first row
     solvable = 0
     for number, ad in enumerate(_registry_points()):
         n = ad.dim
@@ -459,8 +484,10 @@ def test_solved_rows_are_the_linear_part_of_the_transport_residuals(rng):
                   in iso._solved_rows(cleared[:2], cleared[2:], grid, n)}
         if number % 5 == 0:
             for first_row in iso._first_rows(grid, n):
-                assert solved.get(first_row) == _linear_solution(src, tgt, first_row)
-            solvable += len(solved)
+                solution = _linear_solution(src, tgt, first_row)
+                assert solved.pop(first_row) == solution
+                solvable += solution[0] is not None
+            assert not solved
         else:
             particular, directions = solved[tuple(t[0])]
             offset = [x - p for x, p in zip((x for row in t[1:] for x in row), particular)]
@@ -484,14 +511,20 @@ def _recording_solves(monkeypatch):
 
 
 def _oracle_candidates(solves, n, bound, budget):
-    """The rational pass's candidates after the identity, in order, as
-    rational matrices: for each solved first row, rows 1..n-1 are the
+    """The rational pass's units after the identity, in order, ``budget`` - 1
+    in all: None for a first row whose linear pairs have no solution, and
+    for a solved one its candidates as rational matrices, rows 1..n-1 the
     particular solution plus grid combinations of the directions, in
-    product order, at most ``iso.ROW_CANDIDATES`` per first row and
-    ``budget`` - 1 in all."""
+    product order, at most ``iso.ROW_CANDIDATES``."""
     grid = iso.rational_grid(bound)
     left = budget - 1
     for f, e0, particular, directions in solves:
+        if left <= 0:
+            return
+        if particular is None:
+            left -= 1
+            yield None
+            continue
         first_row = [F(x, e0) for x in f]
         for choice in islice(iproduct(grid, repeat=len(directions)),
                              min(iso.ROW_CANDIDATES, left)):
@@ -499,14 +532,13 @@ def _oracle_candidates(solves, n, bound, budget):
             x = [p + sum(c * v[u] for c, v in zip(choice, directions) if c)
                  for u, p in enumerate(particular)]
             yield [first_row, *(x[k:k + n] for k in range(0, len(x), n))]
-        if left <= 0:
-            return
 
 
 def _per_candidate_search(source, target, bound, budget):
     """The rational pass as a Fraction loop: each candidate is assembled as
     a rational matrix and cleared by the lcm of its own denominators, then
-    tested.  An oracle for ``examined`` and for the witness found.  Returns
+    tested, and a first row without a solution costs one unit and tests
+    nothing.  An oracle for ``examined`` and for the witness found.  Returns
     (status, examined, witness rows or None); the pair's fingerprints are
     taken to agree.  A smaller budget only cuts the same candidates shorter,
     so one run answers for every budget up to its own (``_at_budget``)."""
@@ -520,6 +552,8 @@ def _per_candidate_search(source, target, bound, budget):
     solves = iso._solved_rows(cleared[:2], cleared[2:], iso.rational_grid(bound), n)
     for rows in _oracle_candidates(solves, n, bound, budget):
         examined += 1
+        if rows is None:
+            continue
         t, e = _cleared_rows(rows)
         if linalg.rank(t) == n and carries(t, e):
             return "found", examined, rows
@@ -555,7 +589,8 @@ def test_candidate_assembly_equals_clearing_the_matrix(monkeypatch, rng, bound):
         tested.clear()
         solves.clear()
         iso.search_witness(moved, ad, bound=bound, budget=100)
-        oracle = list(_oracle_candidates(solves, ad.dim, bound, 100))[:len(tested)]
+        oracle = [rows for rows in _oracle_candidates(solves, ad.dim, bound, 100)
+                  if rows is not None][:len(tested)]
         assert len(oracle) == len(tested)
         for t, rows in zip(tested, oracle):
             ints, _ = _cleared_rows(rows)

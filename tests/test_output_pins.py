@@ -125,7 +125,7 @@ def _cli_reports(root) -> dict:
 PINNED = {
     "fingerprints": "4b80a0d89390ef76cf6c52317008389fa2947f53bb2a151e2da1ce7837d851c1",
     "transports": "7e3e5d5a57425cdbdd8396675718a0195c996b75a69e452c349e7f78a97981ee",
-    "searches": "c32bc9d5e9c011a1752b69c8b5ab5b1c38e5e9b9a55fde3f637f56f6e308c7fb",
+    "searches": "4f8ee129ac8cb4106d6e0de3dbff70dbb9feffc7ca95881d5ea2c4920ede4eda",
     "cli": "cb208a19de8664774fb8d06c6a1bbbdd24e3bd929783b7716b805b0badb1bb25",
 }
 
