@@ -606,12 +606,10 @@ class QuadExt:
         return self._make(-self.a, -self.b)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return self._make(self.a - o.a, self.b - o.b)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return self._make(o.a - self.a, o.b - self.b)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
