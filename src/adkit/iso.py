@@ -79,7 +79,7 @@ class Witness:
 
     @classmethod
     def from_rows(cls, rows, radicand=None) -> "Witness":
-        """Rows of Poly, QuadExt or rationals; a rational goes into the ring."""
+        """Rows of Poly, QuadExt or rationals; rationals go into the witness ring."""
         def entry(c):
             if isinstance(c, (QuadExt, Poly)):
                 return c

@@ -346,7 +346,7 @@ def test_quadext_arithmetic_matches_the_checking_constructor():
         for op in formulas:
             with pytest.raises((TypeError, ValueError)):
                 op(x, other)
-            if not isinstance(other, Poly):  # Poly + x is the Poly's sum
+            if not isinstance(other, Poly):  # Poly o x is up to Poly
                 with pytest.raises((TypeError, ValueError)):
                     op(other, x)
 
