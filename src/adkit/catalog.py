@@ -45,7 +45,7 @@ from typing import Mapping
 from .algebra import (AdPair, StructureConstants, UnaryAlgebra,
                       check_antidendriform, is_associative, sum_algebra)
 from .errors import ConstraintViolation, MissingAssignment, UnknownEntry
-from .iso import Witness, verify_witness_tensors
+from .iso import Witness, verify_witness
 from .scalars import poly_parse
 
 
@@ -372,17 +372,15 @@ def verify_entry(e: CatalogEntry) -> EntryReport:
         detail = "; ".join(bits)
     sum_ok = None
     if e.associated_sum is not None:
-        target = entry(e.associated_sum).tensors().sc
-        actual = sum_algebra(obj).sc
+        target = entry(e.associated_sum).tensors()
+        actual = sum_algebra(obj)
         if e.sum_witness:
-            w = Witness.from_rows(
-                [[poly_parse(c) for c in row] for row in e.sum_witness])
-            wrep = verify_witness_tensors([actual], [target], w)
-            sum_ok = wrep.ok
-            if not wrep.ok:
+            w = Witness([[poly_parse(c) for c in row] for row in e.sum_witness])
+            sum_ok = verify_witness(actual, target, w).ok
+            if not sum_ok:
                 detail = (detail + "; " if detail else "") + "sum rescaling fails"
         else:
-            sum_ok = actual == target
+            sum_ok = actual.sc == target.sc
             if not sum_ok:
                 detail = (detail + "; " if detail else "") + \
                     f"sum tensor differs from {e.associated_sum}"
@@ -407,5 +405,5 @@ def verify_iso_note(note: IsoNote):
         src = src.subs({p: poly_parse(expr) for p, expr in note.source_subs})
     if note.target_subs:
         tgt = tgt.subs({p: poly_parse(expr) for p, expr in note.target_subs})
-    w = Witness.from_rows([[poly_parse(c) for c in row] for row in note.witness])
-    return verify_witness_tensors((src.rhd, src.lhd), (tgt.rhd, tgt.lhd), w)
+    return verify_witness(src, tgt, Witness([[poly_parse(c) for c in row]
+                                             for row in note.witness]))

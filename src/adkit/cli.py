@@ -51,7 +51,7 @@ def _load(path: str):
 
 
 def _vec_str(vec) -> list:
-    return [str(x) if isinstance(x, (int, Fraction)) else format_poly(x) for x in vec]
+    return [str(x) for x in vec]
 
 
 def _assign_str(assign) -> dict:
@@ -235,9 +235,7 @@ def cmd_iso(args) -> tuple[dict, int]:
               "options": {"assign": _assign_str(assign)}}
     if args.witness:
         with open(args.witness, "r", encoding="utf-8") as fh:
-            rows, radicand = fileio.parse_witness(fh.read())
-        w = iso.Witness(rows, radicand)
-        rep = iso.verify_witness(a, b, w)
+            rep = iso.verify_witness(a, b, fileio.parse_witness(fh.read()))
         report["inputs"].append(_digest(args.witness))
         report["results"] = {
             "mode": "witness",

@@ -18,7 +18,8 @@ A witness file holds a square matrix of coefficient expressions::
     { "dim": 3, "entries": [["1", "0", "0"], ...] }
 
 With an optional ``"radicand": "2"``, entries may instead be two-element
-lists ``["aexpr", "bexpr"]`` meaning a + b*sqrt(radicand).
+lists ``["aexpr", "bexpr"]`` meaning a + b*sqrt(radicand); plain entries are
+then read in Q(sqrt radicand), so none may hold a parameter.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import json
 from fractions import Fraction
 from .algebra import AdPair, StructureConstants, UnaryAlgebra
 from .errors import AlgebraFormatError
+from .iso import Witness
 from .scalars import (PARAM_NAMES, QuadExt, format_poly,
                       is_rational_square, parse_rational, poly_parse)
 
@@ -37,7 +39,7 @@ def _parse_entry_list(raw, dim: int, params, where: str) -> StructureConstants:
     table = {}
     for row in raw:
         if (not isinstance(row, list) or len(row) != 4
-                or not all(isinstance(x, int) for x in row[:3])):
+                or not all(type(x) is int for x in row[:3])):
             raise AlgebraFormatError(f"bad row in {where!r}: {row!r}")
         i, j, k, coeff = row
         if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
@@ -59,7 +61,7 @@ def _load(text: str) -> tuple[dict, int]:
     if not isinstance(doc, dict):
         raise AlgebraFormatError("top level must be an object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise AlgebraFormatError("'dim' must be a positive integer")
     return doc, dim
 
@@ -137,10 +139,11 @@ def parse_rational_or_none(text: str | None) -> Fraction | None:
 
 
 def parse_witness(text: str):
-    """Parse a witness file into (matrix rows, radicand or None).
+    """Parse a witness file into an ``iso.Witness``.
 
-    Plain entries become polynomials; with a radicand, two-element entries
-    become quadratic-extension scalars.
+    Plain entries are coefficient expressions; with a radicand, two-element
+    entries are a + b*sqrt(radicand), and the witness reads plain ones in
+    Q(sqrt radicand), where parametric entries cannot appear.
     """
     doc, dim = _load(text)
     entries = doc.get("entries")
@@ -153,28 +156,16 @@ def parse_witness(text: str):
         if is_rational_square(radicand):
             raise AlgebraFormatError(
                 f"radicand {radicand} is a rational square; drop it instead")
-    rows = []
-    for row in entries:
-        out = []
-        for cell in row:
-            if isinstance(cell, str):
-                value = poly_parse(cell)
-                if radicand is None:
-                    out.append(value)
-                elif value.is_constant():
-                    out.append(QuadExt(value.constant_value(), 0, radicand))
-                else:
-                    raise AlgebraFormatError(
-                        "parametric entries cannot mix with a radicand")
-            elif (isinstance(cell, list) and len(cell) == 2 and radicand is not None
-                  and all(isinstance(part, str) for part in cell)):
-                a = poly_parse(cell[0])
-                b = poly_parse(cell[1])
-                if not (a.is_constant() and b.is_constant()):
-                    raise AlgebraFormatError(
-                        "parametric entries cannot mix with a radicand")
-                out.append(QuadExt(a.constant_value(), b.constant_value(), radicand))
-            else:
-                raise AlgebraFormatError(f"bad witness entry {cell!r}")
-        rows.append(tuple(out))
-    return tuple(rows), radicand
+
+    def cell_value(cell):
+        if isinstance(cell, str):
+            return poly_parse(cell)
+        if (isinstance(cell, list) and len(cell) == 2 and radicand is not None
+                and all(isinstance(part, str) for part in cell)):
+            return QuadExt(*(poly_parse(part).constant_value() for part in cell), radicand)
+        raise AlgebraFormatError(f"bad witness entry {cell!r}")
+
+    try:
+        return Witness([[cell_value(cell) for cell in row] for row in entries], radicand)
+    except ValueError as exc:
+        raise AlgebraFormatError("parametric entries cannot mix with a radicand") from exc

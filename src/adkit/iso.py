@@ -43,8 +43,8 @@ on e.  With a radicand d, a second pass reads the same candidates with free
 values a + b sqrt(d), a and b from the grid, and keeps one that carries the
 pair over Q(sqrt d) and has a nonzero determinant.  Each pass checks the
 first ``budget`` units of its stream: candidates, and first rows whose
-linear pairs have no solution.  Only a found witness is divided by e, into
-the witness's ring (``Witness.from_rows``).  The identity is written out
+linear pairs have no solution.  Only a found witness is divided by e; the
+``Witness`` constructor puts it into its ring.  The identity is written out
 once, in ``_transport_residuals``: the verifier and both passes of the
 search test witnesses through it.
 """
@@ -52,7 +52,7 @@ search test witnesses through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import islice, product as iproduct
 
@@ -65,38 +65,42 @@ from .scalars import Poly, QuadExt
 
 @dataclass(frozen=True)
 class Witness:
-    """Invertible basis-change matrix over Q, Q(sqrt d), or the parameter ring."""
-    entries: tuple  # rows of Poly or QuadExt
+    """Invertible basis-change matrix over the parameter ring or Q(sqrt d).
+
+    The radicand fixes the ring, and the constructor puts every entry into
+    it: without one, each entry becomes a Poly; with one, a QuadExt over d,
+    so a rational or a constant Poly is read as a + 0 sqrt(d).  A QuadExt
+    entry without a radicand, a parametric entry with one, a QuadExt over
+    another radicand and a square radicand raise ``ValueError``.
+    """
+    entries: tuple  # rows of Poly, or of QuadExt when there is a radicand
     radicand: Fraction | None = None
+
+    def __post_init__(self):
+        if self.radicand is None:
+            def entry(c):
+                if isinstance(c, QuadExt):
+                    raise ValueError("a QuadExt entry needs the witness's radicand")
+                return Poly.coerce(c)
+        else:
+            zero = QuadExt(0, 0, self.radicand)
+            object.__setattr__(self, "radicand", zero.d)
+
+            def entry(c):
+                return zero + (c.constant_value() if isinstance(c, Poly) else c)
+        object.__setattr__(self, "entries",
+                           tuple(tuple(map(entry, row)) for row in self.entries))
 
     @property
     def dim(self) -> int:
         return len(self.entries)
 
-    @property
-    def is_quadratic(self) -> bool:
-        return any(isinstance(c, QuadExt) for row in self.entries for c in row)
-
-    @classmethod
-    def from_rows(cls, rows, radicand=None) -> "Witness":
-        """Rows of Poly, QuadExt or rationals; rationals go into the witness ring."""
-        def entry(c):
-            if isinstance(c, (QuadExt, Poly)):
-                return c
-            return Poly.const(c) if radicand is None else QuadExt(c, 0, radicand)
-        return cls(tuple(tuple(map(entry, row)) for row in rows), radicand)
-
     @classmethod
     def identity(cls, dim: int) -> "Witness":
-        return cls.from_rows([[1 if i == j else 0 for j in range(dim)]
-                              for i in range(dim)])
+        return cls([[int(i == j) for j in range(dim)] for i in range(dim)])
 
     def determinant(self):
-        if self.is_quadratic:
-            rows = [[c if isinstance(c, QuadExt) else QuadExt(c.constant_value(), 0, self.radicand)
-                     for c in row] for row in self.entries]
-            return linalg.det(rows)
-        return linalg.det_poly([list(row) for row in self.entries])
+        return (linalg.det_poly if self.radicand is None else linalg.det)(self.entries)
 
 
 @dataclass(frozen=True)
@@ -132,50 +136,40 @@ def _transport_residuals(src, tgt, t, zero, e=1):
                             yield (name, i, j, m), res
 
 
-def verify_witness_tensors(src_tensors, tgt_tensors, witness: Witness) -> WitnessReport:
-    """Transport identity for a list of paired tensors (shared witness)."""
-    n = witness.dim
-    if witness.is_quadratic and witness.radicand is None:
-        raise ValueError("quadratic witness entries need a radicand")
-    for sc in list(src_tensors) + list(tgt_tensors):
-        if sc.dim != n:
-            raise DimensionMismatch("witness and tensors have different dims")
+def verify_witness(source, target, witness: Witness) -> WitnessReport:
+    """Does the witness carry the source onto the target?
+
+    Takes two pairs, whose two operations are checked alike, or two
+    single-operation algebras.  The check holds identically in any
+    parameters of the tensors or the witness entries; over Q(sqrt d) the
+    tensors' constants are read, so a parametric one raises
+    ``MissingAssignment``.
+    """
+    def tensors(obj):
+        return (obj.rhd, obj.lhd) if isinstance(obj, AdPair) else (obj.sc,)
+
+    src, tgt = tensors(source), tensors(target)
+    if len(src) != len(tgt):
+        raise TypeError("a pair and a single-operation algebra cannot be compared")
+    if source.dim != target.dim:
+        raise DimensionMismatch("source and target dims differ")
+    if source.dim != witness.dim:
+        raise DimensionMismatch("witness and tensors have different dims")
     d = witness.determinant()
     if d == 0:
         raise SingularMatrix("witness matrix has (identically) zero determinant")
-    if witness.is_quadratic:
-        # QuadExt arithmetic coerces the rational entries as it meets them
-        zero = QuadExt(0, 0, witness.radicand)
-        src = [sc.constant_tensor() for sc in src_tensors]
-        tgt = [sc.constant_tensor() for sc in tgt_tensors]
-    else:
+    if witness.radicand is None:
         zero = Poly.zero()
-        src, tgt = [sc.c for sc in src_tensors], [sc.c for sc in tgt_tensors]
+        src, tgt = [sc.c for sc in src], [sc.c for sc in tgt]
+    else:
+        zero = QuadExt(0, 0, witness.radicand)
+        src = [sc.constant_tensor() for sc in src]
+        tgt = [sc.constant_tensor() for sc in tgt]
     failures = tuple(_transport_residuals(src, tgt, witness.entries, zero))
     return WitnessReport(not failures, str(d), failures)
 
 
-def verify_witness(source: AdPair, target: AdPair, witness: Witness) -> WitnessReport:
-    """Does the witness carry the source pair onto the target pair?
-
-    Checks both operations identically in any parameters appearing in the
-    tensors or the witness entries.
-    """
-    if source.dim != target.dim:
-        raise DimensionMismatch("source and target dims differ")
-    return verify_witness_tensors((source.rhd, source.lhd),
-                                  (target.rhd, target.lhd), witness)
-
-
 # -- fingerprints ---------------------------------------------------------------
-
-
-FINGERPRINT_COMPONENTS = (
-    "dim", "rhd_image_dim", "lhd_image_dim", "sum_image_dim", "sum_power_dims",
-    "center_ad_dim", "center_sum_dim", "left_annihilator_dim",
-    "right_annihilator_dim", "two_nilpotent", "sum_commutative",
-    "sym_diff_image_dim",
-)
 
 
 @dataclass(frozen=True)
@@ -205,6 +199,9 @@ class Fingerprint:
     def differing(self, other: "Fingerprint") -> tuple:
         return tuple(name for name in FINGERPRINT_COMPONENTS
                      if getattr(self, name) != getattr(other, name))
+
+
+FINGERPRINT_COMPONENTS = tuple(f.name for f in fields(Fingerprint))
 
 
 def _image_dim(tensor, n: int) -> int:
@@ -322,8 +319,9 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
     |p|, q <= bound, in ``_first_rows`` order.  ``examined`` counts the
     candidates checked, the identity included, and one unit for each first
     row whose linear pairs have no solution, so it bounds the solves too.
-    It never exceeds ``budget``; a budget below 1 raises ``ValueError``
-    before any fingerprint.  A not-found outcome is inconclusive, never a
+    It never exceeds ``budget``; a budget below 1 or a radicand that is a
+    rational square raises ``ValueError`` before any fingerprint.  A
+    not-found outcome is inconclusive, never a
     proof.  With a radicand, and only when the rational pass finds nothing,
     the same candidates are read again with free values a + b*sqrt(d), a
     and b from the grid, up to ``budget`` units; ``examined`` counts the
@@ -337,6 +335,8 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
             f"({SEARCH_BOUND_BUDGET})")
     if budget < 1:
         raise ValueError(f"candidate budget {budget} is below 1")
+    # the sqrt(d) pass's zero: a square radicand raises before any work
+    zero = None if radicand is None else QuadExt(0, 0, radicand)
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dims differ")
     fp_s = fingerprint(source)
@@ -351,12 +351,12 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
                           target.rhd.constant_tensor(), target.lhd.constant_tensor())
     src, tgt = cleared[:2], cleared[2:]
 
-    def carries(t, e, zero=0):
-        return next(_transport_residuals(src, tgt, t, zero, e), None) is None
+    def carries(t, e, ring_zero=0):
+        return next(_transport_residuals(src, tgt, t, ring_zero, e), None) is None
 
     def found(t, e, radicand=None):
         rows = [[Fraction(1, e) * x for x in row] for row in t]
-        return SearchResult("found", Witness.from_rows(rows, radicand),
+        return SearchResult("found", Witness(rows, radicand),
                             examined=examined, fingerprints=fps)
 
     examined = 1
@@ -372,12 +372,11 @@ def search_witness(source: AdPair, target: AdPair, bound: int = 3,
         examined += 1
         if t is not None and linalg.rank(t) == n and carries(t, e):
             return found(t, e)
-    if radicand is not None:
-        zero = QuadExt(0, 0, radicand)
-        scalars = [QuadExt(a * g, b * g, radicand) for a in grid for b in grid]
+    if zero is not None:
+        scalars = [QuadExt(a * g, b * g, zero.d) for a in grid for b in grid]
         for t, e in islice(_candidates(src, tgt, grid, g, scalars, n), budget):
             if t is not None and carries(t, e, zero) and linalg.det(t) != 0:
-                return found(t, e, radicand)
+                return found(t, e, zero.d)
     return SearchResult("not_found", examined=examined, fingerprints=fps)
 
 

@@ -125,7 +125,7 @@ def test_criterion_4_null_filiform_3_enumeration():
     # the rescaling e1' = 2e1, e2' = 4e2, e3' = 8e3 halves the parameter,
     # carrying the member with coefficient 2 onto the one with coefficient 1
     at2 = solver.sample_branch(fam, {p: _family_point_for_coefficient(fam, 2)})
-    scaling = iso.Witness.from_rows([[2, 0, 0], [0, 4, 0], [0, 0, 8]])
+    scaling = iso.Witness([[2, 0, 0], [0, 4, 0], [0, 0, 8]])
     ok_scaling = iso.verify_witness(at2, catalog.get("AD3_2"), scaling).ok
 
     elapsed = time.monotonic() - start
@@ -305,11 +305,11 @@ def test_criterion_7_two_dimensional_cross_check():
     assert iso.verify_witness(sample_at(F(1)),
                               catalog.get("AD2_3", {"l": F(0)}), ident).ok
     # t = 1/2: rescale e2' = e2/2 onto the family at parameter 1
-    w_half = iso.Witness.from_rows([[1, 0], [0, F(1, 2)]])
+    w_half = iso.Witness([[1, 0], [0, F(1, 2)]])
     assert iso.verify_witness(sample_at(F(1, 2)),
                               catalog.get("AD2_3", {"l": F(1)}), w_half).ok
     # t = 3: rescale e2' = 3e2 onto the family at parameter -2/3
-    w_three = iso.Witness.from_rows([[1, 0], [0, 3]])
+    w_three = iso.Witness([[1, 0], [0, 3]])
     assert iso.verify_witness(sample_at(F(3)),
                               catalog.get("AD2_3", {"l": F(-2, 3)}), w_three).ok
     # and the bounded search rediscovers a witness on its own

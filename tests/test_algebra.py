@@ -462,7 +462,7 @@ def test_quotient_of_corollary_algebra():
     assert quo.pair.rhd == expected and quo.pair.lhd == expected
     # rescaling e2' = e2/2 carries it onto the two-dimensional family at 1
     target = catalog.get("AD2_3", {"l": F(1)})
-    w = Witness.from_rows([[1, 0], [0, F(1, 2)]])
+    w = Witness([[1, 0], [0, F(1, 2)]])
     assert verify_witness(quo.pair, target, w).ok
 
 

@@ -91,10 +91,42 @@ def test_witness_file_that_is_not_an_object_exits_2(tmp_path):
 def test_algebra_and_witness_files_share_the_document_checks():
     for text, message in (("{", "not valid JSON"), ("[1, 2]", "top level must be an object"),
                           ('{"dim": 0}', "'dim' must be a positive integer"),
-                          ('{"dim": "3"}', "'dim' must be a positive integer")):
+                          ('{"dim": "3"}', "'dim' must be a positive integer"),
+                          ('{"dim": true}', "'dim' must be a positive integer")):
         for parse in (fileio.parse_algebra, fileio.parse_witness):
             with pytest.raises(AlgebraFormatError, match=message):
                 parse(text)
+
+
+def test_boolean_index_is_a_bad_row_exits_2(tmp_path):
+    # JSON true is not the index 1
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"dim": 1, "kind": "associative",
+                                "mul": [[True, 1, 1, "1"]]}))
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert "error: bad row in 'mul': [True, 1, 1, '1']" in proc.stderr
+
+
+def test_quadratic_witness_file_mixes_plain_and_sqrt_entries(tmp_path):
+    # under a radicand the plain entries are read in Q(sqrt 2)
+    rhd = StructureConstants.from_table(3, {(2, 2, 3): "2"})
+    lhd = StructureConstants.from_table(3, {(1, 1, 3): "1", (2, 2, 3): "-2"})
+    a = tmp_path / "sqrt2.json"
+    a.write_text(fileio.render_algebra(AdPair(rhd, lhd)))
+    b = write_entry(tmp_path, "AD3_22", name="ad3_22", assign="a=0,b=0")
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"dim": 3, "radicand": "2", "entries": [
+        [["0", "1"], "0", "0"], ["0", "1", "0"], ["0", "0", ["2", "0"]]]}))
+    proc = run_cli("iso", str(a), str(b), "--witness", str(w))
+    assert proc.returncode == 0
+    results = json.loads(proc.stdout)["results"]
+    assert (results["verified"], results["determinant"]) == (True, "2*sqrt(2)")
+    w.write_text(json.dumps({"dim": 3, "radicand": "2", "entries": [
+        [["0", "1"], "0", "0"], ["0", "a", "0"], ["0", "0", "2"]]}))
+    proc = run_cli("iso", str(a), str(b), "--witness", str(w))
+    assert proc.returncode == 2
+    assert "error: parametric entries cannot mix with a radicand" in proc.stderr
 
 
 def test_quadratic_witness_on_a_parametric_pair_exits_2(tmp_path):

@@ -19,7 +19,7 @@ F = Fraction
 
 
 def witness_from_exprs(rows):
-    return iso.Witness.from_rows([[poly_parse(c) for c in row] for row in rows])
+    return iso.Witness([[poly_parse(c) for c in row] for row in rows])
 
 
 # -- witness verification ---------------------------------------------------------
@@ -49,13 +49,13 @@ def test_wrong_witness_reports_failures():
 def test_scaling_witness_onto_second_corollary_algebra():
     fam = catalog.get("AD3_nullfiliform_family", {"a": F(2)}, strict=False)
     tgt = catalog.get("AD3_2")
-    w = iso.Witness.from_rows([[2, 0, 0], [0, 4, 0], [0, 0, 8]])
+    w = iso.Witness([[2, 0, 0], [0, 4, 0], [0, 0, 8]])
     assert iso.verify_witness(fam, tgt, w).ok
 
 
 def test_singular_witness_rejected():
     ad = catalog.get("AD3_10")
-    w = iso.Witness.from_rows([[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+    w = iso.Witness([[1, 0, 0], [1, 0, 0], [0, 0, 1]])
     with pytest.raises(SingularMatrix):
         iso.verify_witness(ad, ad, w)
 
@@ -64,6 +64,10 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
         iso.verify_witness(catalog.get("AD3_10"), catalog.get("AD2_2"),
                            iso.Witness.identity(3))
+    # a pair has two operations and its sum one: there is nothing to pair up
+    ad = catalog.get("AD3_10")
+    with pytest.raises(TypeError, match="single-operation"):
+        iso.verify_witness(ad, sum_algebra(ad), iso.Witness.identity(3))
 
 
 # -- fingerprints ------------------------------------------------------------------
@@ -382,7 +386,8 @@ def test_found_witnesses_always_verify(rng):
 
 def test_search_budget_bounds_the_candidates_examined(monkeypatch):
     # budget 1 tries the identity alone, and no budget is overrun; a budget
-    # below 1 is rejected before any fingerprint is computed
+    # below 1 and a square radicand are rejected before any fingerprint is
+    # computed
     ad = catalog.get("AD3_10")
     moved = apply_basis_change(ad, [[F(0), F(1), F(0)], [F(-1), F(0), F(0)],
                                     [F(0), F(0), F(1)]])
@@ -397,6 +402,9 @@ def test_search_budget_bounds_the_candidates_examined(monkeypatch):
     for budget in (0, -5):
         with pytest.raises(ValueError, match="budget"):
             iso.search_witness(moved, ad, budget=budget)
+    for radicand in (4, 0):
+        with pytest.raises(ValueError, match="rational square"):
+            iso.search_witness(moved, ad, radicand=radicand)
     assert computed == []
 
 
@@ -638,7 +646,7 @@ def _agrees_with_the_oracle(src, tgt, bound, budget, expected):
     if rows is None:
         assert res.witness is None
     else:
-        assert res.witness.entries == iso.Witness.from_rows(rows).entries
+        assert res.witness.entries == iso.Witness(rows).entries
         assert iso.verify_witness(src, tgt, res.witness).ok
     return status
 
@@ -749,7 +757,7 @@ def test_quadratic_retry_finds_sqrt_witness():
     assert rational.status == "not_found"
     res = iso.search_witness(src, tgt, bound=2, radicand=F(2), budget=20_000)
     assert res.status == "found"
-    assert res.witness.is_quadratic
+    assert res.witness.radicand == 2
     assert iso.verify_witness(src, tgt, res.witness).ok
 
 
@@ -869,11 +877,33 @@ def test_quadratic_pass_matches_the_per_cell_oracle(rng):
 
 
 def test_quad_witness_verification_directly():
+    # the rational entries may come as QuadExt, as Poly constants or as
+    # ints: the witness reads each of them in Q(sqrt 2)
     src = quad_pair_needing_sqrt2()
     tgt = catalog.get("AD3_22", {"a": F(0), "b": F(0)})
     d = F(2)
-    w = iso.Witness((
-        (QuadExt(0, 1, d), QuadExt(0, 0, d), QuadExt(0, 0, d)),
-        (QuadExt(0, 0, d), QuadExt(1, 0, d), QuadExt(0, 0, d)),
-        (QuadExt(0, 0, d), QuadExt(0, 0, d), QuadExt(2, 0, d))), d)
-    assert iso.verify_witness(src, tgt, w).ok
+    for rational in (lambda c: QuadExt(c, 0, d), Poly.const, int):
+        zero, one, two = map(rational, (0, 1, 2))
+        w = iso.Witness(((QuadExt(0, 1, d), zero, zero), (zero, one, zero),
+                         (zero, zero, two)), d)
+        assert all(type(c) is QuadExt and c.d == d for row in w.entries for c in row)
+        rep = iso.verify_witness(src, tgt, w)
+        assert rep.ok and rep.det == "2*sqrt(2)"
+
+
+def test_witness_puts_its_entries_into_one_ring():
+    w = iso.Witness([[Poly.const(1), Poly.const(F(1, 2))], [0, F(-3)]], radicand=3)
+    assert w.radicand == 3
+    assert w.entries == ((QuadExt(1, 0, 3), QuadExt(F(1, 2), 0, 3)),
+                         (QuadExt(0, 0, 3), QuadExt(-3, 0, 3)))
+    assert all(type(c) is QuadExt and c.d == 3 for row in w.entries for c in row)
+    plain = iso.Witness([[1, F(1, 2)], [poly_parse("a"), 0]])
+    assert plain.radicand is None
+    assert all(type(c) is Poly for row in plain.entries for c in row)
+    for rows, radicand, message in (
+            ([[QuadExt(0, 1, 2)]], None, "radicand"),
+            ([[poly_parse("a")]], 2, "not a constant"),
+            ([[QuadExt(0, 1, 2)]], 3, "mixed radicands"),
+            ([[1]], 4, "rational square")):
+        with pytest.raises(ValueError, match=message):
+            iso.Witness(rows, radicand)

@@ -125,7 +125,7 @@ def test_dense_constant_witness_determinant(rng):
     m = [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(12)] for _ in range(12)]
     expected = _dense_det(m)
     assert expected != 0
-    assert Witness.from_rows(m).determinant() == Poly.const(expected)
+    assert Witness(m).determinant() == Poly.const(expected)
 
 
 def test_invert_rejects_singular_matrices():
