@@ -2,14 +2,16 @@
 
 A bilinear product on an n-dimensional space is stored as an n*n*n tensor of
 polynomials: ``e_i o e_j = sum_k c[i][j][k] e_k`` (indices 0-based internally,
-1-based in files and reports).  A two-operation carrier holds one tensor for
-each operation; the anti-dendriform laws are checked symbolically, identically
-in any family parameters, on basis triples.  The seven identities and the
-two defining equations read only six triple products; each triple's six are
-expanded once (``_triple_products``) and every law is a signed combination of
-them, the identities a table of signed pairs (``_IDENTITY_TERMS``).
-Bilinearity makes the basis-triple check equivalent to the law on the whole
-space.
+1-based in files and reports).  An ``Algebra`` carries its ``tensors``, one
+per operation its class names in ``OPS`` (``("mul",)`` for ``UnaryAlgebra``,
+``("rhd", "lhd")`` for ``AdPair``), and ``KINDS`` maps each class's file name
+``KIND`` to it.  The anti-dendriform laws are checked symbolically,
+identically in any family parameters, on basis triples.  The seven identities
+and the two defining equations read only six triple products; each triple's
+six are expanded once (``_triple_products``) and every law is a signed
+combination of them, the identities a table of signed pairs
+(``_IDENTITY_TERMS``).  Bilinearity makes the basis-triple check equivalent to
+the law on the whole space.
 
 Every product of structure constants goes through one kernel: ``combine``
 forms a linear combination of rows, skipping zero coefficients and zero
@@ -65,7 +67,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import CenterMismatch, DimensionMismatch, MissingAssignment
-from .scalars import Poly, Scalar, _ints, _mono_mul, _num
+from .scalars import PARAM_NAMES, Poly, Scalar, _ints, _mono_mul, _num, poly_parse
 
 Vector = tuple  # tuple[Poly, ...] in the standard basis
 
@@ -124,14 +126,13 @@ class StructureConstants:
         String values go through the coefficient grammar with the given
         parameter names; omitted entries are zero.
         """
-        from .scalars import poly_parse
         tensor = [[[Poly.zero() for _ in range(dim)] for _ in range(dim)]
                   for _ in range(dim)]
         for (i, j, k), value in entries.items():
             if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
                 raise DimensionMismatch(f"index {(i, j, k)} out of range for dim {dim}")
             if isinstance(value, str):
-                value = poly_parse(value, params or ("a", "b", "g", "l"))
+                value = poly_parse(value, params or PARAM_NAMES)
             tensor[i - 1][j - 1][k - 1] = Poly.coerce(value)
         return cls(dim, tensor)
 
@@ -210,46 +211,57 @@ class StructureConstants:
         return hash((self.dim, self.c))
 
 
-@dataclass(frozen=True)
-class UnaryAlgebra:
-    """A single-operation algebra with an optional catalog label."""
-    sc: StructureConstants
-    label: str | None = None
+class Algebra:
+    """Operation tensors (a subclass's ``tensors``, named by its ``OPS``) and
+    a ``label``; what reads only those is written here once."""
 
     @property
     def dim(self) -> int:
-        return self.sc.dim
+        return self.tensors[0].dim
 
-    def subs(self, mapping) -> "UnaryAlgebra":
-        return UnaryAlgebra(self.sc.subs(mapping), self.label)
+    def variables(self) -> frozenset:
+        return frozenset().union(*(sc.variables() for sc in self.tensors))
 
-    def at(self, point) -> "UnaryAlgebra":
-        return UnaryAlgebra(self.sc.at(point), self.label)
+    def subs(self, mapping):
+        return type(self)(*(sc.subs(mapping) for sc in self.tensors), self.label)
+
+    def at(self, point):
+        return type(self)(*_at(self.tensors, point), self.label)
 
 
 @dataclass(frozen=True)
-class AdPair:
+class UnaryAlgebra(Algebra):
+    """A single-operation algebra with an optional catalog label."""
+    sc: StructureConstants
+    label: str | None = None
+    KIND = "associative"
+    OPS = ("mul",)
+
+    @property
+    def tensors(self) -> tuple:
+        return (self.sc,)
+
+
+@dataclass(frozen=True)
+class AdPair(Algebra):
     """Two-operation carrier: ``rhd`` and ``lhd`` tensors of equal dimension."""
     rhd: StructureConstants
     lhd: StructureConstants
     label: str | None = None
+    KIND = "antidendriform"
+    OPS = ("rhd", "lhd")
 
     def __post_init__(self):
         if self.rhd.dim != self.lhd.dim:
             raise DimensionMismatch("the two operation tensors have different dims")
 
     @property
-    def dim(self) -> int:
-        return self.rhd.dim
+    def tensors(self) -> tuple:
+        return (self.rhd, self.lhd)
 
-    def subs(self, mapping) -> "AdPair":
-        return AdPair(self.rhd.subs(mapping), self.lhd.subs(mapping), self.label)
 
-    def at(self, point) -> "AdPair":
-        return AdPair(*_at((self.rhd, self.lhd), point), self.label)
-
-    def variables(self) -> frozenset:
-        return self.rhd.variables() | self.lhd.variables()
+#: Each kind's file and catalog name to its class.
+KINDS = {cls.KIND: cls for cls in (UnaryAlgebra, AdPair)}
 
 
 def _at(tensors, point) -> list:
@@ -671,7 +683,7 @@ def apply_basis_change(obj, t_rows):
     and inverted once; each of the object's tensors moves along that one
     inverse (``transport_tensor``).
     """
-    if not isinstance(obj, (StructureConstants, UnaryAlgebra, AdPair)):
+    if not isinstance(obj, (StructureConstants, Algebra)):
         raise TypeError(f"cannot transport {type(obj).__name__}")
     n = obj.dim
     if len(t_rows) != n or any(len(r) != n for r in t_rows):
@@ -680,7 +692,4 @@ def apply_basis_change(obj, t_rows):
     inv = linalg.invert(t)
     if isinstance(obj, StructureConstants):
         return transport_tensor(obj, t, inv)
-    if isinstance(obj, UnaryAlgebra):
-        return UnaryAlgebra(transport_tensor(obj.sc, t, inv), obj.label)
-    return AdPair(transport_tensor(obj.rhd, t, inv),
-                  transport_tensor(obj.lhd, t, inv), obj.label)
+    return type(obj)(*(transport_tensor(sc, t, inv) for sc in obj.tensors), obj.label)

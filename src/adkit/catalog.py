@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import (AdPair, StructureConstants, UnaryAlgebra,
+from .algebra import (KINDS, AdPair, StructureConstants, UnaryAlgebra,
                       check_antidendriform, is_associative, sum_algebra)
 from .errors import ConstraintViolation, MissingAssignment, UnknownEntry
 from .iso import Witness, verify_witness
@@ -77,14 +77,9 @@ class CatalogEntry:
     auxiliary: bool = False      # listed, but not counted among the families
 
     def tensors(self) -> UnaryAlgebra | AdPair:
-        if self.kind == "associative":
-            return UnaryAlgebra(
-                StructureConstants.from_table(self.dim, self.mul, self.params),
-                label=self.id)
-        return AdPair(
-            StructureConstants.from_table(self.dim, self.rhd, self.params),
-            StructureConstants.from_table(self.dim, self.lhd, self.params),
-            label=self.id)
+        cls = KINDS[self.kind]
+        return cls(*(StructureConstants.from_table(self.dim, getattr(self, op), self.params)
+                     for op in cls.OPS), label=self.id)
 
     def check_assignment(self, assign: Mapping[str, Fraction]):
         missing = [p for p in self.params if p not in assign]

@@ -28,7 +28,7 @@ from .algebra import (AdPair, StructureConstants, UnaryAlgebra, center_ad,
                       is_two_nilpotent, power_series, quotient_by_centers,
                       sum_algebra)
 from .errors import AdkitError, BudgetExceeded, CenterMismatch
-from .scalars import format_poly, is_rational_square
+from .scalars import format_poly
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -39,15 +39,12 @@ DEFAULT_SAMPLE_VALUES = (Fraction(0), Fraction(1), Fraction(-1),
                          Fraction(2), Fraction(3))
 
 
-def _digest(path: str) -> dict:
+def _read(path: str, parse=fileio.parse_algebra):
+    """The parsed file and its input record, from one read of its bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
-
-
-def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fileio.parse_algebra(fh.read())
+    record = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    return parse(data.decode("utf-8")), record
 
 
 def _vec_str(vec) -> list:
@@ -62,8 +59,8 @@ def _assign_str(assign) -> dict:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    obj = _load(args.file)
-    report = {"command": "verify", "inputs": [_digest(args.file)]}
+    obj, record = _read(args.file)
+    report = {"command": "verify", "inputs": [record]}
     if isinstance(obj, UnaryAlgebra):
         rep = is_associative(obj)
         report["results"] = {
@@ -181,12 +178,12 @@ def _certificate_dict(branch) -> list:
 
 
 def cmd_enumerate(args) -> tuple[dict, int]:
-    obj = _load(args.file)
+    obj, record = _read(args.file)
     if not isinstance(obj, UnaryAlgebra):
         raise AdkitError("enumerate expects an associative algebra file")
     report = {
         "command": "enumerate",
-        "inputs": [_digest(args.file)],
+        "inputs": [record],
         "options": {"max_splits": args.max_splits, "depth": args.depth},
     }
     try:
@@ -222,8 +219,7 @@ def cmd_enumerate(args) -> tuple[dict, int]:
 
 
 def cmd_iso(args) -> tuple[dict, int]:
-    a = _load(args.file_a)
-    b = _load(args.file_b)
+    (a, record_a), (b, record_b) = _read(args.file_a), _read(args.file_b)
     if not isinstance(a, AdPair) or not isinstance(b, AdPair):
         raise AdkitError("iso expects two antidendriform files")
     assign = fileio.parse_assignment(args.assign) if args.assign else {}
@@ -231,12 +227,12 @@ def cmd_iso(args) -> tuple[dict, int]:
         a = a.subs(assign)
         b = b.subs(assign)
     report = {"command": "iso",
-              "inputs": [_digest(args.file_a), _digest(args.file_b)],
+              "inputs": [record_a, record_b],
               "options": {"assign": _assign_str(assign)}}
     if args.witness:
-        with open(args.witness, "r", encoding="utf-8") as fh:
-            rep = iso.verify_witness(a, b, fileio.parse_witness(fh.read()))
-        report["inputs"].append(_digest(args.witness))
+        witness, record = _read(args.witness, fileio.parse_witness)
+        rep = iso.verify_witness(a, b, witness)
+        report["inputs"].append(record)
         report["results"] = {
             "mode": "witness",
             "verified": rep.ok,
@@ -254,9 +250,7 @@ def cmd_iso(args) -> tuple[dict, int]:
         raise AdkitError(
             "search needs fully instantiated inputs; missing values for "
             + ", ".join(sorted(leftover)))
-    radicand = fileio.parse_rational_or_none(args.radicand)
-    if radicand is not None and is_rational_square(radicand):
-        raise AdkitError(f"radicand {radicand} is a rational square")
+    radicand = fileio.parse_radicand(args.radicand)
     result = iso.search_witness(a, b, bound=args.bound, radicand=radicand)
     fp_a, fp_b = result.fingerprints
     report["results"] = {
@@ -337,27 +331,21 @@ def _analyze_at(obj, assign) -> dict:
 
 
 def cmd_analyze(args) -> tuple[dict, int]:
-    obj = _load(args.file)
+    obj, record = _read(args.file)
     assign = fileio.parse_assignment(args.assign) if args.assign else {}
-    params = sorted(obj.variables() if isinstance(obj, AdPair)
-                    else obj.sc.variables())
-    missing = [p for p in params if p not in assign]
-    report = {"command": "analyze", "inputs": [_digest(args.file)],
+    missing = [p for p in sorted(obj.variables()) if p not in assign]
+    report = {"command": "analyze", "inputs": [record],
               "options": {"assign": _assign_str(assign)}}
     results: dict = {}
     if isinstance(obj, AdPair):
         results["sum"] = fileio._entry_rows(sum_algebra(obj).sc)
         results["two_nilpotent"] = is_two_nilpotent(obj)
-    points = []
+    # with nothing missing, the one point is the assignment itself
+    points = [{**assign, **dict(zip(missing, combo))}
+              for combo in iproduct(DEFAULT_SAMPLE_VALUES, repeat=len(missing))]
     if missing:
-        for combo in iproduct(DEFAULT_SAMPLE_VALUES, repeat=len(missing)):
-            point = dict(assign)
-            point.update(dict(zip(missing, combo)))
-            points.append(point)
         results["note"] = ("parameters " + ", ".join(missing)
                            + " sampled over the default values 0, 1, -1, 2, 3")
-    else:
-        points.append(dict(assign))
     results["at"] = [_analyze_at(obj, point) for point in points]
     report["results"] = results
     report["status"] = "pass"
@@ -471,10 +459,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         report, code = args.fn(args)
-    except AdkitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:
+    except (AdkitError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     if report is not None:

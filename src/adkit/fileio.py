@@ -17,7 +17,8 @@ A witness file holds a square matrix of coefficient expressions::
 
     { "dim": 3, "entries": [["1", "0", "0"], ...] }
 
-With an optional ``"radicand": "2"``, entries may instead be two-element
+With an optional ``"radicand": "2"`` (a JSON string or integer, not a
+rational square; ``parse_radicand``), entries may instead be two-element
 lists ``["aexpr", "bexpr"]`` meaning a + b*sqrt(radicand); plain entries are
 then read in Q(sqrt radicand), so none may hold a parameter.
 """
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from .algebra import AdPair, StructureConstants, UnaryAlgebra
-from .errors import AlgebraFormatError
+from .algebra import KINDS, Algebra, StructureConstants
+from .errors import AlgebraFormatError, CoefficientSyntaxError
 from .iso import Witness
 from .scalars import (PARAM_NAMES, QuadExt, format_poly,
                       is_rational_square, parse_rational, poly_parse)
@@ -72,24 +73,19 @@ def parse_algebra(text: str):
     params = doc.get("params", [])
     if not isinstance(params, list):
         raise AlgebraFormatError("'params' must be a list of parameter names")
-    params = tuple(params)
     for p in params:
         if p not in PARAM_NAMES:
             raise AlgebraFormatError(
                 f"unknown parameter {p!r}; allowed: {', '.join(PARAM_NAMES)}")
     kind = doc.get("kind")
-    if kind == "associative":
-        if "mul" not in doc:
-            raise AlgebraFormatError("associative file needs a 'mul' table")
-        sc = _parse_entry_list(doc["mul"], dim, params, "mul")
-        return UnaryAlgebra(sc, label=doc.get("label"))
-    if kind == "antidendriform":
-        if "rhd" not in doc or "lhd" not in doc:
-            raise AlgebraFormatError("antidendriform file needs 'rhd' and 'lhd' tables")
-        rhd = _parse_entry_list(doc["rhd"], dim, params, "rhd")
-        lhd = _parse_entry_list(doc["lhd"], dim, params, "lhd")
-        return AdPair(rhd, lhd, label=doc.get("label"))
-    raise AlgebraFormatError("'kind' must be 'associative' or 'antidendriform'")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise AlgebraFormatError(f"'kind' must be {' or '.join(map(repr, KINDS))}")
+    cls = KINDS[kind]
+    for op in cls.OPS:
+        if op not in doc:
+            raise AlgebraFormatError(f"{kind} file needs a {op!r} table")
+    return cls(*(_parse_entry_list(doc[op], dim, params, op) for op in cls.OPS),
+               label=doc.get("label"))
 
 
 def _entry_rows(sc: StructureConstants):
@@ -101,16 +97,10 @@ def _entry_rows(sc: StructureConstants):
 
 def render_algebra(obj) -> str:
     """Serialise to the file format (sorted keys, canonical coefficients)."""
-    if isinstance(obj, UnaryAlgebra):
-        doc = {"dim": obj.dim, "kind": "associative",
-               "params": sorted(obj.sc.variables()),
-               "mul": _entry_rows(obj.sc)}
-    elif isinstance(obj, AdPair):
-        doc = {"dim": obj.dim, "kind": "antidendriform",
-               "params": sorted(obj.variables()),
-               "rhd": _entry_rows(obj.rhd), "lhd": _entry_rows(obj.lhd)}
-    else:
+    if not isinstance(obj, Algebra):
         raise TypeError(f"cannot render {type(obj).__name__}")
+    doc = {"dim": obj.dim, "kind": obj.KIND, "params": sorted(obj.variables())}
+    doc.update((op, _entry_rows(sc)) for op, sc in zip(obj.OPS, obj.tensors))
     if obj.label:
         doc["label"] = obj.label
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -134,8 +124,21 @@ def parse_assignment(text: str) -> dict[str, Fraction]:
     return out
 
 
-def parse_rational_or_none(text: str | None) -> Fraction | None:
-    return None if text is None else parse_rational(text)
+def parse_radicand(value) -> Fraction | None:
+    """The radicand of ``iso --radicand`` or a witness file: None, or a
+    string or integer (not a boolean or float) holding a non-square rational."""
+    if value is None:
+        return None
+    if type(value) not in (str, int):
+        raise AlgebraFormatError(
+            f"radicand must be a string or an integer, got {json.dumps(value)}")
+    try:
+        radicand = parse_rational(str(value))
+    except CoefficientSyntaxError as exc:
+        raise AlgebraFormatError(f"bad radicand {value!r}: {exc}") from exc
+    if is_rational_square(radicand):
+        raise AlgebraFormatError(f"radicand {radicand} is a rational square")
+    return radicand
 
 
 def parse_witness(text: str):
@@ -150,12 +153,7 @@ def parse_witness(text: str):
     if (not isinstance(entries, list) or len(entries) != dim
             or any(not isinstance(r, list) or len(r) != dim for r in entries)):
         raise AlgebraFormatError("'entries' must be a dim x dim matrix")
-    radicand = None
-    if "radicand" in doc:
-        radicand = parse_rational(str(doc["radicand"]))
-        if is_rational_square(radicand):
-            raise AlgebraFormatError(
-                f"radicand {radicand} is a rational square; drop it instead")
+    radicand = parse_radicand(doc.get("radicand"))
 
     def cell_value(cell):
         if isinstance(cell, str):

@@ -145,10 +145,7 @@ def verify_witness(source, target, witness: Witness) -> WitnessReport:
     tensors' constants are read, so a parametric one raises
     ``MissingAssignment``.
     """
-    def tensors(obj):
-        return (obj.rhd, obj.lhd) if isinstance(obj, AdPair) else (obj.sc,)
-
-    src, tgt = tensors(source), tensors(target)
+    src, tgt = source.tensors, target.tensors
     if len(src) != len(tgt):
         raise TypeError("a pair and a single-operation algebra cannot be compared")
     if source.dim != target.dim:

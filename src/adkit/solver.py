@@ -84,8 +84,7 @@ from typing import Mapping, NamedTuple
 
 from . import linalg
 from .algebra import (AdPair, IDENTITY_NAMES, StructureConstants, UnaryAlgebra,
-                      _identity_residual, _triple_products, check_antidendriform,
-                      is_associative)
+                      check_antidendriform, is_associative)
 from .errors import (BudgetExceeded, ConstraintViolation, MissingAssignment,
                      NotAssociative, SideConditionViolation)
 from .scalars import (Poly, format_poly, is_rational_square, rational_sqrt)
@@ -131,11 +130,12 @@ RESIDUAL_BUDGET = 7 * 8 ** 4
 def generate_constraints(assoc: UnaryAlgebra) -> ConstraintSystem:
     """Expand the seven identities over all basis triples into equations.
 
-    The input must be associative (symbolically, in any parameters); the
-    equations are deduplicated up to scaling, keeping the provenance of the
-    first occurrence.  An input whose 7*n^4 residual coordinates exceed
-    ``RESIDUAL_BUDGET`` raises ``BudgetExceeded`` before anything is
-    expanded.
+    The input must be associative (symbolically, in any parameters).  The
+    residuals are those ``check_antidendriform`` reports on (r, assoc - r),
+    r the unknowns; the equations are deduplicated up to scaling, keeping
+    the provenance of the first occurrence.  An input whose 7*n^4 residual
+    coordinates exceed ``RESIDUAL_BUDGET`` raises ``BudgetExceeded`` before
+    anything is expanded.
     """
     n = assoc.dim
     size = len(IDENTITY_NAMES) * n ** 4
@@ -155,15 +155,11 @@ def generate_constraints(assoc: UnaryAlgebra) -> ConstraintSystem:
     r_sym = StructureConstants(
         n, [[[Poly.var(unknown_name(i + 1, j + 1, k + 1)) for k in range(n)]
              for j in range(n)] for i in range(n)])
-    l_sym = assoc.sc.add(r_sym.neg())
-    s_sym = assoc.sc
-    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-    prods = [_triple_products(r_sym, l_sym, s_sym, *t) for t in triples]
+    failures = check_antidendriform(AdPair(r_sym, assoc.sc.add(r_sym.neg()))).failures
     seen: dict = {}
     equations = []
     for ident in IDENTITY_NAMES:
-        for (i, j, k), pr in zip(triples, prods):
-            res = _identity_residual(ident, pr)
+        for (i, j, k), res in failures[ident]:
             for m in range(n):
                 p = res[m]
                 if p.is_zero():

@@ -1,8 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +132,36 @@ def test_quadratic_witness_file_mixes_plain_and_sqrt_entries(tmp_path):
     assert "error: parametric entries cannot mix with a radicand" in proc.stderr
 
 
+def test_witness_radicand_is_a_string_or_an_integer(tmp_path):
+    rhd = StructureConstants.from_table(3, {(2, 2, 3): "2"})
+    lhd = StructureConstants.from_table(3, {(1, 1, 3): "1", (2, 2, 3): "-2"})
+    a = tmp_path / "sqrt2.json"
+    a.write_text(fileio.render_algebra(AdPair(rhd, lhd)))
+    b = write_entry(tmp_path, "AD3_22", name="ad3_22", assign="a=0,b=0")
+    w = tmp_path / "w.json"
+    for radicand, code in ((True, 2), (2.5, 2), (2, 0)):
+        w.write_text(json.dumps({"dim": 3, "radicand": radicand, "entries": [
+            [["0", "1"], "0", "0"], ["0", "1", "0"], ["0", "0", "2"]]}))
+        proc = run_cli("iso", str(a), str(b), "--witness", str(w))
+        assert proc.returncode == code, radicand
+        if code:
+            assert "radicand" in proc.stderr and "Traceback" not in proc.stderr
+        else:
+            assert json.loads(proc.stdout)["results"]["verified"]
+
+
+def test_parse_radicand():
+    assert fileio.parse_radicand(None) is None
+    assert (fileio.parse_radicand("-3/2"), fileio.parse_radicand(2)) == (Fraction(-3, 2), 2)
+    for value, message in ((True, "radicand must be a string or an integer, got true"),
+                           (2.5, "got 2.5"), ([2], "got \\[2\\]"),
+                           ("x", "bad radicand 'x'"),
+                           ("9/4", "radicand 9/4 is a rational square"),
+                           (0, "radicand 0 is a rational square")):
+        with pytest.raises(AlgebraFormatError, match=message):
+            fileio.parse_radicand(value)
+
+
 def test_quadratic_witness_on_a_parametric_pair_exits_2(tmp_path):
     a = write_entry(tmp_path, "AD3_22")
     w = tmp_path / "w.json"
@@ -157,6 +190,16 @@ def test_params_that_are_not_a_list_exit_2(tmp_path):
     proc = run_cli("verify", str(path))
     assert proc.returncode == 2
     assert "error: 'params' must be a list" in proc.stderr
+
+
+def test_kind_names_the_tables_a_file_needs():
+    for doc, message in (
+            ({"kind": ["associative"]}, "'kind' must be 'associative' or 'antidendriform'"),
+            ({"kind": "associative", "rhd": []}, "associative file needs a 'mul' table"),
+            ({"kind": "antidendriform", "rhd": 1}, "antidendriform file needs a 'lhd' table"),
+            ({"kind": "antidendriform", "rhd": 1, "lhd": []}, "'rhd' must be a list")):
+        with pytest.raises(AlgebraFormatError, match=message):
+            fileio.parse_algebra(json.dumps({"dim": 2, **doc}))
 
 
 def test_export_dimension_below_one_exits_2():
@@ -287,6 +330,31 @@ def test_iso_witness_file_mode(tmp_path):
         "entries": [["1", "0", "0"], ["3", "1", "0"], ["0", "0", "1"]]}))
     proc = run_cli("iso", str(a), str(b), "--witness", str(wrong))
     assert proc.returncode == 1
+
+
+def test_iso_witness_reads_each_file_once(tmp_path, monkeypatch, capsys):
+    a = write_entry(tmp_path, "AD3_8", name="a", assign="a=1,b=2")
+    b = write_entry(tmp_path, "AD3_8", name="b", assign="a=-2,b=-1")
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({
+        "dim": 3,
+        "entries": [["1", "0", "0"], ["-3", "1", "0"], ["0", "0", "1"]]}))
+    paths = [str(a), str(b), str(w)]
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert cli.main(["iso", str(a), str(b), "--witness", str(w)]) == 0
+    monkeypatch.undo()
+    assert [opened.count(path) for path in paths] == [1, 1, 1]
+    inputs = json.loads(capsys.readouterr().out)["inputs"]
+    assert inputs == [{"path": path,
+                       "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+                      for path in paths]
 
 
 def test_iso_search_and_separation(tmp_path):

@@ -60,8 +60,8 @@ def test_residual_budget_admits_dimension_8_and_stops_before_expanding(monkeypat
     monkeypatch.setattr(solver, "RESIDUAL_BUDGET", 7 * 3 ** 4 - 1)
     monkeypatch.setattr(solver, "is_associative",
                         lambda alg: expanded.append(alg))
-    monkeypatch.setattr(solver, "_triple_products",
-                        lambda *args: expanded.append(args))
+    monkeypatch.setattr(solver, "check_antidendriform",
+                        lambda pair: expanded.append(pair))
     with pytest.raises(BudgetExceeded) as err:
         solver.enumerate_compatible(mu3)
     assert err.value.budget == "residual-budget"
