@@ -32,7 +32,10 @@ nor ``constant_tensor`` itself, takes an assignment.  A tensor without
 parameters is evaluated once and kept (``constant_tensor``), and the rank
 computations, basis changes and 2-nilpotency all read that value.  An
 evaluated value is an int when integral and a Fraction otherwise, the
-coefficient rule of ``scalars``.
+coefficient rule of ``scalars``.  One center function reads the tensors of
+either kind (``center_ad``, bound as ``center_associative`` too).  A pair's
+center lies in its sum's, so the quotient compares the two by dimension and
+reads coordinates on the complement off the center's reduced rows.
 
 A tensor can also be made from its rationals alone
 (``StructureConstants.from_constant``): a point evaluation, a basis change
@@ -44,14 +47,14 @@ parametric contraction), and that first read fills the slot, so every
 later read is a plain slot read.  Basis changes, 2-nilpotency and the power
 series run on integers: each rational operand is cleared once by the lcm
 of its denominators (``_cleared`` for tensors, ``_cleared_rows`` for
-matrices) and contracted over int.  A basis change inverts its matrix once
-per object (``apply_basis_change``), and every tensor of a pair moves along
-that one inverse; it then forms one Fraction per nonzero entry and keeps
-those, so a moved copy is never evaluated back.  The power series keeps
-each power, and 2-nilpotency its products when there are more than n of
-them, as the integer echelon rows of ``linalg.echelon_int``, the pivot
-rows of the one fraction-free elimination loop.  Parametric tensors run
-the same loops over Poly, uncleared.
+matrices) and contracted over int.  A basis change inverts and clears its
+matrix once per object (``apply_basis_change``), and every tensor of a pair
+moves along those integer rows, a parametric one over Poly; a constant one
+gets one Fraction per nonzero entry, kept, so a moved copy is never
+evaluated back.  The power series keeps each power, and 2-nilpotency its
+products when there are more than n of them, as the integer echelon rows
+of ``linalg.echelon_int``, the pivot rows of the one fraction-free
+elimination loop.  Parametric tensors run the same loops over Poly.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to use concurrently; the one slot
@@ -529,19 +532,15 @@ def _product_rows(tensors, left: bool):
     return rows
 
 
-def center_associative(alg: UnaryAlgebra):
-    """Rational basis of {x : x.y = y.x = 0 for all y}, from the kept constant."""
-    t = [alg.sc.constant_tensor()]
-    rows = _product_rows(t, left=True) + _product_rows(t, left=False)
-    return linalg.nullspace(rows, alg.dim)
+def center_ad(obj):
+    """Basis of {x : x o y = y o x = 0 for all y and each operation of ``obj``},
+    from the kept constants; ``center_associative`` is this same function."""
+    tensors = [sc.constant_tensor() for sc in obj.tensors]
+    rows = _product_rows(tensors, left=True) + _product_rows(tensors, left=False)
+    return linalg.nullspace(rows, obj.dim)
 
 
-def center_ad(ad: AdPair):
-    """Basis of the two-operation center (four conditions), from the kept constants."""
-    tensors = [ad.rhd.constant_tensor(), ad.lhd.constant_tensor()]
-    rows = (_product_rows(tensors, left=True)
-            + _product_rows(tensors, left=False))
-    return linalg.nullspace(rows, ad.dim)
+center_associative = center_ad
 
 
 def left_annihilator(tensors, dim: int):
@@ -613,31 +612,29 @@ def quotient_by_center(ad: AdPair) -> QuotientResult:
 def quotient_by_centers(ad: AdPair, z_sum, z_ad) -> QuotientResult:
     """Project onto A/Z, given the centers of the sum and of the pair; they must agree.
 
-    The complement is spanned by the standard basis vectors that are not
-    pivotal in the center's reduced echelon form, which makes the output
-    basis deterministic.
+    The pair's center lies in the sum's (x>y = y>x = x<y = y<x = 0 for all
+    y gives x.y = y.x = 0), so the two agree exactly when their dimensions
+    do.  The complement is spanned by the standard basis vectors that are
+    not pivotal in the center's reduced echelon form, which makes the output
+    basis deterministic.  With reduced rows z_r and pivots p_r, coordinate k
+    of v on the complement is v[k] - sum_r v[p_r] z_r[k]: one ``combine``.
     """
-    n = ad.dim
-    if not linalg.same_span(z_sum, z_ad):
+    if len(z_sum) != len(z_ad):
         raise CenterMismatch(
             "the associative and two-operation centers differ at this point")
-    center_rows, pivots = linalg.rref(z_ad) if z_ad else ([], [])
-    kept = [i for i in range(n) if i not in pivots]
-    # Rows of ``basis`` are the center basis, then the kept unit vectors; a
-    # vector's coordinates in that basis are its row times the inverse.
-    basis = [list(v) for v in center_rows] + \
-            [[Fraction(1 if i == k else 0) for i in range(n)] for k in kept]
-    inv = linalg.invert(basis)
+    center_rows, pivots = linalg.rref(z_ad)
+    kept = [k for k in range(ad.dim) if k not in pivots]
+    rows = [[z[k] for k in kept] for z in center_rows]
 
     def project(sc: StructureConstants) -> StructureConstants:
         t = sc.constant_tensor()
-        return StructureConstants.from_constant(len(kept), tuple(
-            tuple(tuple(combine(t[a][b], inv, Fraction(0))[len(center_rows):])
-                  for b in kept) for a in kept))
+        return StructureConstants.from_constant(len(kept), tuple(tuple(
+            tuple(combine([1] + [-t[a][b][p] for p in pivots],
+                          [[t[a][b][k] for k in kept]] + rows, Fraction(0)))
+            for b in kept) for a in kept))
 
-    pair = AdPair(project(ad.rhd), project(ad.lhd),
-                  label=None if ad.label is None else f"{ad.label}/Z")
-    return QuotientResult(pair, tuple(kept))
+    label = None if ad.label is None else f"{ad.label}/Z"
+    return QuotientResult(type(ad)(*map(project, ad.tensors), label), tuple(kept))
 
 
 # -- basis change ---------------------------------------------------------------
@@ -646,30 +643,31 @@ def quotient_by_centers(ad: AdPair, z_sum, z_ad) -> QuotientResult:
 def transport_tensor(sc: StructureConstants, t, inv) -> StructureConstants:
     """Structure constants in the new basis e'_i = sum_j T[i][j] e_j.
 
-    ``t`` is T as rows of Fractions and ``inv`` its inverse, both from
-    ``apply_basis_change``, which checks the shape and inverts T once for
-    all the tensors it moves.  Tensor entries may still carry parameters.
-    e'_i o e'_j is sum_k T[i][k] (e_k o e'_j) in the old basis, written in
-    the new one by T^-1.  A tensor without parameters runs this on integers:
-    with c = C/D, T = T'/e and T^-1 = I'/f cleared by the lcm of their
-    denominators, the moved tensor is the integer contraction of T', T', C
-    and I' over e^2 D f, one Fraction per nonzero entry.  The result keeps
-    those Fractions as its constant value, so it is never evaluated back.
+    ``t`` is T = T'/e and ``inv`` is T^-1 = I'/f, each as (integer rows,
+    scale), cleared once by ``apply_basis_change``, which checks the shape
+    and inverts T for all the tensors it moves.  e'_i o e'_j is
+    sum_k T[i][k] (e_k o e'_j) in the old basis, written in the new one by
+    T^-1: the contraction of T', T', c and I', over e^2 f.  Over Poly each
+    entry is scaled by 1/(e^2 f) at the end; a tensor without parameters is
+    cleared too, c = C/D, and gets one Fraction over e^2 D f per nonzero
+    entry, kept as its constant value, so it is never evaluated back.
     """
     n = sc.dim
+    (t, e), (inv, f) = t, inv
     if sc.variables():
-        c, zero = sc.c, Poly.zero()
-        scale = None
+        c, zero, d = sc.c, Poly.zero(), 1
     else:
         (c,), d = _cleared(sc.constant_tensor())
-        (t, e), (inv, f) = _cleared_rows(t), _cleared_rows(inv)
-        zero, scale = 0, e * e * d * f
+        zero = 0
     # inner[j][k] = e_k o e'_j, once per new basis vector
     inner = [[combine(row, plane, zero) for plane in c] for row in t]
     moved = [[combine(combine(t[i], inner[j], zero), inv, zero) for j in range(n)]
              for i in range(n)]
-    if scale is None:
-        return StructureConstants(n, moved)
+    scale = e * e * d * f
+    if type(zero) is Poly:
+        s = Fraction(1, scale)
+        return StructureConstants(n, [[[p * s for p in row] for row in plane]
+                                      for plane in moved])
     frac0 = Fraction(0)
     return StructureConstants.from_constant(n, tuple(
         tuple(tuple(Fraction(x, scale) if x else frac0 for x in row) for row in plane)
@@ -679,9 +677,9 @@ def transport_tensor(sc: StructureConstants, t, inv) -> StructureConstants:
 def apply_basis_change(obj, t_rows):
     """Transport a tensor, algebra or pair along an invertible rational matrix.
 
-    The matrix is checked against the object's dimension, made Fractions
-    and inverted once; each of the object's tensors moves along that one
-    inverse (``transport_tensor``).
+    The matrix is checked against the object's dimension, inverted, and it
+    and its inverse are cleared to integer rows once; each of the object's
+    tensors moves along those rows (``transport_tensor``).
     """
     if not isinstance(obj, (StructureConstants, Algebra)):
         raise TypeError(f"cannot transport {type(obj).__name__}")
@@ -689,7 +687,7 @@ def apply_basis_change(obj, t_rows):
     if len(t_rows) != n or any(len(r) != n for r in t_rows):
         raise DimensionMismatch("basis-change matrix has the wrong shape")
     t = [[Fraction(x) for x in row] for row in t_rows]
-    inv = linalg.invert(t)
+    t, inv = _cleared_rows(t), _cleared_rows(linalg.invert(t))
     if isinstance(obj, StructureConstants):
         return transport_tensor(obj, t, inv)
     return type(obj)(*(transport_tensor(sc, t, inv) for sc in obj.tensors), obj.label)

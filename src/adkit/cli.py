@@ -27,7 +27,7 @@ from .algebra import (AdPair, StructureConstants, UnaryAlgebra, center_ad,
                       center_associative, check_antidendriform, is_associative,
                       is_two_nilpotent, power_series, quotient_by_centers,
                       sum_algebra)
-from .errors import AdkitError, BudgetExceeded, CenterMismatch
+from .errors import AdkitError, AlgebraFormatError, BudgetExceeded, CenterMismatch
 from .scalars import format_poly
 
 EXIT_PASS = 0
@@ -43,8 +43,11 @@ def _read(path: str, parse=fileio.parse_algebra):
     """The parsed file and its input record, from one read of its bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
-    record = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
-    return parse(data.decode("utf-8")), record
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise AlgebraFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse(text), {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _vec_str(vec) -> list:

@@ -112,8 +112,8 @@ class WitnessReport:
 
 
 def _transport_residuals(src, tgt, t, zero, e=1):
-    """((op, i, j, m), residual) at every coordinate where the witness rows
-    ``t`` break the transport identity, in (op, i, j, m) order.
+    """((op, i, j, m), residual), op the tensor's index, at every coordinate
+    where the witness rows ``t`` break the transport identity, in that order.
 
     ``src`` and ``tgt`` are raw tensors paired op by op, over the ring of
     ``zero``; a verifier stops at the first residual, a report takes them all.
@@ -123,8 +123,7 @@ def _transport_residuals(src, tgt, t, zero, e=1):
     """
     n = len(t)
     et = t if e == 1 else [[e * x for x in row] for row in t]
-    names = ("rhd", "lhd") if len(src) == 2 else ("mul",)
-    for name, s, g in zip(names, src, tgt):
+    for op, (s, g) in enumerate(zip(src, tgt)):
         for i in range(n):
             for j in range(n):
                 lhs = contract(s, t[i], t[j], zero)
@@ -133,7 +132,7 @@ def _transport_residuals(src, tgt, t, zero, e=1):
                     for m in range(n):
                         res = lhs[m] - rhs[m]
                         if res:
-                            yield (name, i, j, m), res
+                            yield (op, i, j, m), res
 
 
 def verify_witness(source, target, witness: Witness) -> WitnessReport:
@@ -162,7 +161,8 @@ def verify_witness(source, target, witness: Witness) -> WitnessReport:
         zero = QuadExt(0, 0, witness.radicand)
         src = [sc.constant_tensor() for sc in src]
         tgt = [sc.constant_tensor() for sc in tgt]
-    failures = tuple(_transport_residuals(src, tgt, witness.entries, zero))
+    failures = tuple(((source.OPS[op], *key), res) for (op, *key), res
+                     in _transport_residuals(src, tgt, witness.entries, zero))
     return WitnessReport(not failures, str(d), failures)
 
 

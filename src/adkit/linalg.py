@@ -20,15 +20,14 @@ are the field loop's, and no Fraction is formed inside the loop.  Its
 ``ncols`` keeps appended columns (an identity that records how each reduced
 row combines the inputs) from taking a pivot; the solver's consequence step
 builds such rows directly.  ``rref``, ``nullspace`` and ``invert`` convert
-dense rows (lists) at the boundary.  ``rank`` (and so ``span_dim`` and
-``same_span``) is the loop's pivot count on the rows that are not all zero;
-``echelon_int`` returns its integer pivot rows, which the power series
-keeps.
+dense rows (lists) at the boundary.  ``rank`` (and so ``span_dim``) is the
+loop's pivot count on the rows that are not all zero; ``echelon_int``
+returns its integer pivot rows, which the power series keeps.
 
 ``det`` is Berkowitz's division-free algorithm (S. J. Berkowitz, Inform.
 Process. Lett. 18, 1984), O(n^4) ring operations, so the same code takes
-int, QuadExt and Poly matrices, and a Fraction matrix once its rows are
-cleared to integers; ``det_poly`` is its value as a Poly.
+int, Fraction, QuadExt and Poly matrices; ``det_poly`` is its value as a
+Poly.
 """
 
 from __future__ import annotations
@@ -190,15 +189,8 @@ def det(rows: Sequence[Sequence]):
     R and column C; its coefficients are the product of ``charpoly`` and the
     lower-triangular Toeplitz matrix with first column 1, -a, -R C,
     -R A_k C, ..., -R A_k^(k-1) C.  The determinant is (-1)^n times the
-    constant coefficient.  A rational matrix is cleared to integers first:
-    det(A) = det(D A) / (d_1 ... d_n), with d_i the lcm of row i's
-    denominators and D = diag(d_i), so no Fraction is formed in the loop.
+    constant coefficient.
     """
-    kinds = {type(x) for row in rows for x in row}
-    if Fraction in kinds and kinds <= {int, Fraction}:
-        lcms = [math.lcm(*(x.denominator for x in row)) for row in rows]
-        return Fraction(det([[x.numerator * (d // x.denominator) for x in row]
-                             for row, d in zip(rows, lcms)]), math.prod(lcms))
     n = len(rows)
     charpoly = [1]
     for k in range(n):
@@ -235,8 +227,3 @@ def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
 
 def span_dim(vectors: Sequence[Sequence[Fraction]]) -> int:
     return rank(vectors)
-
-
-def same_span(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:
-    ra = rank(a)
-    return ra == rank(b) and rank(list(a) + list(b)) == ra

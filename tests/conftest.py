@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from adkit import catalog
 from adkit.algebra import AdPair, StructureConstants
 from adkit.scalars import Poly
 
@@ -58,6 +59,15 @@ def random_invertible(rng: random.Random, dim: int):
               for j in range(dim)] for i in range(dim)]
     return [[sum(lower[i][k] * upper[k][j] for k in range(dim))
              for j in range(dim)] for i in range(dim)]
+
+
+def registry_points():
+    """Every two-operation registry entry, parameters at 0, 1 and -1."""
+    for e in catalog.entries():
+        if e.kind != "antidendriform":
+            continue
+        for v in (Fraction(0), Fraction(1), Fraction(-1)) if e.params else (Fraction(0),):
+            yield e.instantiate({p: v for p in e.params}, strict=False)
 
 
 def constant_pair(rhd_entries, lhd_entries, dim) -> AdPair:

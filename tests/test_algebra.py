@@ -3,18 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from adkit import catalog
+from adkit import catalog, linalg
 from adkit.algebra import (AdPair, StructureConstants, UnaryAlgebra,
                            apply_basis_change, center_ad, center_associative,
-                           check_antidendriform, is_associative,
+                           check_antidendriform, combine, is_associative,
                            is_two_nilpotent, power_series, product,
-                           quotient_by_center, sum_algebra, unit_vector)
+                           quotient_by_center, quotient_by_centers, sum_algebra,
+                           unit_vector)
 from adkit.errors import (CenterMismatch, DimensionMismatch, MissingAssignment,
                           SingularMatrix)
 from adkit.iso import Witness, verify_witness
 from adkit.scalars import Poly, poly_parse
 
-from conftest import off_int_rule, random_pair, random_invertible, random_tensor
+from conftest import (off_int_rule, random_pair, random_invertible, random_tensor,
+                      registry_points)
 
 F = Fraction
 
@@ -503,6 +505,64 @@ def test_quotient_passes_checker_when_defined(rng):
         projected_sum = quotient_by_center(
             AdPair(total.sc, StructureConstants.zero(ad.dim))).pair.rhd
         assert sum_algebra(quo.pair).sc == projected_sum
+
+
+def _quotient_by_inverse(ad, z_sum, z_ad):
+    """(rhd, lhd, kept indices) of A/Z the way the quotient was first
+    computed: the centers compared by span, and each product vector's
+    coordinates read through the inverse of the matrix whose rows are the
+    center's reduced rows and then the kept unit vectors."""
+    n = ad.dim
+    r = linalg.rank(z_sum)
+    if not (r == linalg.rank(z_ad) and linalg.rank(z_sum + z_ad) == r):
+        raise CenterMismatch("the centers differ")
+    center_rows, pivots = linalg.rref(z_ad) if z_ad else ([], [])
+    kept = [i for i in range(n) if i not in pivots]
+    basis = [list(v) for v in center_rows] + \
+            [[F(1 if i == k else 0) for i in range(n)] for k in kept]
+    inv = linalg.invert(basis)
+
+    def project(t):
+        return tuple(tuple(tuple(combine(t[a][b], inv, F(0))[len(center_rows):])
+                           for b in kept) for a in kept)
+
+    return (project(ad.rhd.constant_tensor()), project(ad.lhd.constant_tensor()),
+            tuple(kept))
+
+
+def _points_with_centers(rng):
+    """Every registry point as given and under 3 random basis changes, with
+    the centers of its sum and of the pair."""
+    for ad in registry_points():
+        for moved in [ad] + [apply_basis_change(ad, random_invertible(rng, ad.dim))
+                             for _ in range(3)]:
+            yield moved, center_associative(sum_algebra(moved)), center_ad(moved)
+
+
+def test_quotient_by_reduced_rows_matches_the_inverse_reference(rng):
+    counts = {"quotient": 0, "mismatch": 0}
+    for ad, z_sum, z_ad in _points_with_centers(rng):
+        try:
+            expected = _quotient_by_inverse(ad, z_sum, z_ad)
+        except CenterMismatch:
+            with pytest.raises(CenterMismatch):
+                quotient_by_centers(ad, z_sum, z_ad)
+            counts["mismatch"] += 1
+            continue
+        quo = quotient_by_centers(ad, z_sum, z_ad)
+        assert (quo.pair.rhd.constant_tensor(), quo.pair.lhd.constant_tensor(),
+                quo.kept_indices) == expected
+        counts["quotient"] += 1
+    assert counts == {"quotient": 160, "mismatch": 68}
+
+
+def test_pair_center_lies_in_the_sum_center(rng):
+    # the quotient compares the two centers by dimension alone, which needs
+    # this inclusion: a vector central for both operations is central for
+    # their sum
+    assert center_associative is center_ad
+    for _, z_sum, z_ad in _points_with_centers(rng):
+        assert linalg.rank(z_sum + z_ad) == len(z_sum)
 
 
 # -- basis change ------------------------------------------------------------------------

@@ -69,6 +69,15 @@ def test_parse_error_exits_2(tmp_path):
     assert "error:" in proc.stderr
 
 
+def test_file_that_is_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe\x7b")
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert f"error: {path}: not UTF-8 text" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_coefficient_exits_2(tmp_path):
     path = tmp_path / "badcoeff.json"
     path.write_text(json.dumps({"dim": 2, "kind": "associative", "params": [],

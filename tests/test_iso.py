@@ -13,7 +13,7 @@ from adkit.algebra import (AdPair, StructureConstants, _cleared, _cleared_rows,
 from adkit.errors import DimensionMismatch, MissingAssignment, SingularMatrix
 from adkit.scalars import Poly, QuadExt, poly_parse
 
-from conftest import constant_pair, random_invertible
+from conftest import constant_pair, random_invertible, registry_points
 
 F = Fraction
 
@@ -111,15 +111,6 @@ def test_fingerprint_invariance_under_basis_change(rng):
             assert iso.fingerprint(apply_basis_change(ad, t)) == base
 
 
-def _registry_points():
-    """Every two-operation registry entry, parameters at 0, 1 and -1."""
-    for e in catalog.entries():
-        if e.kind != "antidendriform":
-            continue
-        for v in (F(0), F(1), F(-1)) if e.params else (F(0),):
-            yield e.instantiate({p: v for p in e.params}, strict=False)
-
-
 def _power_dims_by_rref(alg):
     """dim A^1, A^2, ... by the definition: Fraction rref of every product
     A^k A^(i-k), until 0 or stabilisation."""
@@ -139,7 +130,7 @@ def _power_dims_by_rref(alg):
 
 def test_fingerprint_ranks_match_the_basis_helpers(rng):
     points = 0
-    for ad in _registry_points():
+    for ad in registry_points():
         for moved in [ad] + [apply_basis_change(ad, random_invertible(rng, ad.dim))
                              for _ in range(3)]:
             fp = iso.fingerprint(moved)
@@ -302,7 +293,7 @@ def test_integer_candidate_test_agrees_with_the_fraction_one(rng):
     # integer rank test the Fraction determinant
     outcomes = {"witness": 0, "scaled witness": 0, "singular carrier": 0,
                 "singular": 0, "rejected": 0}
-    for ad in _registry_points():
+    for ad in registry_points():
         t = random_invertible(rng, ad.dim)
         moved = apply_basis_change(ad, t)
         for src_pair, tgt_pair, witness in ((ad, moved, t),
@@ -422,7 +413,7 @@ def test_search_budget_bounds_the_first_rows_solved(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", counted)
     rng = random.Random(7)
     searched = 0
-    for ad in _registry_points():
+    for ad in registry_points():
         for _ in range(2):
             moved = apply_basis_change(ad, random_invertible(rng, ad.dim))
             if ad.label == "AD3_12":
@@ -457,7 +448,7 @@ def _linear_solution(src, tgt, first_row):
     by one nullspace."""
     n = len(first_row)
     w = (n - 1) * n
-    keys = [(op, i, j, m) for op in ("rhd", "lhd") for i in range(n) for j in range(n)
+    keys = [(op, i, j, m) for op in range(2) for i in range(n) for j in range(n)
             if 0 in (i, j) for m in range(n)]
 
     def residuals(x):
@@ -481,7 +472,7 @@ def test_solved_rows_are_the_linear_part_of_the_transport_residuals(rng):
     # finds the same canonical solution; on the other points, a witness's
     # rows solve the system of its own first row
     solvable = 0
-    for number, ad in enumerate(_registry_points()):
+    for number, ad in enumerate(registry_points()):
         n = ad.dim
         t = random_invertible(rng, n)
         src, tgt = _constants(ad), _constants(apply_basis_change(ad, t))
@@ -592,7 +583,7 @@ def test_candidate_assembly_equals_clearing_the_matrix(monkeypatch, rng, bound):
     monkeypatch.setattr(iso, "fingerprint", lambda ad: None)
     monkeypatch.setattr(linalg, "rank", recorded)
     checked = scaled = 0
-    for ad in _registry_points():
+    for ad in registry_points():
         moved = apply_basis_change(ad, random_invertible(rng, ad.dim))
         tested.clear()
         solves.clear()
@@ -666,7 +657,7 @@ def copies_and_their_oracle():
     largest that ``test_search_matches_the_per_candidate_oracle`` takes."""
     rng = random.Random(20240817)
     cases = []
-    for ad in _registry_points():
+    for ad in registry_points():
         for t in (_signed_permutation(rng, ad.dim), random_invertible(rng, ad.dim)):
             moved = apply_basis_change(ad, t)
             for bound in (1, 2):
@@ -691,7 +682,7 @@ def test_search_matches_the_per_candidate_oracle(copies_and_their_oracle, budget
 
 
 def test_search_matches_the_oracle_on_fingerprint_equal_pairs():
-    points = list(_registry_points())
+    points = list(registry_points())
     prints = [iso.fingerprint(ad) for ad in points]
     pairs = [(a, b) for i, a in enumerate(points) for j, b in enumerate(points)
              if i < j and prints[i] == prints[j]]
@@ -724,7 +715,7 @@ def test_search_reaches_random_and_signed_copies():
     copies = {"signed": (_signed_permutation, random.Random(7)),
               "random": (random_invertible, random.Random(7))}
     found = {"signed": 0, "random": 0}
-    for ad in _registry_points():
+    for ad in registry_points():
         for kind, (draw, rng) in copies.items():
             for _ in range(2):
                 moved = apply_basis_change(ad, draw(rng, ad.dim))
@@ -858,7 +849,7 @@ def test_quadratic_pass_matches_the_per_cell_oracle(rng):
         p = [[F(int(perm[i] == j)) for j in range(3)] for i in range(3)]
         pairs += [(apply_basis_change(sqrt2, p), ad22, 2, 1000),
                   (sqrt2, apply_basis_change(ad22, p), 2, 1000)]
-    for ad in list(_registry_points())[::3]:
+    for ad in list(registry_points())[::3]:
         bound, budget = (2, 300) if ad.dim == 2 else (1, 160)
         pairs.append((ad, apply_basis_change(ad, _signed_permutation(rng, ad.dim)),
                       bound, budget))
