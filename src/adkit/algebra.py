@@ -6,12 +6,14 @@ polynomials: ``e_i o e_j = sum_k c[i][j][k] e_k`` (indices 0-based internally,
 per operation its class names in ``OPS`` (``("mul",)`` for ``UnaryAlgebra``,
 ``("rhd", "lhd")`` for ``AdPair``), and ``KINDS`` maps each class's file name
 ``KIND`` to it.  The anti-dendriform laws are checked symbolically,
-identically in any family parameters, on basis triples.  The seven identities
-and the two defining equations read only six triple products; each triple's
-six are expanded once (``_triple_products``) and every law is a signed
-combination of them, the identities a table of signed pairs
-(``_IDENTITY_TERMS``).  Bilinearity makes the basis-triple check equivalent to
-the law on the whole space.
+identically in any family parameters, on basis triples.  Every law is a
+signed pair of bracketed products, (x o' y) o z or x o (y o' z) over the
+tensors checked, and one loop (``_law_residuals``) reads a table of laws,
+forms each product it names once per triple and keeps each law's nonzero
+residuals: associativity is the one law (xy)z - x(yz), and the seven
+identities (``_IDENTITY_LAWS``) read six products of (rhd, lhd, rhd + lhd).
+Bilinearity makes the basis-triple check equivalent to the law on the whole
+space.
 
 Every product of structure constants goes through one kernel: ``combine``
 forms a linear combination of rows, skipping zero coefficients and zero
@@ -63,7 +65,9 @@ filled later, a tensor's constant value, is the same whichever call fills it.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -155,10 +159,6 @@ class StructureConstants:
                             yield (i, j, k), p
                     elif t[i][j][k]:
                         yield (i, j, k), Poly.const(t[i][j][k])
-
-    def row(self, i: int, j: int) -> Vector:
-        """The product e_i o e_j as a coordinate vector."""
-        return self.c[i][j]
 
     def map_entries(self, fn) -> "StructureConstants":
         return StructureConstants(self.dim, [[[fn(x) for x in row] for row in plane]
@@ -341,28 +341,6 @@ def product(sc: StructureConstants, x: Sequence[Scalar], y: Sequence[Scalar]) ->
                           Poly.zero()))
 
 
-def _apply_right(sc: StructureConstants, i: int, vec: Vector) -> list:
-    """e_i o vec."""
-    return combine(vec, sc.c[i], Poly.zero())
-
-
-def _apply_left(sc: StructureConstants, vec: Vector, j: int) -> list:
-    """vec o e_j."""
-    return combine(vec, [plane[j] for plane in sc.c], Poly.zero())
-
-
-def _vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vec_is_zero(v: Vector) -> bool:
-    return all(p.is_zero() for p in v)
-
-
 def sum_algebra(ad: AdPair) -> UnaryAlgebra:
     """The single operation x o y = x rhd y + x lhd y."""
     return UnaryAlgebra(ad.rhd.add(ad.lhd),
@@ -379,53 +357,57 @@ class AssociativityReport:
         return not self.violations
 
 
+def _law_residuals(tensors, laws: Mapping) -> dict:
+    """Each law's nonzero residuals ((i, j, k) 0-based, Vector), in triple order.
+
+    A law (first, sign, second) pairs two products, and a product (outer,
+    inner, left) is (e_i inner e_j) outer e_k when ``left``, else
+    e_i outer (e_j inner e_k), the operations indexing ``tensors``.  Each
+    product the laws name is formed once per basis triple, one ``combine``
+    of the inner product's coordinates with the outer tensor's column k or
+    plane i, and a residual is first + second or first - second, by sign.
+    """
+    cs = [sc.c for sc in tensors]
+    n = len(cs[0])
+    zero = Poly.zero()
+    columns = [[[plane[k] for plane in c] for k in range(n)] for c in cs]
+    products = list(dict.fromkeys(p for a, _, b in laws.values() for p in (a, b)))
+    out = {name: [] for name in laws}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        value = {(outer, inner, left):
+                 combine(cs[inner][i][j], columns[outer][k], zero) if left
+                 else combine(cs[inner][j][k], cs[outer][i], zero)
+                 for outer, inner, left in products}
+        for name, (a, sign, b) in laws.items():
+            res = tuple(map(operator.add if sign > 0 else operator.sub,
+                            value[a], value[b]))
+            if any(res):
+                out[name].append(((i, j, k), res))
+    return {name: tuple(v) for name, v in out.items()}
+
+
+#: (xy)z - x(yz) over the one tensor of an algebra.
+_ASSOCIATIVITY = {"assoc": ((0, 0, True), -1, (0, 0, False))}
+
+
 def is_associative(alg: UnaryAlgebra) -> AssociativityReport:
     """All basis triples with (e_i e_j) e_k != e_i (e_j e_k), symbolically."""
-    sc = alg.sc
-    n = sc.dim
-    bad = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left = _apply_left(sc, sc.row(i, j), k)
-                right = _apply_right(sc, i, sc.row(j, k))
-                res = _vec_sub(left, right)
-                if not _vec_is_zero(res):
-                    bad.append(((i, j, k), res))
-    return AssociativityReport(n, tuple(bad))
+    return AssociativityReport(
+        alg.dim, _law_residuals((alg.sc,), _ASSOCIATIVITY)["assoc"])
 
 
-def _triple_products(r: StructureConstants, l: StructureConstants,
-                     s: StructureConstants, i: int, j: int, k: int) -> tuple:
-    """The six products the laws read on (e_i, e_j, e_k), in the order
-    A = x>(y>z), B = (x.y)>z, C = x<(y.z), D = (x<y)<z, E = (x>y)<z,
-    F = x>(y<z), with x>y = r, x<y = l and x.y = s."""
-    return (_apply_right(r, i, r.row(j, k)), _apply_left(r, s.row(i, j), k),
-            _apply_right(l, i, s.row(j, k)), _apply_left(l, l.row(i, j), k),
-            _apply_left(l, r.row(i, j), k), _apply_right(r, i, l.row(j, k)))
-
-
-#: The seven component identities, in reporting order, each a signed pair
-#: (first, sign, second) over the products A..F of ``_triple_products``:
-#: id1 (x>y)<z = x>(y<z),   id2 x>(y>z) = -(x.y)>z,  id3 x>(y>z) = -x<(y.z),
-#: id4 x>(y>z) = (x<y)<z,   id5 (x.y)>z = x<(y.z),   id6 -(x.y)>z = (x<y)<z,
-#: id7 -x<(y.z) = (x<y)<z.
-_IDENTITY_TERMS = {
-    "id1": (4, -1, 5),  # E - F
-    "id2": (0, 1, 1),   # A + B
-    "id3": (0, 1, 2),   # A + C
-    "id4": (0, -1, 3),  # A - D
-    "id5": (1, -1, 2),  # B - C
-    "id6": (1, 1, 3),   # B + D
-    "id7": (2, 1, 3),   # C + D
+#: The seven component identities, in reporting order, each a law over the
+#: tensors (>, <, .) = (rhd, lhd, rhd + lhd) (see ``_law_residuals``).
+_IDENTITY_LAWS = {
+    "id1": ((1, 0, True), -1, (0, 1, False)),  # (x>y)<z = x>(y<z)
+    "id2": ((0, 0, False), 1, (0, 2, True)),   # x>(y>z) = -(x.y)>z
+    "id3": ((0, 0, False), 1, (1, 2, False)),  # x>(y>z) = -x<(y.z)
+    "id4": ((0, 0, False), -1, (1, 1, True)),  # x>(y>z) = (x<y)<z
+    "id5": ((0, 2, True), -1, (1, 2, False)),  # (x.y)>z = x<(y.z)
+    "id6": ((0, 2, True), 1, (1, 1, True)),    # -(x.y)>z = (x<y)<z
+    "id7": ((1, 2, False), 1, (1, 1, True)),   # -x<(y.z) = (x<y)<z
 }
-IDENTITY_NAMES = tuple(_IDENTITY_TERMS)
-
-
-def _identity_residual(name: str, prods: tuple) -> Vector:
-    """The residual of one identity from a triple's six products."""
-    a, sign, b = _IDENTITY_TERMS[name]
-    return (_vec_add if sign > 0 else _vec_sub)(prods[a], prods[b])
+IDENTITY_NAMES = tuple(_IDENTITY_LAWS)
 
 
 @dataclass(frozen=True)
@@ -441,9 +423,8 @@ class AntidendriformReport:
     @property
     def chains_ok(self) -> bool:
         # The chain x>(y>z) = -(x.y)>z = -x<(y.z) = (x<y)<z has the adjacent
-        # differences A + B = id2, C - B = -id5 and -(C + D) = -id7, and the
-        # middle-swap law is E - F = id1: the two defining equations hold
-        # exactly when these four identities do.
+        # differences id2, -id5 and -id7, and the middle-swap law is id1:
+        # the two defining equations hold exactly when these four do.
         return not any(self.failures[n] for n in ("id1", "id2", "id5", "id7"))
 
     def failing_identities(self) -> tuple:
@@ -453,22 +434,15 @@ class AntidendriformReport:
 def check_antidendriform(ad: AdPair) -> AntidendriformReport:
     """Symbolic residuals of the seven identities on every basis triple.
 
+    The identities are the laws of ``_IDENTITY_LAWS`` on (rhd, lhd, rhd +
+    lhd), checked by the loop ``is_associative`` shares (``_law_residuals``).
     A pair is anti-dendriform exactly when all residuals vanish identically
     in the parameters; the two defining equations (the four-way chain and
     the middle-swap law) are read off four of them (``chains_ok``).
     """
     r, l = ad.rhd, ad.lhd
-    s = r.add(l)
-    n = ad.dim
-    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-    prods = [_triple_products(r, l, s, *t) for t in triples]
-    failures = {name: [] for name in IDENTITY_NAMES}
-    for name in IDENTITY_NAMES:
-        for t, pr in zip(triples, prods):
-            res = _identity_residual(name, pr)
-            if not _vec_is_zero(res):
-                failures[name].append((t, res))
-    return AntidendriformReport(n, {name: tuple(v) for name, v in failures.items()})
+    return AntidendriformReport(ad.dim,
+                                _law_residuals((r, l, r.add(l)), _IDENTITY_LAWS))
 
 
 def is_two_nilpotent(ad: AdPair) -> bool:

@@ -139,6 +139,8 @@ def cmd_catalog_verify(args) -> tuple[dict, int]:
 
 
 def cmd_catalog_export(args) -> tuple[dict, int]:
+    if args.n is not None:
+        fileio.check_dimension(args.n)
     assign = fileio.parse_assignment(args.assign) if args.assign else None
     obj = catalog.get(args.id, assign=assign, n=args.n, strict=not args.force)
     text = fileio.render_algebra(obj)

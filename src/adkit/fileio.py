@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from .algebra import KINDS, Algebra, StructureConstants
-from .errors import AlgebraFormatError, CoefficientSyntaxError
+from .errors import AlgebraFormatError, BudgetExceeded, CoefficientSyntaxError
 from .iso import Witness
 from .scalars import (PARAM_NAMES, QuadExt, format_poly,
                       is_rational_square, parse_rational, poly_parse)
@@ -53,8 +53,23 @@ def _parse_entry_list(raw, dim: int, params, where: str) -> StructureConstants:
     return StructureConstants.from_table(dim, table, params)
 
 
+#: The largest dimension a file or ``catalog export --n`` may ask for.  A
+#: tensor holds dim^3 entries, built before any other budget is read; 32
+#: admits mu0(12) and dimensions above the residual-budget's 8.
+DIMENSION_BUDGET = 32
+
+
+def check_dimension(dim: int) -> None:
+    """Raise ``BudgetExceeded`` for a dimension above ``DIMENSION_BUDGET``."""
+    if dim > DIMENSION_BUDGET:
+        raise BudgetExceeded(
+            "dimension-budget", f"dimension {dim} exceeds the dimension-budget "
+                                f"({DIMENSION_BUDGET})")
+
+
 def _load(text: str) -> tuple[dict, int]:
-    """A file's top-level JSON object and its 'dim', a positive integer."""
+    """A file's top-level JSON object and its 'dim', a positive integer
+    within ``DIMENSION_BUDGET``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -64,6 +79,7 @@ def _load(text: str) -> tuple[dict, int]:
     dim = doc.get("dim")
     if type(dim) is not int or dim < 1:
         raise AlgebraFormatError("'dim' must be a positive integer")
+    check_dimension(dim)
     return doc, dim
 
 
@@ -107,7 +123,8 @@ def render_algebra(obj) -> str:
 
 
 def parse_assignment(text: str) -> dict[str, Fraction]:
-    """Parse ``a=1/2,l=-1`` into a name-to-rational mapping."""
+    """Parse ``a=1/2,l=-1`` into a name-to-rational mapping; each name is
+    one of ``PARAM_NAMES``."""
     out: dict[str, Fraction] = {}
     if not text.strip():
         return out
@@ -116,8 +133,9 @@ def parse_assignment(text: str) -> dict[str, Fraction]:
             raise AlgebraFormatError(f"bad assignment {piece!r}; expected name=value")
         name, _, value = piece.partition("=")
         name = name.strip()
-        if not name.isidentifier():
-            raise AlgebraFormatError(f"bad parameter name {name!r}")
+        if name not in PARAM_NAMES:
+            raise AlgebraFormatError(
+                f"unknown parameter {name!r}; allowed: {', '.join(PARAM_NAMES)}")
         if name in out:
             raise AlgebraFormatError(f"parameter {name!r} assigned twice")
         out[name] = parse_rational(value.strip())

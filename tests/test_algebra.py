@@ -88,7 +88,8 @@ def test_sum_of_two_dim_family_degenerates_at_minus_one():
 
 
 def brute_force_associativity_violations(alg: UnaryAlgebra):
-    """Oracle: expand (e_i e_j) e_k and e_i (e_j e_k) coordinatewise."""
+    """Oracle: each failing basis triple and its residual
+    (e_i e_j) e_k - e_i (e_j e_k), expanded coordinatewise."""
     n = alg.dim
     t = alg.sc.constant_tensor()
     bad = []
@@ -99,9 +100,14 @@ def brute_force_associativity_violations(alg: UnaryAlgebra):
                         for c in range(n)]
                 right = [sum(t[j][k][m] * t[i][m][c] for m in range(n))
                          for c in range(n)]
-                if left != right:
-                    bad.append((i, j, k))
+                res = [a - b for a, b in zip(left, right)]
+                if any(res):
+                    bad.append(((i, j, k), res))
     return bad
+
+
+def _constant_violations(rep):
+    return [(t, [p.constant_value() for p in res]) for t, res in rep.violations]
 
 
 def brute_force_identity_failures(ad: AdPair) -> dict:
@@ -185,10 +191,26 @@ def test_non_associative_example_against_brute_force():
         2, {(1, 1, 1): "1", (1, 2, 1): "1"}))
     rep = is_associative(alg)
     assert not rep.ok
-    triples = [t for t, _ in rep.violations]
-    assert triples == brute_force_associativity_violations(alg)
-    # (e1 e2) e1 = e1 while e1 (e2 e1) = 0, and likewise for z = e2
-    assert triples == [(0, 1, 0), (0, 1, 1)]
+    assert _constant_violations(rep) == brute_force_associativity_violations(alg)
+    # (e1 e2) e1 = e1 while e1 (e2 e1) = 0, and likewise for z = e2: the
+    # residual is e1 on both triples
+    assert _constant_violations(rep) == [((0, 1, 0), [1, 0]), ((0, 1, 1), [1, 0])]
+
+
+def test_associativity_against_brute_force_on_random_tables(rng):
+    # random tables mostly violate the law; the sums of registry pairs, as
+    # given and moved to random bases, mostly satisfy it
+    tables = [UnaryAlgebra(random_tensor(rng, rng.choice((2, 3)), density=0.25))
+              for _ in range(60)]
+    sums = [sum_algebra(ad) for ad in registry_points()]
+    tables += sums + [apply_basis_change(alg, random_invertible(rng, alg.dim))
+                      for alg in sums[::3]]
+    verdicts = []
+    for alg in tables:
+        rep = is_associative(alg)
+        assert _constant_violations(rep) == brute_force_associativity_violations(alg)
+        verdicts.append(rep.ok)
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
 
 
 # -- the defining identities -------------------------------------------------------

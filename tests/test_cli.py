@@ -11,7 +11,7 @@ import pytest
 
 from adkit import catalog, cli, fileio, iso
 from adkit.algebra import AdPair, StructureConstants
-from adkit.errors import AlgebraFormatError
+from adkit.errors import AlgebraFormatError, BudgetExceeded
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "adkit", *args],
@@ -467,6 +467,45 @@ def test_search_bound_above_its_budget_builds_nothing(tmp_path, monkeypatch, cap
     assert (code, out) == (2, "")
     assert "search-bound" in err and "17" in err
     assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{file}"], ["analyze", "{file}"], ["enumerate", "{file}"],
+    ["iso", "{file}", "{file}", "--search"],
+    ["catalog", "export", "mu0", "--n", "100000"],
+])
+def test_dimension_above_its_budget_builds_nothing(tmp_path, monkeypatch, capsys, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built past the dimension-budget")
+
+    # a tensor of this dimension would hold 10^15 entries: nothing may build one
+    monkeypatch.setattr(StructureConstants, "from_table", unreachable)
+    monkeypatch.setattr(catalog, "null_filiform", unreachable)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 100000, "kind": "associative", "mul": []}))
+    code = cli.main([arg.format(file=path) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "dimension-budget" in err and "100000" in err
+    assert fileio.DIMENSION_BUDGET == 32
+
+
+def test_dimension_budget_admits_its_bound():
+    fileio.check_dimension(fileio.DIMENSION_BUDGET)
+    assert fileio.parse_witness(json.dumps(
+        {"dim": 32, "entries": [["0"] * 32] * 32})).entries[31][31] == 0
+    with pytest.raises(BudgetExceeded, match="dimension-budget"):
+        fileio.parse_witness(json.dumps({"dim": 33, "entries": [["0"] * 33] * 33}))
+
+
+def test_assignment_of_an_unknown_name_exits_2(tmp_path, capsys):
+    path = str(write_entry(tmp_path, "AD2_3"))
+    assert cli.main(["analyze", path, "--assign", "L=1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unknown parameter 'L'; allowed: a, b, g, l" in err
+    with pytest.raises(AlgebraFormatError, match="unknown parameter 'n'"):
+        fileio.parse_assignment("a=1,n=2")
 
 
 def test_zero_split_and_step_budgets_stay_valid():
