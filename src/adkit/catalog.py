@@ -92,6 +92,13 @@ class CatalogEntry:
                     f"{self.id} requires {expr} != 0")
 
     def instantiate(self, assign: Mapping[str, Fraction], strict: bool = True):
+        """The entry at ``assign``, which names only the entry's parameters;
+        ``strict`` also checks ``check_assignment``."""
+        unknown = sorted(set(assign) - set(self.params))
+        if unknown:
+            raise ConstraintViolation(
+                f"{self.id} has no parameter {unknown[0]!r}; its parameters: "
+                + (", ".join(self.params) or "none"))
         if strict:
             self.check_assignment(assign)
         return self.tensors().subs({k: Fraction(v) for k, v in assign.items()})

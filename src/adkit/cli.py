@@ -7,9 +7,11 @@ golden-file diffable; ``--plain`` renders the same data for humans.
 The argparse parser is built once per process, on the first ``main`` call,
 and reused by every later call.
 
-Exit codes: 0 all checks passed; 1 a mathematical failure (an identity
-violation, an unexpected infeasibility, a failed witness); 2 usage or parse
-error; 3 inconclusive (stuck branches, search exhausted its bound).
+Each command returns its report, and ``main`` alone turns its status into
+the exit code (``EXIT_CODES``): 0 all checks passed; 1 a mathematical failure
+(an identity violation, an unexpected infeasibility, a failed witness); 3
+inconclusive (stuck branches, search exhausted its bound); 2 usage or parse
+error.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import functools
 import hashlib
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -30,10 +33,8 @@ from .algebra import (AdPair, StructureConstants, UnaryAlgebra, center_ad,
 from .errors import AdkitError, AlgebraFormatError, BudgetExceeded, CenterMismatch
 from .scalars import format_poly
 
-EXIT_PASS = 0
-EXIT_FAIL = 1
+EXIT_CODES = {"pass": 0, "fail": 1, "inconclusive": 3}
 EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
 
 DEFAULT_SAMPLE_VALUES = (Fraction(0), Fraction(1), Fraction(-1),
                          Fraction(2), Fraction(3))
@@ -61,86 +62,70 @@ def _assign_str(assign) -> dict:
 # -- verify ----------------------------------------------------------------------
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def _violations(found) -> list:
+    return [{"triple": [x + 1 for x in t], "residual": _vec_str(res)}
+            for t, res in found]
+
+
+def cmd_verify(args) -> dict:
     obj, record = _read(args.file)
-    report = {"command": "verify", "inputs": [record]}
     if isinstance(obj, UnaryAlgebra):
         rep = is_associative(obj)
-        report["results"] = {
-            "kind": "associative",
-            "associative": rep.ok,
-            "violations": [
-                {"triple": [x + 1 for x in t], "residual": _vec_str(res)}
-                for t, res in rep.violations],
-        }
-        ok = rep.ok
+        results = {"kind": "associative", "associative": rep.ok,
+                   "violations": _violations(rep.violations)}
     else:
         rep = check_antidendriform(obj)
-        report["results"] = {
+        results = {
             "kind": "antidendriform",
             "pass": rep.ok,
-            "identities": {
-                name: {
-                    "ok": not rep.failures[name],
-                    "violations": [
-                        {"triple": [x + 1 for x in t], "residual": _vec_str(res)}
-                        for t, res in rep.failures[name]],
-                } for name in sorted(rep.failures)},
+            "identities": {name: {"ok": not found, "violations": _violations(found)}
+                           for name, found in rep.failures.items()},
             "defining_equations_hold": rep.chains_ok,
         }
-        ok = rep.ok
-    report["status"] = "pass" if ok else "fail"
-    return report, EXIT_PASS if ok else EXIT_FAIL
+    return {"command": "verify", "inputs": [record], "results": results,
+            "status": "pass" if rep.ok else "fail"}
 
 
 # -- catalog ---------------------------------------------------------------------
 
 
-def cmd_catalog_list(args) -> tuple[dict, int]:
-    rows = []
-    for e in catalog.entries():
-        rows.append({
-            "id": e.id, "dim": e.dim, "kind": e.kind,
-            "params": list(e.params),
-            "constraints": [f"{expr} != 0" for expr in e.nonzero],
-            "associated_sum": e.associated_sum,
-            "auxiliary": e.auxiliary,
-        })
+def cmd_catalog_list(args) -> dict:
+    entries = catalog.entries()
+    rows = [{"id": e.id, "dim": e.dim, "kind": e.kind, "params": list(e.params),
+             "constraints": [f"{expr} != 0" for expr in e.nonzero],
+             "associated_sum": e.associated_sum, "auxiliary": e.auxiliary}
+            for e in entries]
     rows.append({"id": "mu0", "dim": None, "kind": "associative",
                  "params": ["n"], "constraints": [], "associated_sum": None,
                  "auxiliary": False})
+    shapes = Counter((e.kind, e.dim) for e in entries if not e.auxiliary)
     counts = {
-        "associative_dim2": sum(1 for e in catalog.entries()
-                                if e.kind == "associative" and e.dim == 2),
-        "associative_dim3_nilpotent": sum(1 for e in catalog.entries()
-                                          if e.kind == "associative" and e.dim == 3),
-        "antidendriform_dim2": sum(1 for e in catalog.entries()
-                                   if e.kind == "antidendriform" and e.dim == 2),
-        "antidendriform_dim3_families": sum(
-            1 for e in catalog.entries()
-            if e.kind == "antidendriform" and e.dim == 3 and not e.auxiliary),
+        "associative_dim2": shapes["associative", 2],
+        "associative_dim3_nilpotent": shapes["associative", 3],
+        "antidendriform_dim2": shapes["antidendriform", 2],
+        "antidendriform_dim3_families": shapes["antidendriform", 3],
     }
-    report = {"command": "catalog list", "inputs": [],
-              "results": {"entries": rows, "counts": counts},
-              "status": "pass"}
-    return report, EXIT_PASS
+    return {"command": "catalog list", "inputs": [],
+            "results": {"entries": rows, "counts": counts}, "status": "pass"}
 
 
-def cmd_catalog_verify(args) -> tuple[dict, int]:
+def cmd_catalog_verify(args) -> dict:
     reports = catalog.verify_all()
     rows = [{"id": r.id, "axioms": r.axioms_ok,
              "sum_match": r.sum_ok, "detail": r.detail} for r in reports]
-    ok = all(r.ok for r in reports)
-    report = {"command": "catalog verify", "inputs": [],
-              "results": {"entries": rows,
-                          "failures": [r.id for r in reports if not r.ok]},
-              "status": "pass" if ok else "fail"}
-    return report, EXIT_PASS if ok else EXIT_FAIL
+    failures = [r.id for r in reports if not r.ok]
+    return {"command": "catalog verify", "inputs": [],
+            "results": {"entries": rows, "failures": failures},
+            "status": "fail" if failures else "pass"}
 
 
-def cmd_catalog_export(args) -> tuple[dict, int]:
+def cmd_catalog_export(args) -> None:
     if args.n is not None:
+        if args.id != "mu0":
+            raise AdkitError(f"--n applies only to mu0, not to {args.id}")
         fileio.check_dimension(args.n)
+    if args.assign and args.id == "mu0":
+        raise AdkitError("--assign does not apply to mu0, which takes --n")
     assign = fileio.parse_assignment(args.assign) if args.assign else None
     obj = catalog.get(args.id, assign=assign, n=args.n, strict=not args.force)
     text = fileio.render_algebra(obj)
@@ -149,7 +134,6 @@ def cmd_catalog_export(args) -> tuple[dict, int]:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return None, EXIT_PASS
 
 
 # -- enumerate -------------------------------------------------------------------
@@ -171,18 +155,12 @@ def _family_dict(fam: solver.Family) -> dict:
 
 
 def _certificate_dict(branch) -> list:
-    out = []
-    for step in branch.certificate():
-        rec = {"provenance": step["prov"],
-               "action": {"kind": step["kind"], "var": step["var"]},
-               "result": step["value"]}
-        if "lineage" in step:
-            rec["action"]["lineage"] = step["lineage"]
-        out.append(rec)
-    return out
+    return [{"provenance": step["prov"], "result": step["value"],
+             "action": {k: step[k] for k in ("kind", "var", "lineage") if k in step}}
+            for step in branch.certificate()]
 
 
-def cmd_enumerate(args) -> tuple[dict, int]:
+def cmd_enumerate(args) -> dict:
     obj, record = _read(args.file)
     if not isinstance(obj, UnaryAlgebra):
         raise AdkitError("enumerate expects an associative algebra file")
@@ -198,7 +176,7 @@ def cmd_enumerate(args) -> tuple[dict, int]:
         report["status"] = "inconclusive"
         report["results"] = {"outcome": "inconclusive", "budget": exc.budget,
                              "reason": str(exc)}
-        return report, EXIT_INCONCLUSIVE
+        return report
     report["results"] = {
         "outcome": result.status,
         "families": [_family_dict(f) for f in result.families],
@@ -207,35 +185,31 @@ def cmd_enumerate(args) -> tuple[dict, int]:
             {"case_path": list(b.path), "certificate": _certificate_dict(b)}
             for b in result.infeasible],
     }
-    if result.status == "families":
-        report["status"] = "pass"
-        code = EXIT_PASS
-    elif result.status == "no-structure":
-        report["status"] = "fail"
+    if result.status == "no-structure":
         report["results"]["reason"] = "no compatible structure exists"
-        code = EXIT_FAIL
-    else:
-        report["status"] = "inconclusive"
-        code = EXIT_INCONCLUSIVE
-    return report, code
+    report["status"] = {"families": "pass", "no-structure": "fail",
+                        "inconclusive": "inconclusive"}[result.status]
+    return report
 
 
 # -- iso -------------------------------------------------------------------------
 
 
-def cmd_iso(args) -> tuple[dict, int]:
+def cmd_iso(args) -> dict:
     (a, record_a), (b, record_b) = _read(args.file_a), _read(args.file_b)
     if not isinstance(a, AdPair) or not isinstance(b, AdPair):
         raise AdkitError("iso expects two antidendriform files")
     assign = fileio.parse_assignment(args.assign) if args.assign else {}
     if assign:
-        a = a.subs(assign)
-        b = b.subs(assign)
+        a, b = a.subs(assign), b.subs(assign)
     report = {"command": "iso",
               "inputs": [record_a, record_b],
               "options": {"assign": _assign_str(assign)}}
-    if args.witness:
+    if not args.search:
         witness, record = _read(args.witness, fileio.parse_witness)
+        if assign and witness.radicand is None:  # a radicand witness is constant
+            witness = iso.Witness([[c.subs(assign) for c in row]
+                                   for row in witness.entries])
         rep = iso.verify_witness(a, b, witness)
         report["inputs"].append(record)
         report["results"] = {
@@ -247,9 +221,7 @@ def cmd_iso(args) -> tuple[dict, int]:
                          for f in rep.failures],
         }
         report["status"] = "pass" if rep.ok else "fail"
-        return report, EXIT_PASS if rep.ok else EXIT_FAIL
-    if not args.search:
-        raise AdkitError("iso needs either --witness FILE or --search")
+        return report
     leftover = (a.variables() | b.variables())
     if leftover:
         raise AdkitError(
@@ -270,14 +242,13 @@ def cmd_iso(args) -> tuple[dict, int]:
         check = iso.verify_witness(a, b, result.witness)
         report["results"]["witness_verified"] = check.ok
         report["status"] = "pass" if check.ok else "fail"
-        return report, EXIT_PASS if check.ok else EXIT_FAIL
-    if result.status == "separated":
+    elif result.status == "separated":
         report["results"]["separating_components"] = list(result.separation)
         report["status"] = "pass"
-        return report, EXIT_PASS
-    report["results"]["examined"] = result.examined
-    report["status"] = "inconclusive"
-    return report, EXIT_INCONCLUSIVE
+    else:
+        report["results"]["examined"] = result.examined
+        report["status"] = "inconclusive"
+    return report
 
 
 def _fingerprint_dict(fp: iso.Fingerprint) -> dict:
@@ -335,12 +306,10 @@ def _analyze_at(obj, assign) -> dict:
     return out
 
 
-def cmd_analyze(args) -> tuple[dict, int]:
+def cmd_analyze(args) -> dict:
     obj, record = _read(args.file)
     assign = fileio.parse_assignment(args.assign) if args.assign else {}
     missing = [p for p in sorted(obj.variables()) if p not in assign]
-    report = {"command": "analyze", "inputs": [record],
-              "options": {"assign": _assign_str(assign)}}
     results: dict = {}
     if isinstance(obj, AdPair):
         results["sum"] = fileio._entry_rows(sum_algebra(obj).sc)
@@ -352,9 +321,9 @@ def cmd_analyze(args) -> tuple[dict, int]:
         results["note"] = ("parameters " + ", ".join(missing)
                            + " sampled over the default values 0, 1, -1, 2, 3")
     results["at"] = [_analyze_at(obj, point) for point in points]
-    report["results"] = results
-    report["status"] = "pass"
-    return report, EXIT_PASS
+    return {"command": "analyze", "inputs": [record],
+            "options": {"assign": _assign_str(assign)}, "results": results,
+            "status": "pass"}
 
 
 # -- plumbing --------------------------------------------------------------------
@@ -363,25 +332,21 @@ def cmd_analyze(args) -> tuple[dict, int]:
 def _render_plain(value, indent=0) -> str:
     pad = "  " * indent
     if isinstance(value, dict):
-        lines = []
-        for k in sorted(value):
-            v = value[k]
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.append(_render_plain(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
-        return "\n".join(lines)
-    if isinstance(value, list):
-        lines = []
-        for v in value:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_render_plain(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {v}")
-        return "\n".join(lines) if lines else f"{pad}(none)"
-    return f"{pad}{value}"
+        items = [(f"{k}:", value[k]) for k in sorted(value)]
+    elif isinstance(value, list):
+        if not value:
+            return f"{pad}(none)"
+        items = [("-", v) for v in value]
+    else:
+        return f"{pad}{value}"
+    lines = []
+    for head, v in items:
+        if isinstance(v, (dict, list)):
+            lines.append(f"{pad}{head}")
+            lines.append(_render_plain(v, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {v}")
+    return "\n".join(lines)
 
 
 def _at_least(low: int):
@@ -426,17 +391,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate",
                        help="enumerate compatible structures on an associative file")
     p.add_argument("file")
-    p.add_argument("--max-splits", type=_at_least(0), default=32,
-                   help="case-split budget per branch path (default 32)")
-    p.add_argument("--depth", type=_at_least(0), default=100_000,
+    p.add_argument("--max-splits", type=_at_least(0), default=solver.SPLIT_BUDGET,
+                   help="case-split budget per branch path (default %(default)s)")
+    p.add_argument("--depth", type=_at_least(0), default=solver.STEP_BUDGET,
                    help="hard cap on elimination steps per branch")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("iso", help="verify or search isomorphism evidence")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--witness", default=None, help="witness file to verify")
-    p.add_argument("--search", action="store_true", help="bounded witness search")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--witness", default=None, help="witness file to verify")
+    mode.add_argument("--search", action="store_true", help="bounded witness search")
     p.add_argument("--bound", type=_at_least(1), default=3,
                    help="numerator/denominator bound for searched entries")
     p.add_argument("--assign", default=None, help="instantiate parameters")
@@ -463,16 +429,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        report, code = args.fn(args)
+        report = args.fn(args)
     except (AdkitError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    if report is not None:
-        if args.plain:
-            sys.stdout.write(_render_plain(report) + "\n")
-        else:
-            sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return code
+    if report is None:  # catalog export, which wrote its table
+        return EXIT_CODES["pass"]
+    if args.plain:
+        sys.stdout.write(_render_plain(report) + "\n")
+    else:
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    return EXIT_CODES[report["status"]]
 
 
 if __name__ == "__main__":

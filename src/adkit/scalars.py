@@ -28,7 +28,8 @@ over the indeterminates ``a``, ``b``, ``g``, ``l``::
     rational := integer ('/' positive-integer)?
     factor   := name ('^' positive-integer)?
 
-Whitespace is insignificant.  Examples: ``1/2``, ``-1-b``, ``2*a*b``, ``a^2``.
+Integers are ASCII digits.  Whitespace is insignificant.  Examples: ``1/2``,
+``-1-b``, ``2*a*b``, ``a^2``.
 """
 
 from __future__ import annotations
@@ -425,6 +426,12 @@ def format_poly(p: Poly) -> str:
 # -- coefficient-expression parser ---------------------------------------------
 
 
+def _is_digit(ch: str) -> bool:
+    """An ASCII digit; ``str.isdigit`` also takes superscripts, which
+    ``int`` rejects, and other scripts' digits, which it reads."""
+    return "0" <= ch <= "9"
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -449,7 +456,7 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             self.fail("expected an integer")
@@ -486,7 +493,7 @@ def _parse_expr(sc: _Scanner, names) -> Poly:
 
 def _parse_term(sc: _Scanner, names) -> Poly:
     ch = sc.peek()
-    if ch.isdigit():
+    if _is_digit(ch):
         value = _parse_rational(sc)
         term = Poly.const(value)
     elif ch.isalpha():

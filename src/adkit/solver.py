@@ -126,6 +126,12 @@ class ConstraintSystem:
 #: It admits dimension 8 (28,672 coordinates), mu0(8) included.
 RESIDUAL_BUDGET = 7 * 8 ** 4
 
+#: The default split budget (case splits along any root-to-leaf path) and
+#: step budget (elimination steps per branch) of ``eliminate``; a branch
+#: that runs out of either is stuck with "split-budget" or "step-budget".
+SPLIT_BUDGET = 32
+STEP_BUDGET = 100_000
+
 
 def generate_constraints(assoc: UnaryAlgebra) -> ConstraintSystem:
     """Expand the seven identities over all basis triples into equations.
@@ -496,8 +502,8 @@ def _scan_contradiction(branch: Branch, fresh: list) -> bool:
 CONSEQUENCE_CAP = 200
 
 
-def eliminate(system: ConstraintSystem, max_depth: int = 32,
-              step_limit: int = 100_000) -> list:
+def eliminate(system: ConstraintSystem, max_depth: int = SPLIT_BUDGET,
+              step_limit: int = STEP_BUDGET) -> list:
     """Explore the case tree; returns terminal branches sorted by case path.
 
     ``max_depth`` bounds the number of splits along any root-to-leaf path;
@@ -695,8 +701,8 @@ class EnumerationResult:
         return "no-structure"
 
 
-def enumerate_compatible(assoc: UnaryAlgebra, max_depth: int = 32,
-                         step_limit: int = 100_000) -> EnumerationResult:
+def enumerate_compatible(assoc: UnaryAlgebra, max_depth: int = SPLIT_BUDGET,
+                         step_limit: int = STEP_BUDGET) -> EnumerationResult:
     """Solve the compatibility system and package the outcome.
 
     Solved branches become parameterised pairs that are re-checked against

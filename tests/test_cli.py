@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from adkit import catalog, cli, fileio, iso
+from adkit import catalog, cli, fileio, iso, solver
 from adkit.algebra import AdPair, StructureConstants
 from adkit.errors import AlgebraFormatError, BudgetExceeded
 
@@ -636,3 +636,102 @@ def test_plain_rendering(tmp_path):
     assert proc.returncode == 0
     assert "null_filiform: True" in proc.stdout
     assert "{" not in proc.stdout.splitlines()[0]
+
+
+def _main(argv, capsys):
+    """``cli.main`` in-process: exit code, stdout, stderr (argparse's exit too)."""
+    try:
+        code = cli.main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_iso_modes_exclude_each_other(tmp_path, capsys):
+    a = write_entry(tmp_path, "AD3_10")
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"dim": 3, "entries": [["1", "0", "0"], ["0", "1", "0"],
+                                                   ["0", "0", "1"]]}))
+    code, out, err = _main(["iso", a, a], capsys)
+    assert (code, out) == (2, "")
+    assert "one of the arguments --witness --search is required" in err
+    # both modes used to run the witness and drop --search
+    code, out, err = _main(["iso", a, a, "--witness", w, "--search"], capsys)
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+    assert _main(["iso", a, a, "--witness", w], capsys)[0] == 0
+
+
+def test_iso_witness_takes_the_assignment(tmp_path, capsys):
+    fam = write_entry(tmp_path, "AD3_nullfiliform_family", name="fam")
+    ad2 = write_entry(tmp_path, "AD3_2")
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"dim": 3, "entries": [["a", "0", "0"], ["0", "a^2", "0"],
+                                                   ["0", "0", "a^3"]]}))
+    code, out, _ = _main(["iso", fam, ad2, "--witness", w, "--assign", "a=2"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert (results["verified"], results["determinant"]) == (True, "64")
+    code, out, err = _main(["iso", fam, ad2, "--witness", w, "--assign", "a=0"], capsys)
+    assert (code, out) == (2, "")
+    assert "error: witness matrix has (identically) zero determinant" in err
+
+
+@pytest.mark.parametrize("coeff", ["a^²", "²", "1/²", "٣"])
+def test_coefficient_with_a_non_ascii_digit_exits_2(tmp_path, capsys, coeff):
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps({"dim": 2, "kind": "antidendriform", "params": ["a"],
+                                "rhd": [[1, 1, 2, coeff]], "lhd": []}))
+    code, out, err = _main(["verify", path], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expected ")
+    if coeff != "a^²":
+        code, out, err = _main(["analyze", write_entry(tmp_path, "AD3_18"),
+                                "--assign", f"a={coeff}"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: expected ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["AD3_1", "--n", "5"], "--n applies only to mu0"),
+    (["mu0", "--n", "2", "--assign", "a=1"], "--assign does not apply to mu0"),
+    (["AD3_18", "--assign", "a=1,l=3"], "AD3_18 has no parameter 'l'; its parameters: a"),
+])
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_catalog_export_rejects_what_it_would_drop(capsys, argv, message, force):
+    code, out, err = _main(["catalog", "export", *argv, *force], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: {message}" in err
+
+
+_PAIR = {"dim": 2, "kind": "antidendriform", "lhd": []}
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    ({**_PAIR, "rhd": [[1, 1, 3, "1"]]}, ["verify", "{file}"],
+     "index out of range in 'rhd': [1, 1, 3, '1']"),
+    ({**_PAIR, "rhd": [[1, 1, 1, "1"], [1, 1, 1, "2"]]}, ["verify", "{file}"],
+     "duplicate entry (1,1,1) in 'rhd'"),
+    ({**_PAIR, "rhd": [[1, 1, 1, 1]]}, ["verify", "{file}"],
+     "coefficient must be a string in 'rhd': [1, 1, 1, 1]"),
+    (None, ["analyze", "{ad}", "--assign", "a"], "bad assignment 'a'; expected name=value"),
+    (None, ["analyze", "{ad}", "--assign", "a=1,a=2"], "parameter 'a' assigned twice"),
+    ({"dim": 3, "entries": [["1", "0"], ["0", "1"]]}, ["iso", "{ad}", "{ad}", "--witness", "{file}"],
+     "'entries' must be a dim x dim matrix"),
+])
+def test_rejection_paths_exit_2(tmp_path, capsys, doc, argv, message):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(doc))
+    ad = write_entry(tmp_path, "AD3_18")
+    code, out, err = _main([arg.format(file=path, ad=ad) for arg in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_enumerate_budgets_default_to_the_solvers():
+    args = cli.build_parser().parse_args(["enumerate", "f.json"])
+    assert (args.max_splits, args.depth) == (solver.SPLIT_BUDGET, solver.STEP_BUDGET) \
+        == (32, 100_000)
+    for fn in (solver.eliminate, solver.enumerate_compatible):
+        assert fn.__defaults__ == (solver.SPLIT_BUDGET, solver.STEP_BUDGET)

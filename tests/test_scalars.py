@@ -55,6 +55,15 @@ def test_parse_rejects_trailing_garbage():
         poly_parse("a b")
 
 
+@pytest.mark.parametrize("text", ["a^\u00b2", "\u00b2", "1/\u00b2", "\u0663", "2\u0663"])
+def test_parse_takes_only_ascii_digits(text):
+    # str.isdigit takes superscripts, which int() rejects, and other scripts' digits
+    with pytest.raises(CoefficientSyntaxError):
+        poly_parse(text)
+    with pytest.raises(CoefficientSyntaxError):
+        parse_rational(text)
+
+
 def test_parse_print_parse_is_fixed_point(rng):
     for _ in range(200):
         p = random_poly(rng, names=("a", "b", "g", "l"))
