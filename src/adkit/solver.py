@@ -49,14 +49,16 @@ dropped, so step 2 never scans the rows without a pivot.
 A row names its unknowns by their integer pivot order (the position in
 ``ConstraintSystem.unknowns``), so they come out of one sort of ints, and
 an index maps each pivot order to the rows containing that unknown.  A
-substitution rewrites only the rows that contain its unknown, each in one
-pass of ``Poly.subs`` over its terms and one more to re-index it; every
-substitution and side condition goes through ``Poly.subs`` too, which hands
-back its input itself when the unknown does not occur.  Steps 1 and 5 look
-only at the rows written since the last pass, and step 5 settles the side
-conditions in one pass over them; rows keep their place in the list, so
-every tie-break above and the contradiction reported are those of a full
-pass over the list.
+substitution rewrites only the rows that contain its unknown: u := 0 (most
+of them) in one pass that keeps the terms without u and indexes them, the
+key read off the old row's (``Poly.part``); any other value in one pass of
+``Poly.subs`` and one more to re-index.  Every substitution and side
+condition goes through ``Poly.subs``, which hands back its input itself
+when the unknown does not occur.  Steps 1 and 5 look only at the rows
+written since the last pass, and step 5 settles the side conditions in one
+pass over them; rows keep their place in the list, so every tie-break
+above and the contradiction reported are those of a full pass over the
+list.
 Certificate replay keeps the substitutions in trace order and brings an
 equation up to date only when a step reads it.
 
@@ -213,7 +215,8 @@ class Branch:
     unknown.  ``linear`` maps the id of each row with a pivot to
     ``(len(unknowns), pivot)``, the key of the linear choice.  ``fresh``
     holds the ids written since the last canonicalisation, and ``keys`` maps
-    the canonical key of every other row to its id.
+    the canonical key of every other row (kept on its Poly, and for a u := 0
+    rewrite read off the old row's) to its id.
     """
     subs: dict = field(default_factory=dict)        # var -> Poly, fully reduced
     rows: dict = field(default_factory=dict)        # id -> _Row, in list order
@@ -257,20 +260,31 @@ class Branch:
         return tuple(out)
 
 
-def _index_row(p: Poly, system: ConstraintSystem):
-    """The pivot orders of p's unknowns, ascending, and its linear pivot,
+def _index_row(p: Poly, system: ConstraintSystem, drop: str | None = None):
+    """p, the pivot orders of its unknowns, ascending, and its linear pivot,
     from one pass over p's terms.
 
     Occurrences are counted by each unknown's integer pivot order, so the
     row's unknowns come out of one sort of ints.  The pivot is the pivot
     order of the lowest unknown ``var`` with p = a*var + rest, ``a`` a
     nonzero rational and ``rest`` free of ``var``; None unless p has degree
-    one in the unknowns.
+    one in the unknowns.  With ``drop``, the pass first leaves out the terms
+    that hold it and keeps the others in their order, so p becomes
+    ``p.subs({drop: 0})``, with its key read off p's (``Poly.part``).
     """
     index = system._index
+    terms = {} if drop else p.terms
     occurrences: dict = {}
     linear = True
-    for m in p.terms:
+    for m, c in p.terms.items():
+        if drop:
+            name = None  # the last name read, drop only when m holds it
+            for name, _ in m:
+                if name == drop:
+                    break
+            if name == drop:
+                continue
+            terms[m] = c
         degree = 0
         for name, e in m:
             if name in index:
@@ -279,19 +293,22 @@ def _index_row(p: Poly, system: ConstraintSystem):
                 occurrences[n] = occurrences.get(n, 0) + 1
         if degree > 1:
             linear = False
+    if drop:
+        p = p.part(terms)
     order = tuple(sorted(occurrences))
     if linear:
         names = system.unknowns
         for n in order:
-            if occurrences[n] == 1 and ((names[n], 1),) in p.terms:
-                return order, n
-    return order, None
+            if occurrences[n] == 1 and ((names[n], 1),) in terms:
+                return p, order, n
+    return p, order, None
 
 
 def _write_row(branch: Branch, system: ConstraintSystem, rid: int | None,
-               prov: str, poly: Poly):
-    """Store ``poly`` as row ``rid`` (a new last row when None), re-index its
-    unknowns and queue it for canonicalisation."""
+               prov: str, poly: Poly, drop: str | None = None):
+    """Store ``poly`` as row ``rid`` (a new last row when None), with
+    ``drop`` := 0 when given, index its unknowns in the same pass
+    (``_index_row``) and queue it for canonicalisation."""
     if rid is None:
         rid = branch.next_row
         branch.next_row += 1
@@ -301,10 +318,11 @@ def _write_row(branch: Branch, system: ConstraintSystem, rid: int | None,
         before = old.unknowns
         if rid not in branch.fresh:
             del branch.keys[old.poly.normalized_key()]
-    unknowns, pivot = _index_row(poly, system)
-    for n in unknowns:
-        if n not in before:
-            branch.uses.setdefault(n, []).append(rid)
+    poly, unknowns, pivot = _index_row(poly, system, drop)
+    if drop is None:  # dropping terms adds no unknown
+        for n in unknowns:
+            if n not in before:
+                branch.uses.setdefault(n, []).append(rid)
     branch.rows[rid] = _Row(prov, poly, unknowns, pivot)
     if pivot is None:
         branch.linear.pop(rid, None)
@@ -317,17 +335,22 @@ def _apply_substitution(branch: Branch, system: ConstraintSystem, var: str,
                         rhs: Poly, kind: str, prov: str):
     """Substitute ``rhs`` for ``var`` in the rows that contain ``var``, in
     every substitution and in every side condition; ``Poly.subs`` returns
-    its input itself when ``var`` does not occur, so nothing else changes."""
+    its input itself when ``var`` does not occur, so nothing else changes;
+    a zero ``rhs`` only drops terms from the rows."""
     mapping = {var: rhs}
     for v, p in branch.subs.items():
         branch.subs[v] = p.subs(mapping)
     branch.subs[var] = rhs
     n = system.unknown_order(var)
+    zero = rhs.is_zero()
     for rid in sorted(set(branch.uses.pop(n, ()))):
         row = branch.rows.get(rid)
         if row is None or n not in row.unknowns:
             continue
-        _write_row(branch, system, rid, row.prov, row.poly.subs(mapping))
+        if zero:
+            _write_row(branch, system, rid, row.prov, row.poly, var)
+        else:
+            _write_row(branch, system, rid, row.prov, row.poly.subs(mapping))
     branch.side = [(p.subs(mapping), origin) for p, origin in branch.side]
     branch.trace.append(TraceStep(kind, var, rhs, prov))
 
@@ -476,7 +499,7 @@ def _scan_contradiction(branch: Branch, fresh: list) -> bool:
     """
     for rid in fresh:
         row = branch.rows[rid]
-        if row.poly.is_constant():
+        if not row.unknowns and row.poly.is_constant():
             branch.trace.append(TraceStep("equation-contradiction", None,
                                           row.poly, row.prov))
             branch.status = "infeasible"

@@ -218,8 +218,14 @@ def test_normalized_key_is_the_primitive_integer_form_kept_per_poly():
     assert (p * Fraction(-3, 4)).normalized_key() == key
     assert Poly.zero().normalized_key() == ()
     assert Poly.const(Fraction(-5, 3)).normalized_key() == ((), 1)
-    # a derived polynomial computes its own key, never its parent's
-    for derived in (p.subs({"b": Fraction(1, 2)}), p + 1, p * poly_parse("a")):
+    # a derived polynomial has its own key, never its parent's; ``part``
+    # reads it off the parent's kept key, here once with a sign flip
+    # (-3, -1 -> 3, 1) and once with a new gcd (2, 4 -> 1, 2)
+    q = poly_parse("2*a+4*b+3")
+    q.normalized_key()
+    no_b = {m: c for m, c in p.terms.items() if m != (("b", 1),)}
+    for derived in (p.subs({"b": Fraction(1, 2)}), p + 1, p * poly_parse("a"),
+                    p.part(no_b), q.part({m: c for m, c in q.terms.items() if m})):
         assert derived.normalized_key() == Poly(derived.terms).normalized_key()
         assert derived.normalized_key() != key
 
@@ -243,6 +249,15 @@ def test_structural_equality_matches_evaluation(rng):
             == q.eval({"a": Fraction(i), "b": Fraction(j)})
             for i in range(5) for j in range(5))
         assert samples_equal
+
+
+def test_a_constant_hashes_as_the_value_it_equals():
+    assert Poly.const(3) == 3 and len({Poly.const(3), 3}) == 1
+    assert {Poly.const(Fraction(1, 2)): "x"}.get(Fraction(1, 2)) == "x"
+    assert {Fraction(-5, 3): "y"}.get(Poly.const(Fraction(-5, 3))) == "y"
+    assert Poly.zero() == 0 and hash(Poly.zero()) == hash(0)
+    p = poly_parse("a-1")
+    assert hash(p) == hash((p + 1) - 1) and hash(p) != hash(p + 1)
 
 
 def test_distinct_polys_differ_somewhere(rng):
