@@ -85,10 +85,6 @@ def _coerce_vec(dim: int, v: Sequence[Scalar]) -> Vector:
     return tuple(Poly.coerce(x) for x in v)
 
 
-def unit_vector(dim: int, i: int) -> Vector:
-    return tuple(Poly.const(1 if j == i else 0) for j in range(dim))
-
-
 class StructureConstants:
     """Tensor of structure constants for one bilinear operation.
 

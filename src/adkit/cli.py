@@ -331,11 +331,11 @@ def cmd_analyze(args) -> dict:
 
 def _render_plain(value, indent=0) -> str:
     pad = "  " * indent
+    if isinstance(value, (dict, list)) and not value:
+        return f"{pad}(none)"
     if isinstance(value, dict):
         items = [(f"{k}:", value[k]) for k in sorted(value)]
     elif isinstance(value, list):
-        if not value:
-            return f"{pad}(none)"
         items = [("-", v) for v in value]
     else:
         return f"{pad}{value}"

@@ -19,10 +19,13 @@ so the same entries are nonzero and every pivot choice is the same.
 are the field loop's, and no Fraction is formed inside the loop.  Its
 ``ncols`` keeps appended columns (an identity that records how each reduced
 row combines the inputs) from taking a pivot; the solver's consequence step
-builds such rows directly.  ``rref``, ``nullspace`` and ``invert`` convert
-dense rows (lists) at the boundary.  ``rank`` (and so ``span_dim``) is the
-loop's pivot count on the rows that are not all zero; ``echelon_int``
-returns its integer pivot rows, which the power series keeps.
+builds such rows directly.  With ``start`` it back-substitutes and forms
+Fractions only for the rows whose pivot is at or past that column, the only
+ones the consequence step reads; the default 0 reduces every row.
+``rref``, ``nullspace`` and ``invert`` convert dense rows (lists) at the
+boundary.  ``rank`` (and so ``span_dim``) is the loop's pivot count on the
+rows that are not all zero; ``echelon_int`` returns its integer pivot rows,
+which the power series keeps.
 
 ``det`` is Berkowitz's division-free algorithm (S. J. Berkowitz, Inform.
 Process. Lett. 18, 1984), O(n^4) ring operations, so the same code takes
@@ -33,6 +36,7 @@ Poly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
@@ -104,15 +108,21 @@ def _echelon(m: List[SparseRow], ncols: int) -> List[int]:
     return pivots
 
 
-def rref_sparse(rows: List[SparseRow], ncols: int) -> tuple[List[SparseRow], List[int]]:
+def rref_sparse(rows: List[SparseRow], ncols: int,
+                start: int = 0) -> tuple[List[SparseRow], List[int]]:
     """Reduced row echelon form of sparse rational rows; returns (rows of
     Fractions, pivot column indices).
 
     Pivots are taken only in columns < ncols; rows with no entry there are
-    dropped.
+    dropped.  Only the reduced rows whose pivot is at or past ``start`` are
+    formed and returned: back-substitution changes a row only from the rows
+    below it, so they are those of the full reduction.
     """
     m = _integer_rows(rows)
     pivots = _echelon(m, ncols)
+    if start:
+        first = bisect_left(pivots, start)
+        m, pivots = m[first:len(pivots)], pivots[first:]
     for r in reversed(range(len(pivots))):
         col = pivots[r]
         p = m[r][col]

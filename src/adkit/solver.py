@@ -22,14 +22,16 @@ Elimination loop, per branch:
    to surface linear or constant consequences of rational combinations
    (each extracted row records its lineage so certificates replay); the
    rows are sparse, one dict per equation, and go straight to the linalg
-   elimination loop; above ``CONSEQUENCE_CAP`` equations this step is
-   skipped;
-4. read each row, once per unknown u in pivot order, as p = sum of
-   c_e * u^e (``Poly.coefficients``): a*u^2 + b*u + c with a rational a
-   is resolved through its discriminant (zero forces the double root, a
-   constant square splits on the two polynomial roots), and the first u
-   dividing p with a linear quotient splits u*(linear) = 0; splits are
-   taken by (pivot order, row), a root split before a factor split;
+   elimination loop, which back-substitutes only the rows pivoting past the
+   quadratic block; above ``CONSEQUENCE_CAP`` equations this step is skipped;
+4. read each row as p = sum of c_e * u^e (``Poly.coefficients``), in pivot
+   order, only for the unknowns u squared in some term or dividing every
+   term: a*u^2 + b*u + c with a rational a is resolved through its
+   discriminant (zero forces the double root, a constant square splits on
+   the two polynomial roots), and the first u dividing p with a linear
+   quotient splits u*(linear) = 0; splits are taken by (pivot order, row),
+   a root split before a factor split; the moves are kept with the row's
+   record, for later stalls of the branch and of children that inherit it;
 5. a branch dies when an equation reduces to a nonzero rational constant,
    or a recorded side condition reduces to zero -- either way the branch
    carries a replayable trace ending in the contradiction;
@@ -216,13 +218,15 @@ class Branch:
     ``(len(unknowns), pivot)``, the key of the linear choice.  ``fresh``
     holds the ids written since the last canonicalisation, and ``keys`` maps
     the canonical key of every other row (kept on its Poly, and for a u := 0
-    rewrite read off the old row's) to its id.
+    rewrite read off the old row's) to its id.  ``moves`` maps an id to
+    ``(record, moves)``, the moves last read from that row (``_moves``).
     """
     subs: dict = field(default_factory=dict)        # var -> Poly, fully reduced
     rows: dict = field(default_factory=dict)        # id -> _Row, in list order
     uses: dict = field(default_factory=dict)        # pivot order -> [row id]
     keys: dict = field(default_factory=dict)        # normalized_key -> row id
     linear: dict = field(default_factory=dict)      # id -> (#unknowns, pivot)
+    moves: dict = field(default_factory=dict)       # id -> (_Row, moves)
     fresh: set = field(default_factory=set)
     side: list = field(default_factory=list)        # [(Poly, origin prov)]
     trace: list = field(default_factory=list)       # [TraceStep]
@@ -236,7 +240,7 @@ class Branch:
         return replace(self, subs=dict(self.subs), rows=dict(self.rows),
                        uses={u: list(ids) for u, ids in self.uses.items()},
                        keys=dict(self.keys), linear=dict(self.linear),
-                       fresh=set(self.fresh),
+                       moves=dict(self.moves), fresh=set(self.fresh),
                        side=list(self.side), trace=list(self.trace))
 
     @property
@@ -371,21 +375,32 @@ def _linear_candidate(branch: Branch, system: ConstraintSystem):
     return var, (row.poly - Poly.var(var) * a) * (Fraction(-1) / a), row.prov
 
 
-def _moves(row: _Row, names: tuple):
-    """The moves a row offers, read from p = sum of c_e * u^e once per
-    unknown u, in pivot order, as (kind, pivot order, u, payload).
+def _moves(branch: Branch, rid: int, row: _Row, names: tuple) -> list:
+    """The moves row ``rid`` (record ``row``) offers, read from
+    p = sum of c_e * u^e in pivot order, as (kind, pivot order, u, payload);
+    kept in ``branch.moves`` and read again while ``row`` is the row's record.
 
-    With p = a*u^2 + b*u + c and a a nonzero rational, the discriminant
-    decides: zero is "forced" u := -b/2a (p = a*(u + b/2a)^2) and ends the
-    row, a constant square is "root" with the two roots of
-    p = a*(u - r1)*(u - r2), and a constant non-square is "extension" (the
-    roots lie outside the rationals).  The first u dividing p with a
-    quotient of degree at most one is "factor", with that quotient.
+    Only an unknown squared in some term or dividing every term can offer a
+    move, so p is read only for those.  With p = a*u^2 + b*u + c and a a
+    nonzero rational, the discriminant decides: zero is "forced"
+    u := -b/2a (p = a*(u + b/2a)^2) and ends the row, a constant square is
+    "root" with the two roots of p = a*(u - r1)*(u - r2), and a constant
+    non-square is "extension" (the roots lie outside the rationals).  The
+    first u dividing p with a quotient of degree at most one is "factor",
+    with that quotient.
     """
+    kept = branch.moves.get(rid)
+    if kept is not None and kept[0] is row:
+        return kept[1]
     p = row.poly
+    movable = {name for m in p.terms for name, e in m if e == 2}
+    movable |= set.intersection(*({name for name, _ in m} for m in p.terms))
+    moves = []
     factored = False
     for n in row.unknowns:
         u = names[n]
+        if u not in movable:
+            continue
         coeffs = p.coefficients(u)
         a = coeffs.get(2)
         if a is not None and max(coeffs) == 2 and a.is_constant():
@@ -393,23 +408,25 @@ def _moves(row: _Row, names: tuple):
             b = coeffs.get(1, Poly.zero())
             disc = b * b - coeffs.get(0, Poly.zero()) * a * 4
             if disc.is_zero():
-                yield "forced", n, u, b * (Fraction(-1) / (2 * a))
-                return
+                moves.append(("forced", n, u, b * (Fraction(-1) / (2 * a))))
+                break
             if disc.is_constant():
                 d = disc.constant_value()
                 if is_rational_square(d):
                     r = rational_sqrt(d)
-                    yield "root", n, u, tuple(
+                    moves.append(("root", n, u, tuple(
                         (b + Poly.const(-sign * r)) * (Fraction(-1) / (2 * a))
-                        for sign in (1, -1))
+                        for sign in (1, -1))))
                 else:
-                    yield "extension", n, u, None
+                    moves.append(("extension", n, u, None))
         if not factored and 0 not in coeffs:
             q = sum((c * Poly.var(u) ** (e - 1) for e, c in coeffs.items()),
                     Poly.zero())
             if q.degree_in(names[m] for m in row.unknowns) <= 1:
                 factored = True
-                yield "factor", n, u, q
+                moves.append(("factor", n, u, q))
+    branch.moves[rid] = (row, moves)
+    return moves
 
 
 def _linear_consequences(branch: Branch, unknown_set: frozenset) -> list:
@@ -419,9 +436,9 @@ def _linear_consequences(branch: Branch, unknown_set: frozenset) -> list:
     The equations are viewed as vectors over their monomials, with the
     monomials that are quadratic in unknowns eliminated first; reduced rows
     whose leading monomial falls outside that block are degree <= 1
-    consequences.  Row operations preserve the solution set, and each
-    extracted row records its lineage (the rational combination of source
-    equations) so certificates replay mechanically.
+    consequences, and only those are formed.  Row operations preserve the
+    solution set, and each extracted row records its lineage (the rational
+    combination of source equations) so certificates replay mechanically.
     """
     eqs = list(branch.rows.values())
     if len(eqs) < 2:
@@ -442,12 +459,10 @@ def _linear_consequences(branch: Branch, unknown_set: frozenset) -> list:
         row = {col[m]: c for m, c in eq.poly.terms.items()}
         row[width + i] = 1
         aug.append(row)
-    reduced, pivots = linalg.rref_sparse(aug, width)
+    reduced, _ = linalg.rref_sparse(aug, width, quadratic)
     existing = set(branch.keys)
     out = []
-    for row, pivot in zip(reduced, pivots):
-        if pivot < quadratic:
-            continue
+    for row in reduced:
         entries = sorted(row.items())
         poly = Poly({monos[j]: c for j, c in entries if j < width})
         key = poly.normalized_key()
@@ -574,7 +589,8 @@ def eliminate(system: ConstraintSystem, max_depth: int = SPLIT_BUDGET,
             splits = []
             needs_extension = False
             for rid, row in branch.rows.items():
-                for kind, n, var, payload in _moves(row, system.unknowns):
+                for kind, n, var, payload in _moves(branch, rid, row,
+                                                    system.unknowns):
                     if kind == "forced":
                         forced = (var, payload, row.prov)
                     elif kind == "extension":

@@ -8,8 +8,7 @@ from adkit.algebra import (AdPair, StructureConstants, UnaryAlgebra,
                            apply_basis_change, center_ad, center_associative,
                            check_antidendriform, combine, is_associative,
                            is_two_nilpotent, power_series, product,
-                           quotient_by_center, quotient_by_centers, sum_algebra,
-                           unit_vector)
+                           quotient_by_center, quotient_by_centers, sum_algebra)
 from adkit.errors import (CenterMismatch, DimensionMismatch, MissingAssignment,
                           SingularMatrix)
 from adkit.iso import Witness, verify_witness
@@ -23,6 +22,10 @@ F = Fraction
 
 def vec(*coords):
     return tuple(Poly.coerce(c) for c in coords)
+
+
+def unit_vector(dim, i):
+    return vec(*(int(j == i) for j in range(dim)))
 
 
 # -- product -----------------------------------------------------------------

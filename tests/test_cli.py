@@ -636,6 +636,9 @@ def test_plain_rendering(tmp_path):
     assert proc.returncode == 0
     assert "null_filiform: True" in proc.stdout
     assert "{" not in proc.stdout.splitlines()[0]
+    # no --assign: an empty mapping reads (none), as an empty list does
+    assert "\noptions:\n  assign:\n    (none)\n" in proc.stdout
+    assert cli._render_plain({"a": {}, "b": []}) == "a:\n  (none)\nb:\n  (none)"
 
 
 def _main(argv, capsys):

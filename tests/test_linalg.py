@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adkit import linalg
 from adkit.algebra import combine, contract
@@ -423,6 +423,38 @@ def test_sparse_rows_never_store_a_zero(rng):
             n_cols)
         assert pivots == dense_pivots
         assert red == [{j: x for j, x in enumerate(row) if x} for row in dense]
+
+
+@st.composite
+def _sparse_rows(draw):
+    """(rows, ncols): 1-8 sparse rows over ncols pivot columns, of ints or
+    of Fractions, half the time with an appended identity as in the
+    solver's consequence step."""
+    ncols = draw(st.integers(1, 8))
+    entry = draw(st.sampled_from([st.integers(-3, 3),
+                                  st.fractions(-3, 3, max_denominator=4)]))
+    rows = [{j: x for j, x in draw(st.dictionaries(
+                st.integers(0, ncols - 1), entry, max_size=ncols)).items() if x}
+            for _ in range(draw(st.integers(1, 8)))]
+    if draw(st.booleans()):
+        for i, row in enumerate(rows):
+            row[ncols + i] = 1
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_rows())
+@example(([{0: 2, 1: 4}, {0: 1, 1: 2, 2: 1}, {1: 1}], 5))  # pivots 0, 1, 2
+def test_rref_sparse_from_start_is_the_tail_of_the_full_reduction(case):
+    rows, ncols = case
+    # int rows are reduced in place, so each call gets its own copies
+    full, pivots = linalg.rref_sparse([dict(r) for r in rows], ncols)
+    for start in range(ncols + 1):
+        tail = [k for k, col in enumerate(pivots) if col >= start]
+        assert linalg.rref_sparse([dict(r) for r in rows], ncols, start) == \
+            ([full[k] for k in tail], [pivots[k] for k in tail])
+    # past every pivot (start = ncols always is) nothing is formed
+    assert linalg.rref_sparse([dict(r) for r in rows], ncols, ncols) == ([], [])
 
 
 # -- the fraction-free rank loop against the field loop ------------------------

@@ -13,7 +13,8 @@ from adkit.algebra import (StructureConstants, UnaryAlgebra,
 from adkit.errors import (BudgetExceeded, ConstraintViolation,
                           MissingAssignment, NotAssociative,
                           SideConditionViolation)
-from adkit.scalars import Poly, format_poly, poly_parse
+from adkit.scalars import (Poly, format_poly, is_rational_square, poly_parse,
+                           rational_sqrt)
 
 F = Fraction
 
@@ -478,6 +479,102 @@ def test_random_systems_are_solved_soundly(system):
             for other in leaves:
                 if other is not branch:
                     assert not _leaf_contains(other, point), other.path
+
+
+# -- the shape step: kept, filtered moves -----------------------------------------
+
+
+def _full_scan_moves(row, names: tuple):
+    """The earlier shape step, the reference: every unknown of the row read
+    through ``Poly.coefficients``, in pivot order, nothing kept."""
+    p = row.poly
+    factored = False
+    for n in row.unknowns:
+        u = names[n]
+        coeffs = p.coefficients(u)
+        a = coeffs.get(2)
+        if a is not None and max(coeffs) == 2 and a.is_constant():
+            a = a.constant_value()
+            b = coeffs.get(1, Poly.zero())
+            disc = b * b - coeffs.get(0, Poly.zero()) * a * 4
+            if disc.is_zero():
+                yield "forced", n, u, b * (Fraction(-1) / (2 * a))
+                return
+            if disc.is_constant():
+                d = disc.constant_value()
+                if is_rational_square(d):
+                    r = rational_sqrt(d)
+                    yield "root", n, u, tuple(
+                        (b + Poly.const(-sign * r)) * (Fraction(-1) / (2 * a))
+                        for sign in (1, -1))
+                else:
+                    yield "extension", n, u, None
+        if not factored and 0 not in coeffs:
+            q = sum((c * Poly.var(u) ** (e - 1) for e, c in coeffs.items()),
+                    Poly.zero())
+            if q.degree_in(names[m] for m in row.unknowns) <= 1:
+                factored = True
+                yield "factor", n, u, q
+
+
+def _check_moves(patch) -> list:
+    """Patch ``solver._moves`` so that every call, kept moves included,
+    must return the reference's moves; returns one flag per call, true when
+    the call found moves kept for its record."""
+    moves = solver._moves
+    calls = []
+
+    def checked(branch, rid, row, names):
+        kept = branch.moves.get(rid, (None,))[0] is row
+        got = moves(branch, rid, row, names)
+        # kind, pivot order, unknown and payload, in the same order
+        assert got == list(_full_scan_moves(row, names))
+        calls.append(kept)
+        return got
+
+    patch.setattr(solver, "_moves", checked)
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_systems())
+def test_kept_filtered_moves_match_the_full_scan_on_random_systems(system):
+    with pytest.MonkeyPatch.context() as patch:
+        _check_moves(patch)
+        solver.eliminate(system, max_depth=6, step_limit=200)
+
+
+@pytest.mark.parametrize("label", [label for label, _ in _SOLVER_INPUTS])
+def test_kept_filtered_moves_match_the_full_scan(label, monkeypatch):
+    calls = _check_moves(monkeypatch)
+    solver.eliminate(solver.generate_constraints(dict(_SOLVER_INPUTS)[label]()))
+    # substitutions alone refute these; every other input stalls
+    assert calls or label in ("mu0_4", "mu0_5", "As2_2", "As2_4", "As2_5",
+                              "As2_6", "As2_7")
+    if label == "As3_3":  # most calls there return moves kept earlier
+        assert sum(calls) > len(calls) // 2
+
+
+def test_kept_moves_read_each_record_once_per_movable_unknown(monkeypatch):
+    """On As3_3 each row's Poly is read through ``Poly.coefficients`` at
+    most once per unknown, and only for an unknown squared in some term or
+    dividing every term: later stalls and child branches reuse the moves."""
+    reads = Counter()
+    polys = []                 # keeps each Poly read alive, so ids stay unique
+    coefficients = Poly.coefficients
+
+    def counted(p, name):
+        polys.append(p)
+        reads[id(p), name] += 1
+        holding = [dict(m).get(name, 0) for m in p.terms]
+        assert 2 in holding or 0 not in holding, (format_poly(p), name)
+        return coefficients(p, name)
+
+    monkeypatch.setattr(Poly, "coefficients", counted)
+    system = solver.generate_constraints(catalog.get("As3_3"))
+    branches = solver.eliminate(system)
+    assert len(branches) > 2 and len(reads) > 100
+    assert max(reads.values()) == 1
 
 
 def test_idempotent_two_dim_algebras_are_infeasible():
