@@ -129,17 +129,6 @@ def _power(powers: dict, mapping: Mapping, f: tuple) -> dict:
     return power
 
 
-def _primitive(monos: tuple, nums) -> tuple:
-    """The key of ``monos`` with integer coefficients ``nums``: divided by
-    their gcd, signed to make the last one positive."""
-    g = math.gcd(*nums)
-    if nums[-1] < 0:
-        g = -g
-    if g != 1:
-        nums = [x // g for x in nums]
-    return monos + tuple(nums)
-
-
 def _mono_key(m: Monomial):
     # total degree, then lexicographic; used only for canonical printing
     return (sum(e for _, e in m), m)
@@ -395,26 +384,14 @@ class Poly:
                 den = math.lcm(*[c.denominator for c in coeffs])
                 nums = (list(coeffs) if den == 1 else
                         [c.numerator * (den // c.denominator) for c in coeffs])
-                key = _primitive(monos, nums)
+                g = math.gcd(*nums)
+                if nums[-1] < 0:
+                    g = -g
+                if g != 1:
+                    nums = [x // g for x in nums]
+                key = monos + tuple(nums)
             self._key = key
         return key
-
-    def part(self, terms: dict) -> "Poly":
-        """The polynomial of ``terms``, some of this one's terms (the dict is
-        kept, not copied), with its key read off this one's kept key: a
-        key's integers are proportional to the coefficients, so the kept
-        ones, in key order, only need ``_primitive`` again."""
-        p = Poly(terms, _trusted=True)
-        key = self._key
-        if key:
-            half = len(key) // 2
-            monos, nums = [], []
-            for i in range(half):
-                if key[i] in terms:
-                    monos.append(key[i])
-                    nums.append(key[half + i])
-            p._key = _primitive(tuple(monos), nums) if monos else ()
-        return p
 
     # -- printing ---------------------------------------------------------------
 

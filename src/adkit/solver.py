@@ -13,8 +13,9 @@ build one; names that are not unknowns are treated as parameters.
 
 Elimination loop, per branch:
 
-1. canonicalise (drop zeros, deduplicate up to scaling, keeping the first
-   occurrence);
+1. canonicalise (drop zeros); rows that repeat an earlier row up to
+   scaling are dropped only where the loop stalls, before steps 3 and 4, and
+   before a step-budget stop, keeping the first occurrence (see below);
 2. substitute away unknowns that occur linearly with a constant
    coefficient, preferring equations with the fewest unknowns, then the
    lowest pivot in unknown order, then the earliest equation;
@@ -43,26 +44,33 @@ Elimination loop, per branch:
 Each branch keeps its equations as rows, one record per equation built
 once when it is written: its provenance, its Poly, its unknowns and its
 linear pivot, the last two from one pass over the terms.  The canonical key
-is the equation's primitive integer form, computed once and kept on its
-Poly, so the root branch reuses the keys the generator deduplicated with
-and a rewrite reads the old key back from the old Poly.  The map of linear
-rows (id -> unknown count and pivot) changes with every row written or
-dropped, so step 2 never scans the rows without a pivot.
+(the equation's primitive integer form, kept on its Poly) is computed only
+when a stall deduplicates, never per rewrite.  The map of linear rows
+(id -> unknown count and pivot) changes with every row written or dropped,
+so step 2 never scans the rows without a pivot.
 A row names its unknowns by their integer pivot order (the position in
 ``ConstraintSystem.unknowns``), so they come out of one sort of ints, and
 an index maps each pivot order to the rows containing that unknown.  A
 substitution rewrites only the rows that contain its unknown: u := 0 (most
-of them) in one pass that keeps the terms without u and indexes them, the
-key read off the old row's (``Poly.part``); any other value in one pass of
-``Poly.subs`` and one more to re-index.  Every substitution and side
-condition goes through ``Poly.subs``, which hands back its input itself
-when the unknown does not occur.  Steps 1 and 5 look only at the rows
-written since the last pass, and step 5 settles the side conditions in one
-pass over them; rows keep their place in the list, so every tie-break
-above and the contradiction reported are those of a full pass over the
-list.
+of them) in one pass that keeps the terms without u and indexes them; any
+other value in one pass of ``Poly.subs`` and one more to re-index.  Every
+substitution and side condition goes through ``Poly.subs``, which hands
+back its input itself when the unknown does not occur.  Steps 1 and 5
+look only at the rows written since the last pass, and step 5 settles the
+side conditions in one pass over them; rows keep their place in the list,
+so every tie-break above and the contradiction reported are those of a
+full pass over the list.
 Certificate replay keeps the substitutions in trace order and brings an
 equation up to date only when a step reads it.
+
+Deduplicating only at stalls decides exactly what deduplicating after every
+step would.  Substitution is a ring homomorphism, so two proportional rows
+stay proportional: they are rewritten in the same steps and become constant
+or zero together.  Every tie-break (the linear choice by (unknowns, pivot,
+id), the first constant row, the split order) picks the lowest id, so the
+row an eager pass would keep always wins and a later repeat is never read.
+The consequence step, the moves, ``CONSEQUENCE_CAP`` and the rows a stuck
+branch reports all come after a ``_dedupe``.
 
 The union of the surviving branches' solution sets (side conditions
 included), together with the stuck branches, equals the original solution
@@ -166,7 +174,9 @@ def generate_constraints(assoc: UnaryAlgebra) -> ConstraintSystem:
         n, [[[Poly.var(unknown_name(i + 1, j + 1, k + 1)) for k in range(n)]
              for j in range(n)] for i in range(n)])
     failures = check_antidendriform(AdPair(r_sym, assoc.sc.add(r_sym.neg()))).failures
-    seen: dict = {}
+    # equal keys imply equal monomial sets, so keys are compared only
+    # within a monomial set that already holds an equation
+    kept: dict = {}            # monomial set -> the Polys kept with it
     equations = []
     for ident in IDENTITY_NAMES:
         for (i, j, k), res in failures[ident]:
@@ -176,11 +186,13 @@ def generate_constraints(assoc: UnaryAlgebra) -> ConstraintSystem:
                     continue
                 if ident == "id5" and p.degree_in(name_set) > 1:
                     raise AssertionError("mixed-associator equation is not linear")
-                key = p.normalized_key()
-                if key in seen:
-                    continue
+                same = kept.setdefault(frozenset(p.terms), [])
+                if same:
+                    key = p.normalized_key()
+                    if any(q.normalized_key() == key for q in same):
+                        continue
+                same.append(p)
                 prov = f"{ident}@({i + 1},{j + 1},{k + 1})#{m + 1}"
-                seen[key] = prov
                 equations.append(Equation(prov, p))
     return ConstraintSystem(names, tuple(equations))
 
@@ -198,8 +210,7 @@ class TraceStep:
 
 class _Row(NamedTuple):
     """A residual equation with the data the elimination loop reads from it,
-    built once when the equation is written; its canonical key is read from
-    the Poly, which keeps it."""
+    built once when the equation is written."""
     prov: str
     poly: Poly
     unknowns: tuple            # pivot orders of poly's unknowns, ascending
@@ -216,15 +227,15 @@ class Branch:
     written; readers skip ids whose row has since been dropped or lost the
     unknown.  ``linear`` maps the id of each row with a pivot to
     ``(len(unknowns), pivot)``, the key of the linear choice.  ``fresh``
-    holds the ids written since the last canonicalisation, and ``keys`` maps
-    the canonical key of every other row (kept on its Poly, and for a u := 0
-    rewrite read off the old row's) to its id.  ``moves`` maps an id to
-    ``(record, moves)``, the moves last read from that row (``_moves``).
+    holds the ids written since the last canonicalisation.  ``moves`` maps
+    an id to ``(record, moves)``, the moves last read from that row
+    (``_moves``); a clone copies only the entries whose record is still the
+    row's.  Rows that repeat an earlier row up to scaling live until the
+    next ``_dedupe``.
     """
     subs: dict = field(default_factory=dict)        # var -> Poly, fully reduced
     rows: dict = field(default_factory=dict)        # id -> _Row, in list order
     uses: dict = field(default_factory=dict)        # pivot order -> [row id]
-    keys: dict = field(default_factory=dict)        # normalized_key -> row id
     linear: dict = field(default_factory=dict)      # id -> (#unknowns, pivot)
     moves: dict = field(default_factory=dict)       # id -> (_Row, moves)
     fresh: set = field(default_factory=set)
@@ -237,10 +248,13 @@ class Branch:
     next_row: int = 0
 
     def clone(self) -> "Branch":
-        return replace(self, subs=dict(self.subs), rows=dict(self.rows),
+        rows = self.rows
+        return replace(self, subs=dict(self.subs), rows=dict(rows),
                        uses={u: list(ids) for u, ids in self.uses.items()},
-                       keys=dict(self.keys), linear=dict(self.linear),
-                       moves=dict(self.moves), fresh=set(self.fresh),
+                       linear=dict(self.linear),
+                       moves={rid: kept for rid, kept in self.moves.items()
+                              if rows.get(rid) is kept[0]},
+                       fresh=set(self.fresh),
                        side=list(self.side), trace=list(self.trace))
 
     @property
@@ -274,7 +288,7 @@ def _index_row(p: Poly, system: ConstraintSystem, drop: str | None = None):
     nonzero rational and ``rest`` free of ``var``; None unless p has degree
     one in the unknowns.  With ``drop``, the pass first leaves out the terms
     that hold it and keeps the others in their order, so p becomes
-    ``p.subs({drop: 0})``, with its key read off p's (``Poly.part``).
+    ``p.subs({drop: 0})``.
     """
     index = system._index
     terms = {} if drop else p.terms
@@ -298,7 +312,7 @@ def _index_row(p: Poly, system: ConstraintSystem, drop: str | None = None):
         if degree > 1:
             linear = False
     if drop:
-        p = p.part(terms)
+        p = Poly(terms, _trusted=True)
     order = tuple(sorted(occurrences))
     if linear:
         names = system.unknowns
@@ -317,11 +331,7 @@ def _write_row(branch: Branch, system: ConstraintSystem, rid: int | None,
         rid = branch.next_row
         branch.next_row += 1
     old = branch.rows.get(rid)
-    before = ()
-    if old is not None:
-        before = old.unknowns
-        if rid not in branch.fresh:
-            del branch.keys[old.poly.normalized_key()]
+    before = () if old is None else old.unknowns
     poly, unknowns, pivot = _index_row(poly, system, drop)
     if drop is None:  # dropping terms adds no unknown
         for n in unknowns:
@@ -429,7 +439,8 @@ def _moves(branch: Branch, rid: int, row: _Row, names: tuple) -> list:
     return moves
 
 
-def _linear_consequences(branch: Branch, unknown_set: frozenset) -> list:
+def _linear_consequences(branch: Branch, unknown_set: frozenset,
+                         keys: set) -> list:
     """Linear or constant equations hiding in the rational span of the
     current ones.
 
@@ -439,6 +450,8 @@ def _linear_consequences(branch: Branch, unknown_set: frozenset) -> list:
     consequences, and only those are formed.  Row operations preserve the
     solution set, and each extracted row records its lineage (the rational
     combination of source equations) so certificates replay mechanically.
+    A consequence whose key is in ``keys`` (the rows' keys, from
+    ``_dedupe``; the keys kept are added) is left out.
     """
     eqs = list(branch.rows.values())
     if len(eqs) < 2:
@@ -460,47 +473,45 @@ def _linear_consequences(branch: Branch, unknown_set: frozenset) -> list:
         row[width + i] = 1
         aug.append(row)
     reduced, _ = linalg.rref_sparse(aug, width, quadratic)
-    existing = set(branch.keys)
     out = []
     for row in reduced:
         entries = sorted(row.items())
         poly = Poly({monos[j]: c for j, c in entries if j < width})
         key = poly.normalized_key()
-        if key in existing:
+        if key in keys:
             continue
-        existing.add(key)
+        keys.add(key)
         lineage = tuple((eqs[j - width].prov, c) for j, c in entries if j >= width)
         out.append((poly, lineage))
     return out
 
 
 def _canonicalise(branch: Branch) -> list:
-    """Drop zero rows and rows that repeat an earlier row up to scaling,
-    looking only at the fresh rows; returns the fresh rows kept, in order.
-
-    Keys were distinct before, so keeping the lowest id of each key is the
-    first-occurrence rule of a full pass over the list.
-    """
+    """Drop the fresh rows that are zero; returns the fresh rows kept, in
+    order."""
     fresh, branch.fresh = branch.fresh, set()
     kept = []
     for rid in sorted(fresh):
-        poly = branch.rows[rid].poly
-        if poly.is_zero():
+        if branch.rows[rid].poly.is_zero():
             del branch.rows[rid]
             branch.linear.pop(rid, None)
-            continue
-        key = poly.normalized_key()
-        other = branch.keys.setdefault(key, rid)
-        if other < rid:
-            del branch.rows[rid]
-            branch.linear.pop(rid, None)
-            continue
-        if other > rid:
-            del branch.rows[other]
-            branch.linear.pop(other, None)
-            branch.keys[key] = rid
-        kept.append(rid)
+        else:
+            kept.append(rid)
     return kept
+
+
+def _dedupe(branch: Branch) -> set:
+    """Drop every row that repeats an earlier row up to scaling, keeping
+    the lowest id of each key; returns the keys of the rows kept."""
+    keys = set()
+    for rid, row in list(branch.rows.items()):
+        key = row.poly.normalized_key()
+        if key in keys:
+            del branch.rows[rid]
+            branch.linear.pop(rid, None)
+        else:
+            keys.add(key)
+    return keys
 
 
 def _scan_contradiction(branch: Branch, fresh: list) -> bool:
@@ -558,6 +569,8 @@ def eliminate(system: ConstraintSystem, max_depth: int = SPLIT_BUDGET,
         while branch.status == "open":
             steps += 1
             if steps > step_limit:
+                _canonicalise(branch)
+                _dedupe(branch)
                 branch.status = "stuck"
                 branch.stuck_reason = "step-budget"
                 break
@@ -573,9 +586,10 @@ def eliminate(system: ConstraintSystem, max_depth: int = SPLIT_BUDGET,
                 _apply_substitution(branch, system, var, rhs, "substitute",
                                     prov)
                 continue
+            keys = _dedupe(branch)
             capped = len(branch.rows) > CONSEQUENCE_CAP
-            consequences = ([] if capped
-                            else _linear_consequences(branch, system.unknown_set))
+            consequences = ([] if capped else _linear_consequences(
+                branch, system.unknown_set, keys))
             if consequences:
                 for poly, lineage in consequences:
                     branch.derived += 1

@@ -3,12 +3,13 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iproduct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adkit import catalog, solver
-from adkit.algebra import (StructureConstants, UnaryAlgebra,
+from adkit.algebra import (IDENTITY_NAMES, StructureConstants, UnaryAlgebra,
                            check_antidendriform)
 from adkit.errors import (BudgetExceeded, ConstraintViolation,
                           MissingAssignment, NotAssociative,
@@ -77,6 +78,66 @@ def test_mixed_associator_equations_are_linear():
         for eq in system.equations:
             if eq.prov.startswith("id5@"):
                 assert eq.poly.degree_in(unknowns) <= 1
+
+
+def _key_only_equations(failures, n: int) -> list:
+    """The generator's equations under the earlier rule, the reference:
+    every nonzero residual keyed by ``normalized_key``, the first of each
+    key kept."""
+    seen = set()
+    out = []
+    for ident in IDENTITY_NAMES:
+        for (i, j, k), res in failures[ident]:
+            for m in range(n):
+                p = res[m]
+                key = p.normalized_key()
+                if p.is_zero() or key in seen:
+                    continue
+                seen.add(key)
+                out.append((f"{ident}@({i + 1},{j + 1},{k + 1})#{m + 1}", p))
+    return out
+
+
+def _recorded_failures(monkeypatch) -> list:
+    """Patch the generator's checker to record each report's failures."""
+    reports = []
+
+    def recorded(pair):
+        report = check_antidendriform(pair)
+        reports.append(report.failures)
+        return report
+
+    monkeypatch.setattr(solver, "check_antidendriform", recorded)
+    return reports
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.null_filiform(4), lambda: catalog.get("As3_3"),
+    lambda: catalog.get("As3_5"), lambda: catalog.get("As2_1")])
+def test_generator_dedupe_matches_key_only_dedupe(build, monkeypatch):
+    """Keys are compared only within a monomial set that already holds an
+    equation; the equations and provenances kept are the key-only ones."""
+    alg = build()
+    reports = _recorded_failures(monkeypatch)
+    system = solver.generate_constraints(alg)
+    got = [(eq.prov, eq.poly) for eq in system.equations]
+    assert got == _key_only_equations(reports[-1], alg.dim)
+
+
+def test_generator_dedupe_keeps_one_of_each_key_per_monomial_set(monkeypatch):
+    """u+v and u-v share a monomial set but not a key, so both are kept;
+    2u+4v and -u-2v share a key, so only the first is."""
+    u, v = Poly.var("u"), Poly.var("v")
+    residuals = [u + v, u - v, u * 2 + v * 4, -u - v * 2, Poly.zero(), v - u]
+    failures = {ident: [] for ident in IDENTITY_NAMES}
+    failures["id1"] = [((0, 0, k), [p]) for k, p in enumerate(residuals)]
+    monkeypatch.setattr(solver, "check_antidendriform",
+                        lambda pair: SimpleNamespace(failures=failures))
+    system = solver.generate_constraints(UnaryAlgebra(StructureConstants.zero(1)))
+    got = [(eq.prov, eq.poly) for eq in system.equations]
+    assert got == [("id1@(1,1,1)#1", u + v), ("id1@(1,1,2)#1", u - v),
+                   ("id1@(1,1,3)#1", u * 2 + v * 4)]
+    assert got == _key_only_equations(failures, 1)
 
 
 def test_zero_algebra_solutions_negate_the_first_operation():
@@ -184,8 +245,8 @@ _SOLVER_INPUTS = (
 def test_drop_path_matches_subs_a_fresh_key_and_the_two_pass_oracle(
         label, monkeypatch):
     """Every ``u := 0`` rewrite, case-zero branches included: the kept terms
-    are ``subs`` in its order, the key read off the old row is the key
-    computed afresh, and the index is the two-pass one."""
+    are ``subs`` in its order, so the key computed afresh when a stall
+    deduplicates is ``subs``'s, and the index is the two-pass one."""
     system = solver.generate_constraints(dict(_SOLVER_INPUTS)[label]())
     index_row = solver._index_row
     drops = []
@@ -195,8 +256,6 @@ def test_drop_path_matches_subs_a_fresh_key_and_the_two_pass_oracle(
         if drop is not None:
             subs = p.subs({drop: 0})
             assert list(q.terms.items()) == list(subs.terms.items())
-            assert q._key is not None  # read off p's, not computed
-            assert q.normalized_key() == Poly(dict(q.terms)).normalized_key()
             assert tuple(index) == _two_pass_row_index(q, system)
             drops.append(drop)
         return (q, *index)
@@ -235,6 +294,27 @@ def test_a_clone_keeps_its_own_linear_map():
     solver._canonicalise(child)
     assert child.linear == _linear_rows(child) != before
     assert root.linear == before == _linear_rows(root)
+
+
+def test_a_clone_copies_only_the_live_kept_moves(monkeypatch):
+    """A clone keeps the moves of each row whose record they were read
+    from, and none read from a record since rewritten or dropped."""
+    clone = solver.Branch.clone
+    stale = []
+
+    def checked(branch):
+        child = clone(branch)
+        live = {rid: kept for rid, kept in branch.moves.items()
+                if branch.rows.get(rid) is kept[0]}
+        assert child.moves == live and child.moves is not branch.moves
+        assert all(child.rows[rid] is kept[0]
+                   for rid, kept in child.moves.items())
+        stale.append(len(branch.moves) - len(live))
+        return child
+
+    monkeypatch.setattr(solver.Branch, "clone", checked)
+    solver.eliminate(solver.generate_constraints(catalog.get("As3_3")))
+    assert stale and max(stale) > 0
 
 
 def _full_row_candidate(branch: solver.Branch, system: solver.ConstraintSystem):
@@ -481,6 +561,63 @@ def test_random_systems_are_solved_soundly(system):
                     assert not _leaf_contains(other, point), other.path
 
 
+# -- deduplication at stalls ------------------------------------------------------
+
+
+def _eager_canonicalise(branch: solver.Branch) -> list:
+    """The reference: after every step, drop the zero rows and every row
+    that repeats an earlier one up to scaling, over the whole list (the
+    first-occurrence rule the loop kept before deduplicating only at
+    stalls); returns the fresh rows kept, in order."""
+    fresh, branch.fresh = branch.fresh, set()
+    keys = set()
+    for rid, row in list(branch.rows.items()):
+        key = row.poly.normalized_key()
+        if key == () or key in keys:
+            del branch.rows[rid]
+            branch.linear.pop(rid, None)
+        else:
+            keys.add(key)
+    return [rid for rid in sorted(fresh) if rid in branch.rows]
+
+
+def _outcomes(branches) -> list:
+    """What each terminal branch decides and reports: status, reason, path,
+    certificate, substitutions, side conditions, and the rows of a solved
+    or stuck branch (an infeasible one reports none)."""
+    return [(b.status, b.stuck_reason, b.path, b.certificate(),
+             [(u, format_poly(p)) for u, p in b.subs.items()],
+             [(format_poly(p), origin) for p, origin in b.side],
+             [] if b.status == "infeasible" else
+             [(row.prov, format_poly(row.poly)) for row in b.rows.values()])
+            for b in branches]
+
+
+def _check_deferred_dedupe(system, cap=solver.CONSEQUENCE_CAP, **budgets):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "CONSEQUENCE_CAP", cap)
+        deferred = solver.eliminate(system, **budgets)
+        patch.setattr(solver, "_canonicalise", _eager_canonicalise)
+        eager = solver.eliminate(system, **budgets)
+    assert _outcomes(deferred) == _outcomes(eager)
+
+
+@pytest.mark.parametrize("label", [label for label, _ in _SOLVER_INPUTS])
+def test_deferred_dedupe_matches_the_eager_reference(label):
+    _check_deferred_dedupe(
+        solver.generate_constraints(dict(_SOLVER_INPUTS)[label]()))
+
+
+# a small cap puts repeats on either side of it; a small step budget
+# stops branches with repeats still live
+@settings(max_examples=200, deadline=None)
+@given(_random_systems(), st.sampled_from([1, 2, solver.CONSEQUENCE_CAP]),
+       st.sampled_from([1, 2, 3, 5, 200]))
+def test_deferred_dedupe_matches_the_eager_reference_on_random_systems(
+        system, cap, step_limit):
+    _check_deferred_dedupe(system, cap, max_depth=6, step_limit=step_limit)
+
+
 # -- the shape step: kept, filtered moves -----------------------------------------
 
 
@@ -617,6 +754,23 @@ def test_a_zero_step_budget_leaves_the_root_stuck():
     (branch,) = solver.eliminate(system, step_limit=0)
     assert (branch.status, branch.stuck_reason) == ("stuck", "step-budget")
     assert branch.path == () and branch.trace == []
+
+
+@pytest.mark.parametrize("label", ["mu0_4", "As3_3", "As3_4", "As2_3"])
+def test_a_step_budget_stop_reports_canonical_rows(label):
+    """A branch stopped by the step budget reports its rows with zeros and
+    repeats up to scaling dropped, as every other stuck branch does."""
+    alg = dict(_SOLVER_INPUTS)[label]()
+    stopped = 0
+    for limit in range(1, 12):
+        result = solver.enumerate_compatible(alg, step_limit=limit)
+        for fam in result.constrained:
+            if fam.branch.stuck_reason != "step-budget":
+                continue
+            stopped += 1
+            keys = [eq.poly.normalized_key() for eq in fam.residual]
+            assert () not in keys and len(set(keys)) == len(keys)
+    assert stopped
 
 
 def _output_digests(result) -> tuple:
