@@ -23,7 +23,8 @@ builds such rows directly.  With ``start`` it back-substitutes and forms
 Fractions only for the rows whose pivot is at or past that column, the only
 ones the consequence step reads; the default 0 reduces every row.
 ``rref``, ``nullspace`` and ``invert`` convert dense rows (lists) at the
-boundary.  ``rank`` (and so ``span_dim``) is the loop's pivot count on the
+boundary; the solver's presolve calls the loop and ``_back_substitute``
+itself.  ``rank`` (and so ``span_dim``) is the loop's pivot count on the
 rows that are not all zero; ``echelon_int`` returns its integer pivot rows,
 which the power series keeps.
 
@@ -82,9 +83,10 @@ def _clear(row: SparseRow, col: int, p: int, tail: list) -> None:
             row[j] //= g
 
 
-def _echelon(m: List[SparseRow], ncols: int) -> List[int]:
+def _echelon(m: List[SparseRow], ncols: int, origin: list | None = None) -> List[int]:
     """Forward elimination of integer rows ``m`` in place, pivoting in
-    columns < ncols; returns the pivot columns (pivot k sits in row k)."""
+    columns < ncols; returns the pivot columns (pivot k sits in row k).
+    ``origin`` is swapped with the rows: entry k names row k's input row."""
     pivots: List[int] = []
     n = len(m)
     for col in range(ncols):
@@ -97,6 +99,8 @@ def _echelon(m: List[SparseRow], ncols: int) -> List[int]:
         else:
             continue
         m[r], m[k] = m[k], m[r]
+        if origin is not None:
+            origin[r], origin[k] = origin[k], origin[r]
         p = m[r][col]
         tail = None
         for i in range(k + 1, n):  # rows r+1..k lack col
@@ -106,6 +110,17 @@ def _echelon(m: List[SparseRow], ncols: int) -> List[int]:
                 _clear(m[i], col, p, tail)
         pivots.append(col)
     return pivots
+
+
+def _back_substitute(m: List[SparseRow], pivots: List[int]) -> None:
+    """Clear each pivot column of echelon rows ``m`` from the rows above."""
+    for r in reversed(range(len(pivots))):
+        col = pivots[r]
+        p = m[r][col]
+        tail = [(j, y) for j, y in m[r].items() if j != col]
+        for i in range(r):
+            if col in m[i]:
+                _clear(m[i], col, p, tail)
 
 
 def rref_sparse(rows: List[SparseRow], ncols: int,
@@ -123,13 +138,7 @@ def rref_sparse(rows: List[SparseRow], ncols: int,
     if start:
         first = bisect_left(pivots, start)
         m, pivots = m[first:len(pivots)], pivots[first:]
-    for r in reversed(range(len(pivots))):
-        col = pivots[r]
-        p = m[r][col]
-        tail = [(j, y) for j, y in m[r].items() if j != col]
-        for i in range(r):
-            if col in m[i]:
-                _clear(m[i], col, p, tail)
+    _back_substitute(m, pivots)
     return [{j: Fraction(x, row[col]) for j, x in row.items()}
             for row, col in zip(m, pivots)], pivots
 

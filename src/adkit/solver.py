@@ -11,6 +11,11 @@ The elimination reads a ``ConstraintSystem``: named unknowns plus equations,
 nothing about the base algebra, so any producer of polynomial equations may
 build one; names that are not unknowns are treated as parameters.
 
+Step 0, at the root only and not counted (``_presolve``): the equations
+linear in the unknowns with rational coefficients (id5's and any other) go
+through one forward elimination of ``linalg``'s loop, each pivot row a
+``substitute`` step; the rest are written once under the solution.
+
 Elimination loop, per branch:
 
 1. canonicalise (drop zeros); rows that repeat an earlier row up to
@@ -369,6 +374,32 @@ def _apply_substitution(branch: Branch, system: ConstraintSystem, var: str,
     branch.trace.append(TraceStep(kind, var, rhs, prov))
 
 
+def _presolve(root: Branch, system: ConstraintSystem) -> None:
+    """Step 0.  Forward pivot row r gives var := rhs, with the provenance of
+    its input equation, a nonzero multiple of the row under the steps before:
+    replay checks it as it is.  Back-substitution reduces the root's subs."""
+    names, index, width = system.unknowns, system._index, len(system.unknowns)
+    eqs = system.equations
+    block = [i for i, eq in enumerate(eqs) if all(not m or (
+        len(m) == 1 and m[0][1] == 1 and m[0][0] in index) for m in eq.poly.terms)]
+    rows = linalg._integer_rows([{index[m[0][0]] if m else width: c
+                                  for m, c in eqs[i].poly.terms.items()}
+                                 for i in block])
+    pivots = linalg._echelon(rows, width, block)  # the constant never pivots
+
+    def solved(row: dict, col: int) -> Poly:
+        return Poly({((names[j], 1),) if j < width else (): Fraction(x, -row[col])
+                     for j, x in row.items() if j != col})
+
+    root.trace = [TraceStep("substitute", names[col], solved(rows[r], col),
+                            eqs[block[r]].prov) for r, col in enumerate(pivots)]
+    linalg._back_substitute(rows, pivots)
+    root.subs = {names[col]: solved(rows[r], col) for r, col in enumerate(pivots)}
+    for eq in eqs:  # the pivot rows' equations, among others, become zero
+        if p := eq.poly.subs(root.subs):
+            _write_row(root, system, None, eq.prov, p)
+
+
 def _linear_candidate(branch: Branch, system: ConstraintSystem):
     """(var, rhs, prov) of the best linear pivot in ``branch.linear``: fewest
     unknowns, then the lowest pivot order, then the earliest equation; None
@@ -559,8 +590,7 @@ def eliminate(system: ConstraintSystem, max_depth: int = SPLIT_BUDGET,
     branches that would exceed it are marked stuck instead of split.
     """
     root = Branch()
-    for eq in system.equations:
-        _write_row(root, system, None, eq.prov, eq.poly)
+    _presolve(root, system)
     queue = [root]
     done = []
     while queue:

@@ -425,6 +425,25 @@ def test_sparse_rows_never_store_a_zero(rng):
         assert red == [{j: x for j, x in enumerate(row) if x} for row in dense]
 
 
+def test_echelon_origin_names_the_input_each_row_was_reduced_from(rng):
+    # row k is a nonzero multiple of input origin[k] plus multiples of the
+    # inputs of the pivot rows above it: the solver's presolve reads each
+    # pivot row's provenance off origin, and certificate replay needs this
+    for m in _random_matrices(rng, 120):
+        n_rows, n_cols = len(m), len(m[0])
+        rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+        for i, row in enumerate(rows):
+            row[n_cols + i] = F(1)
+        work = linalg._integer_rows(rows)
+        origin = list(range(n_rows))
+        pivots = linalg._echelon(work, n_cols, origin)
+        assert sorted(origin) == list(range(n_rows))
+        for k, row in enumerate(work):
+            above = origin[:min(k, len(pivots))]
+            lineage = {j - n_cols for j in row if j >= n_cols}
+            assert origin[k] in lineage and lineage <= {origin[k], *above}
+
+
 @st.composite
 def _sparse_rows(draw):
     """(rows, ncols): 1-8 sparse rows over ncols pivot columns, of ints or

@@ -241,13 +241,24 @@ _SOLVER_INPUTS = (
     + [("As3_5_l2", lambda: catalog.get("As3_5", {"l": F(2)}))])
 
 
-@pytest.mark.parametrize("label", [label for label, _ in _SOLVER_INPUTS])
-def test_drop_path_matches_subs_a_fresh_key_and_the_two_pass_oracle(
-        label, monkeypatch):
-    """Every ``u := 0`` rewrite, case-zero branches included: the kept terms
-    are ``subs`` in its order, so the key computed afresh when a stall
-    deduplicates is ``subs``'s, and the index is the two-pass one."""
-    system = solver.generate_constraints(dict(_SOLVER_INPUTS)[label]())
+def _presolved_root(system: solver.ConstraintSystem) -> solver.Branch:
+    root = solver.Branch()
+    solver._presolve(root, system)
+    return root
+
+
+def _rational_linear(p: Poly, system: solver.ConstraintSystem) -> bool:
+    """Is p of degree one in the unknowns, with rational coefficients?"""
+    return bool(p.variables()) and all(
+        len(m) <= 1 and all(name in system.unknown_set and e == 1 for name, e in m)
+        for m in p.terms)
+
+
+def _checked_drops(system: solver.ConstraintSystem) -> list:
+    """Eliminate ``system`` with every ``u := 0`` rewrite checked, case-zero
+    branches included: the kept terms are ``subs`` in its order, so the key
+    computed afresh when a stall deduplicates is ``subs``'s, and the index
+    is the two-pass one.  Returns the unknowns dropped."""
     index_row = solver._index_row
     drops = []
 
@@ -260,9 +271,35 @@ def test_drop_path_matches_subs_a_fresh_key_and_the_two_pass_oracle(
             drops.append(drop)
         return (q, *index)
 
-    monkeypatch.setattr(solver, "_index_row", checked)
-    solver.eliminate(system)
-    assert drops or label == "As3_1"  # As3_1 stops at the root
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_index_row", checked)
+        solver.eliminate(system)
+    return drops
+
+
+@pytest.mark.parametrize("label", [label for label, _ in _SOLVER_INPUTS])
+def test_drop_path_matches_subs_a_fresh_key_and_the_two_pass_oracle(label):
+    system = solver.generate_constraints(dict(_SOLVER_INPUTS)[label]())
+    drops = _checked_drops(system)
+    # the presolve leaves no rational linear equation of the system as a
+    # linear row; rows that became linear came from quadratic equations
+    root = _presolved_root(system)
+    linear = {e.prov for e in system.equations if _rational_linear(e.poly, system)}
+    assert all(row.poly.is_constant() for row in root.rows.values()
+               if row.prov in linear)
+    if not drops:
+        # the loop has nothing to drop: its first pass meets a nonzero
+        # constant, or there is no rational linear row left to pick
+        assert label in ("mu0_5", "As2_2", "As2_4", "As2_5", "As2_6",
+                         "As2_7", "As3_1")
+        assert any(row.poly.is_constant() and not row.poly.is_zero()
+                   for row in root.rows.values()) or not any(
+            _rational_linear(row.poly, system) for row in root.rows.values())
+
+
+def test_the_drop_path_oracle_checks_over_1600_drops():
+    assert sum(len(_checked_drops(solver.generate_constraints(build())))
+               for _, build in _SOLVER_INPUTS) > 1600
 
 
 def _linear_rows(branch: solver.Branch) -> dict:
@@ -334,6 +371,7 @@ def _full_row_candidate(branch: solver.Branch, system: solver.ConstraintSystem):
 
 
 def test_linear_candidate_matches_the_full_row_scan(monkeypatch):
+    """On the inputs whose loop still picks linear rows after the presolve."""
     picks = []
     candidate = solver._linear_candidate
 
@@ -343,11 +381,68 @@ def test_linear_candidate_matches_the_full_row_scan(monkeypatch):
         return got
 
     monkeypatch.setattr(solver, "_linear_candidate", checked)
-    result = solver.enumerate_compatible(catalog.null_filiform(4))
-    assert result.status == "no-structure"
+    for label in ("As3_2", "As3_3", "As3_4", "As3_5", "As3_6", "As3_5_l2"):
+        solver.eliminate(solver.generate_constraints(dict(_SOLVER_INPUTS)[label]()))
     assert sum(got is not None for got, _ in picks) > 40
     for got, old in picks:
         assert got == old
+
+
+# -- the presolve: the rational linear block in one forward elimination -------
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_presolved_null_filiform_certificates_replay(n):
+    result = solver.enumerate_compatible(catalog.null_filiform(n))
+    assert result.status == ("families" if n == 3 else "no-structure")
+    branches = [f.branch for f in result.families] + list(result.infeasible)
+    for branch in branches:
+        assert solver.replay_certificate(result.system, branch)
+    if n >= 4:
+        (branch,) = result.infeasible
+        last = branch.trace[-1]
+        assert last.kind == "equation-contradiction"
+        assert last.poly.is_constant() and not last.poly.is_zero()
+
+
+def test_replay_rejects_a_tampered_presolve_substitution():
+    result = solver.enumerate_compatible(catalog.null_filiform(4))
+    (branch,) = result.infeasible
+    presolved = len(_presolved_root(result.system).trace)
+    assert presolved > 2
+    assert all(s.kind == "substitute" for s in branch.trace[:presolved])
+    for at in (0, presolved // 2, presolved - 1):
+        tampered = branch.clone()
+        step = tampered.trace[at]
+        tampered.trace[at] = solver.TraceStep(step.kind, step.var,
+                                              step.poly + 1, step.prov)
+        assert not solver.replay_certificate(result.system, tampered)
+    assert solver.replay_certificate(result.system, branch)
+
+
+def test_an_inconsistent_linear_block_ends_the_root():
+    u, v = Poly.var("u"), Poly.var("v")
+    system = solver.ConstraintSystem(("u", "v"), (
+        solver.Equation("one", u + v - 1), solver.Equation("two", u + v - 2)))
+    (branch,) = solver.eliminate(system)
+    assert branch.status == "infeasible" and branch.path == ()
+    assert [(s.kind, s.var, s.prov) for s in branch.trace] == [
+        ("substitute", "u", "one"), ("equation-contradiction", None, "two")]
+    assert branch.trace[0].poly == 1 - v
+    assert branch.trace[-1].poly == Poly.const(-1)
+    assert solver.replay_certificate(system, branch)
+
+
+def test_rows_with_a_parameter_coefficient_stay_in_the_loop():
+    alg = catalog.get("As3_5")  # l symbolic
+    result = solver.enumerate_compatible(alg)
+    (fam,) = result.constrained
+    assert len(fam.residual) == 22
+    presolved = {s.prov for s in _presolved_root(result.system).trace}
+    with_l = {e.prov for e in result.system.equations
+              if "l" in e.poly.variables()
+              and e.poly.degree_in(result.system.unknowns) == 1}
+    assert presolved and len(with_l) == 15 and not presolved & with_l
 
 
 def test_replay_rejects_tampered_certificates():
@@ -789,26 +884,29 @@ def _output_digests(result) -> tuple:
             hashlib.sha256(tensors.encode()).hexdigest())
 
 
-# Recorded with the full-rewrite elimination loop, which rewrote and
-# re-canonicalised every equation at every step; the incremental loop must
-# reproduce its traces and families byte for byte.
+# The tensor digests were recorded with the full-rewrite elimination loop,
+# which rewrote and re-canonicalised every equation at every step; the
+# incremental loop must reproduce its families byte for byte.  The
+# certificate digests of every input but As2_1 and As3_1 (no rational linear
+# equation) were re-recorded when the root's linear block became one
+# presolve: its traces open with the presolve's substitutions.
 PINNED_OUTPUTS = {
     "mu0_3": (lambda: catalog.null_filiform(3),
-              "ef41e43db7be88cd21e3b343737baa8e25f264b069460714a093b77d11f1e9ed",
+              "fef37213afa7d2b2bb16d7cae8104443cb694cdfe9d4798030c8670c24e594fe",
               "58fda45d8095aeb562e87dd12494de4743b25a218e252e5fac0a8cbb2b23c92b"),
     "mu0_4": (lambda: catalog.null_filiform(4),
-              "4f82ce616899376fb5fcdb1551ffc57af4f8bc7c4fb3bdd24d1f26ec84f80cb4",
+              "2ea812e42c0bf4c66cdf4f8fae0cb816f2c24dbfeb3dc1a7e1f4dee88971d405",
               "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     # Recorded before the one-pass substitution step; the heaviest system
     # the benchmark refutes.
     "mu0_5": (lambda: catalog.null_filiform(5),
-              "af4bee8b37a7faa6f126c736890ff442491b6e1ce97965fe06a2411fb2e4feb8",
+              "8ef454369639fba3b9522bcb97419f5a622a5096475974f85e0d378320ce5ba3",
               "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "As3_3": (lambda: catalog.get("As3_3"),
-              "384f9afc21860e5a4d191f57318265f2c04ff6180323a4ea2ee7d5484682a2d3",
+              "176ec27f931d6c856106bb1d49a457e33b8a5a47ae7cf2afbce3966b9166e3ed",
               "1502f58b7707346520a191129b5a29522ab05f86c3cbf8eabe4afb723359f669"),
     "As3_5_l2": (lambda: catalog.get("As3_5", {"l": F(2)}),
-                 "d0f2e3113b32e6eccc99320ef54bde0b80be38b6e863536034f04c95f7f564fb",
+                 "c88a1dd29191082cc4b355dcc1a26c10c1c22b5ef978fba9be94527bfdbc51f3",
                  "89207e4fc5ff7a2b639d73032b434f2b790397e5504ab0b43c8aba11f3887719"),
     # Recorded with the dense consequence step, before its rows became
     # sparse; As3_2, As3_4 and As3_5 (symbolic l) carry combine lineages.
@@ -816,37 +914,37 @@ PINNED_OUTPUTS = {
               "e796b8bfaa5e1afea6617794a7d45975be9888f69e06dd06d1fe37ca199f349d",
               "31ddfe081df34e810cde243cb47a64834b9d6ca7b64704aad133b8986e535dc7"),
     "As2_2": (lambda: catalog.get("As2_2"),
-              "06ca801884b78af49a81990de16565fea4419075302ca59757aefeb112fc9142",
+              "a71ebba8f09f672de85538248227479327051910c51254336bffe0f5ad4c8b30",
               "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "As2_3": (lambda: catalog.get("As2_3"),
-              "3ded45df09a0179a455b43ec3138132032b39d7bfdbf53954573d74f9a80d327",
+              "26b20b49b506d3a0830b5e0adbc97a94d2f776e2c2ac6b4d8503db7f7f3c257a",
               "e9333ec99a85ec92ddbac9980d2ccc2765f470ed5be1fc1509154816d488fba3"),
     "As2_4": (lambda: catalog.get("As2_4"),
-              "06ca801884b78af49a81990de16565fea4419075302ca59757aefeb112fc9142",
+              "92b34f9766a4a368a44ad91ceedcdc9bf8391d6257cdf56b23e9c1dfcf580ebc",
               "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "As2_5": (lambda: catalog.get("As2_5"),
-              "06ca801884b78af49a81990de16565fea4419075302ca59757aefeb112fc9142",
+              "f1bf411875f48a5d66dacecd61b28b4d91305fa29eb2cb4446d6c911d6e69592",
               "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "As2_6": (lambda: catalog.get("As2_6"),
-              "06ca801884b78af49a81990de16565fea4419075302ca59757aefeb112fc9142",
+              "beccf8f240c9699d82e291dafc3dff283f880f4502282c2266215e475f7d17d0",
               "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "As2_7": (lambda: catalog.get("As2_7"),
-              "06ca801884b78af49a81990de16565fea4419075302ca59757aefeb112fc9142",
+              "d08041f8198f529001b41035355470359545f6ae92e5a10e7bca7cb5f596e841",
               "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "As3_1": (lambda: catalog.get("As3_1"),
               "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
               "f72741ba02c087720eea6468f2655b207fe4f4806c78a9ae32989732c722226a"),
     "As3_2": (lambda: catalog.get("As3_2"),
-              "2e411ea5a56505bd266c70c1b4ae6c99b65d4fc67dcefb3629839b7ac25c0610",
+              "d90549bf4a2a79266f981ce0417a8664fbdb5c096b09440801dd956d18cc4526",
               "aa3f1af290c67a939aa875419302df89fb4434ba63e53142a8111f88a11ebeac"),
     "As3_4": (lambda: catalog.get("As3_4"),
-              "848e2cc3a4ac5a94393578124c0eb8da152da143f04bf9a030ada168d78658a6",
+              "935f1bd69045b229d7f64b8a943c2119e4b57c52084b877ffe8ee9ac890ab6e3",
               "f2af665c2b96492fd9b616b21b4ad56f82439188bd78970f81ab80d0a9096cdf"),
     "As3_5": (lambda: catalog.get("As3_5"),
-              "96908b07f20eeb809779228344638d4cc88b570e1e776e168b45a3f3c6eb08ea",
+              "37fda07c0d7e2896a585157cb43782b09838ea0ada8daec4768c16259a4275c6",
               "b727020c86f6f094e94efee72f059bddefaeee6f64cfa0b880d2d60e19540c11"),
     "As3_6": (lambda: catalog.get("As3_6"),
-              "ef41e43db7be88cd21e3b343737baa8e25f264b069460714a093b77d11f1e9ed",
+              "fef37213afa7d2b2bb16d7cae8104443cb694cdfe9d4798030c8670c24e594fe",
               "58fda45d8095aeb562e87dd12494de4743b25a218e252e5fac0a8cbb2b23c92b"),
 }
 
